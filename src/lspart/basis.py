@@ -26,6 +26,8 @@ import numpy as np
 from .errors import ConfigError, UnsupportedDerivative
 from .partition import TensorPartition
 
+_GRAM_CHUNK = 4096  # rows per accumulation pass, bounds scratch memory
+
 
 class BasisFamily(enum.Enum):
     BSPLINE = "bspline"
@@ -98,6 +100,43 @@ class SparseRows:
             weights=(self.values * w[:, None]).ravel(),
             minlength=self.K,
         )
+
+    def weighted_cross(self, other, row_weights=None):
+        """Dense (K, other.K) mean (1/n) sum_i w_i p(x_i) q(x_i)', w = 1 by default.
+
+        The one accumulation loop behind the Gram, cross-Gram and Sigma
+        matrices: each chunk of rows adds its weighted outer products into a
+        flat histogram, so scratch memory stays O(chunk * width * width).
+        """
+        if other.n != self.n:
+            raise ConfigError("designs must share the sample")
+        n = self.n
+        w = np.full(n, 1.0 / n) if row_weights is None else np.asarray(row_weights) / n
+        Kb = other.K
+        out = np.zeros(self.K * Kb)
+        for s in range(0, n, _GRAM_CHUNK):
+            rows = slice(s, s + _GRAM_CHUNK)
+            ia, ib = self.indices[rows], other.indices[rows]
+            va = self.values[rows] * w[rows, None]
+            flat = (ia[:, :, None] * Kb + ib[:, None, :]).ravel()
+            vals = (va[:, :, None] * other.values[rows][:, None, :]).ravel()
+            out += np.bincount(flat, weights=vals, minlength=out.size)
+        return out.reshape(self.K, Kb)
+
+    def quadratic_forms(self, mat):
+        """Row-wise ``p(x_i)' mat p(x_i)`` for a dense (K, K) matrix: (n,).
+
+        Each row reads only its (width, width) block of ``mat``, one block
+        row at a time over chunks of rows, so no (n, K) array is formed.
+        """
+        out = np.zeros(self.n)
+        for s in range(0, self.n, _GRAM_CHUNK):
+            rows = slice(s, s + _GRAM_CHUNK)
+            idx, val = self.indices[rows], self.values[rows]
+            for a in range(self.width):
+                block_row = mat[idx[:, a, None], idx]
+                out[rows] += val[:, a] * np.einsum("ib,ib->i", block_row, val)
+        return out
 
     def dense(self):
         """Materialize the (n, K) design; test and diagnostic use only."""

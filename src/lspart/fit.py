@@ -29,57 +29,40 @@ from .errors import (
 )
 
 _PIVOT_REL_TOL = 1e-10
-_GRAM_CHUNK = 4096  # rows per accumulation pass, bounds scratch memory
-
-
-def assemble(spec, X):
-    """Sparse design rows of ``spec`` at data ``X``; see BasisSpec.eval_many."""
-    return spec.eval_many(X)
+_PINV_REL_CUTOFF = 1e-10  # stacked-Gram pseudo-inverse: eigenvalue cutoff / max
 
 
 def gram_banded(design, row_weights=None):
     """Symmetric Gram (1/n) sum_i w_i p(x_i) p(x_i)' in lower-banded storage.
 
-    Returns ``ab`` with ``ab[r - c, c]`` holding entry (r, c) for r >= c.
-    The bandwidth comes from the actual index spread of the rows, which for
+    Returns ``ab`` with ``ab[r - c, c]`` holding entry (r, c) for r >= c,
+    read off the dense Gram from :meth:`SparseRows.weighted_cross`. The
+    bandwidth comes from the actual index spread of the rows, which for
     the local bases equals the structural overlap width.
     """
-    idx, val = design.indices, design.values
-    n = design.n
+    idx = design.indices
     K = design.K
-    w = np.full(n, 1.0 / n) if row_weights is None else np.asarray(row_weights) / n
     bw = int(np.max(np.ptp(idx, axis=1))) if idx.shape[1] > 1 else 0
-    ab = np.zeros((bw + 1) * K)
-    for s in range(0, n, _GRAM_CHUNK):
-        i = idx[s : s + _GRAM_CHUNK]
-        v = val[s : s + _GRAM_CHUNK] * w[s : s + _GRAM_CHUNK, None]
-        shape = (i.shape[0], i.shape[1], i.shape[1])
-        r = np.broadcast_to(i[:, :, None], shape)
-        c = np.broadcast_to(i[:, None, :], shape)
-        prod = v[:, :, None] * val[s : s + _GRAM_CHUNK][:, None, :]
-        keep = r >= c
-        flat = (r[keep] - c[keep]) * K + c[keep]
-        ab += np.bincount(flat, weights=prod[keep], minlength=(bw + 1) * K)
-    return ab.reshape(bw + 1, K)
+    dense = design.weighted_cross(design, row_weights)
+    ab = np.zeros((bw + 1, K))
+    for off in range(bw + 1):
+        ab[off, : K - off] = np.diagonal(dense, -off)
+    return ab
 
 
 def cross_gram(design_a, design_b, row_weights=None):
     """Dense (K_a, K_b) matrix (1/n) sum_i w_i p_a(x_i) p_b(x_i)'."""
-    if design_a.n != design_b.n:
-        raise ConfigError("designs must share the sample")
-    n = design_a.n
-    Ka, Kb = design_a.K, design_b.K
-    w = np.full(n, 1.0 / n) if row_weights is None else np.asarray(row_weights) / n
-    out = np.zeros(Ka * Kb)
-    for s in range(0, n, _GRAM_CHUNK):
-        ia = design_a.indices[s : s + _GRAM_CHUNK]
-        ib = design_b.indices[s : s + _GRAM_CHUNK]
-        va = design_a.values[s : s + _GRAM_CHUNK] * w[s : s + _GRAM_CHUNK, None]
-        vb = design_b.values[s : s + _GRAM_CHUNK]
-        flat = (ia[:, :, None] * Kb + ib[:, None, :]).ravel()
-        vals = (va[:, :, None] * vb[:, None, :]).ravel()
-        out += np.bincount(flat, weights=vals, minlength=Ka * Kb)
-    return out.reshape(Ka, Kb)
+    return design_a.weighted_cross(design_b, row_weights)
+
+
+def _unband(ab):
+    """Dense symmetric matrix from lower-banded storage."""
+    K = ab.shape[1]
+    Q = np.zeros((K, K))
+    for off in range(ab.shape[0]):
+        c = np.arange(K - off)
+        Q[c + off, c] = Q[c, c + off] = ab[off, : K - off]
+    return Q
 
 
 class BandedCholesky:
@@ -122,14 +105,7 @@ class BandedCholesky:
 
     def dense(self):
         """Materialize Q; tests and small diagnostics only."""
-        ab = self.ab
-        K = ab.shape[1]
-        Q = np.zeros((K, K))
-        for off in range(ab.shape[0]):
-            for c in range(K - off):
-                Q[c + off, c] = ab[off, c]
-                Q[c, c + off] = ab[off, c]
-        return Q
+        return _unband(self.ab)
 
 
 @dataclass(frozen=True)
@@ -196,7 +172,7 @@ class FitResult:
         self.cells = part.locate(self.X)
         self.cell_lower, self.cell_width = part.geometry(self.cells)
 
-        self.design_main = assemble(kind.main_spec, self.X)
+        self.design_main = kind.main_spec.eval_many(self.X)
         self.gram_main = BandedCholesky(gram_banded(self.design_main))
         self.rhs_main = self.design_main.accumulate(self.y) / self.n
         self.beta_main = self.gram_main.solve(self.rhs_main)
@@ -207,7 +183,7 @@ class FitResult:
         self.rhs_bc = None
         self.beta_bc = None
         if kind.bc_spec is not None:
-            self.design_bc = assemble(kind.bc_spec, self.X)
+            self.design_bc = kind.bc_spec.eval_many(self.X)
             self.gram_bc = BandedCholesky(gram_banded(self.design_bc))
             self.rhs_bc = self.design_bc.accumulate(self.y) / self.n
             self.beta_bc = self.gram_bc.solve(self.rhs_bc)
@@ -390,35 +366,30 @@ class FitResult:
             block += w_u[:, None] * gamma_u1 - proj
         return np.hstack([gamma0, block])
 
-    def gamma_hat(self, x, q=None, j=0):
-        """Weights at a single point, (K_j,)."""
-        return self.gamma_many(np.atleast_2d(x), q, j)[0]
-
     def leverage(self, j):
         """Diagonal of the hat matrix for the j-relevant design, (n,).
 
-        For j <= 1 the design has full column rank (the Gram factorization
-        succeeded), so the banded solve applies; stacked designs are rank
-        deficient by construction and go through an SVD column basis.
+        One route for every j: h_i = Pi_j(x_i)' G^+ Pi_j(x_i) / n against the
+        (pseudo-)inverse Gram, in O(K^3 + n width^2) and no (n, K) array. For
+        j <= 1 the inverse comes from the banded factor. The stacked Gram
+        [[Q_0, C], [C', Q_1]] of j >= 2 is rank deficient by construction; its
+        pseudo-inverse (one ``eigh``) drops eigenvalues at or below
+        ``_PINV_REL_CUTOFF`` times the largest.
         """
         j = self.kind.require_j(j)
         if j <= 1:
-            design = self.design_main if j == 0 else self.design_bc
             factor = self.gram_main if j == 0 else self.gram_bc
-            solved = factor.solve(design.dense().T)  # (K, n)
-            lev = (
-                np.sum(
-                    design.values
-                    * np.take_along_axis(solved.T, design.indices, axis=1),
-                    axis=1,
-                )
-                / self.n
-            )
-            return lev
-        dense = self.design_for(j).dense()
-        u, s, _ = np.linalg.svd(dense, full_matrices=False)
-        rank = int(np.sum(s > s[0] * max(dense.shape) * np.finfo(float).eps))
-        return np.sum(u[:, :rank] ** 2, axis=1)
+            ginv = factor.solve(np.eye(factor.K))
+        else:
+            cross = self.cross_gram
+            gram = np.block([
+                [_unband(self.gram_main.ab), cross],
+                [cross.T, _unband(self.gram_bc.ab)],
+            ])
+            lam, vec = np.linalg.eigh(gram)
+            keep = lam > _PINV_REL_CUTOFF * lam[-1]
+            ginv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T
+        return self.design_for(j).quadratic_forms(ginv) / self.n
 
 
 def stack_designs(a, b):

@@ -39,7 +39,7 @@ from .inference import (
     pointwise_ci,
     sigma_hat,
 )
-from .partition import KnotRule, TensorPartition
+from .partition import KnotRule, TensorPartition, data_bounds
 from .tuning import dpi_select, rot_select
 
 SCHEMA = "lspart/1"
@@ -208,15 +208,6 @@ def read_data(path):
     return arr[:, :d], arr[:, d]
 
 
-def _bounds_from_data(X):
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    for ell in range(X.shape[1]):
-        if not hi[ell] > lo[ell]:
-            raise DegenerateData(f"covariate {ell + 1} is constant")
-    return np.stack([lo, hi], axis=1)
-
-
 def _effective_cap(cfg, d):
     if cfg.kappa_max is not None:
         return cfg.kappa_max
@@ -310,7 +301,7 @@ def run_fit(config):
     q = cfg.q if cfg.q is not None else (0,) * d
     if len(q) != d:
         raise ConfigError(f"q has {len(q)} entries for {d} covariates")
-    bounds = _bounds_from_data(X)
+    bounds = data_bounds(X)
 
     kappa, selection = _select_kappa(cfg, X, y, d, bounds)
     fit = _build_fit(cfg, X, y, bounds, kappa)
@@ -391,7 +382,7 @@ def _simulate_rep(args):
         X, y = dgp.dgp_sample(cfg.model_id, cfg.n, rng)
         d = X.shape[1]
         q = cfg.q if cfg.q is not None else (0,) * d
-        bounds = _bounds_from_data(X)
+        bounds = data_bounds(X)
         kappa, _ = _select_kappa(cfg, X, y, d, bounds)
         fit = _build_fit(cfg, X, y, bounds, kappa)
 
@@ -472,8 +463,11 @@ def _aggregate(cfg, results, truth_pts):
             bc = np.stack([res["per_j"][j]["band_cover"] for res in ok])
             point_cov = np.mean(bc, axis=0)
             ucr = float(np.mean([res["per_j"][j]["ucr"] for res in ok]))
-            # uniform coverage cannot beat the weakest grid point
-            assert ucr <= float(np.min(point_cov)) + 1e-12
+            if ucr > float(np.min(point_cov)) + 1e-12:
+                raise NumericalError(
+                    f"uniform coverage {ucr} exceeds the smallest pointwise band "
+                    f"coverage {float(np.min(point_cov))}"
+                )
             row["cp"] = float(np.mean(point_cov >= 1.0 - cfg.alpha))
             row["ace"] = float(np.mean(np.abs(point_cov - (1.0 - cfg.alpha))))
             row["aw"] = float(np.mean([res["per_j"][j]["aw"] for res in ok]))

@@ -47,9 +47,12 @@ def normal_quantile(p):
 class VarianceEstimate:
     """Sandwich variance pieces for one estimator kind.
 
-    Binds the fit, the kind j, and the HC residual weighting. The dense
-    Sigma matrix is formed lazily; the production Omega route never needs
-    it (it accumulates per-observation squares through the sparse design).
+    Binds the fit, the kind j, and the HC residual weighting. HC2/HC3 use
+    :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
+    Gram, or for j >= 2 its pseudo-inverse with cutoff ``_PINV_REL_CUTOFF``.
+    The dense Sigma matrix is formed lazily by the Gram accumulator
+    :meth:`SparseRows.weighted_cross`; the production Omega route never
+    needs it (it accumulates per-observation squares through the design).
     """
 
     def __init__(self, fit, j, hc=HCKind.HC0):
@@ -85,17 +88,7 @@ class VarianceEstimate:
     def sigma_mat(self):
         """Dense Sigma_j, (K_j, K_j); symmetric by construction."""
         if self._sigma is None:
-            idx, val = self.design.indices, self.design.values
-            K = self.design.K
-            out = np.zeros(K * K)
-            chunk = 4096
-            for s in range(0, self.fit.n, chunk):
-                i = idx[s : s + chunk]
-                v = val[s : s + chunk] * self.wre2[s : s + chunk, None]
-                flat = (i[:, :, None] * K + i[:, None, :]).ravel()
-                vals = (v[:, :, None] * val[s : s + chunk][:, None, :]).ravel()
-                out += np.bincount(flat, weights=vals, minlength=K * K)
-            sig = out.reshape(K, K) / self.fit.n
+            sig = self.design.weighted_cross(self.design, self.wre2)
             self._sigma = 0.5 * (sig + sig.T)  # kill roundoff asymmetry
         return self._sigma
 

@@ -23,6 +23,16 @@ class KnotRule(enum.Enum):
     QUANTILE = "quantile"
 
 
+def data_bounds(X):
+    """Per-covariate [min, max] of the data, (d, 2); a constant one is degenerate."""
+    lo = X.min(axis=0)
+    hi = X.max(axis=0)
+    for ell in range(X.shape[1]):
+        if not hi[ell] > lo[ell]:
+            raise DegenerateData(f"covariate {ell + 1} is constant")
+    return np.stack([lo, hi], axis=1)
+
+
 def make_knots(rule, bounds, kappa, data=None):
     """Build one axis' knot sequence of length ``kappa + 1``.
 

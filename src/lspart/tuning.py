@@ -29,7 +29,7 @@ from .errors import (
     RankDeficient,
 )
 from .fit import EstimatorKind, fit_estimator
-from .partition import KnotRule, TensorPartition
+from .partition import KnotRule, TensorPartition, data_bounds
 
 _QUAD_NODES = 20
 _VAR_FLOOR = 1e-8
@@ -152,14 +152,6 @@ class _GlobalPolyFit:
         return vals * float(np.prod(self.chain ** np.asarray(u)))
 
 
-def _data_bounds(X):
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
-    if np.any(hi <= lo):
-        raise DegenerateData("degenerate support: constant coordinate")
-    return np.stack([lo, hi], axis=1)
-
-
 def _kappa_ceil(base):
     if not np.isfinite(base):
         raise NegativeVarianceEstimate("selector produced a nonfinite size")
@@ -204,7 +196,7 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     q = (0,) * d if q is None else tuple(int(v) for v in np.atleast_1d(q))
     if sum(q) > m - 1:
         raise ConfigError(f"derivative {q} too high for order {m}")
-    bounds = _data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
+    bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
 
     degree = m + 4
     fit_mu = _GlobalPolyFit(X, y, degree, bounds)
@@ -258,7 +250,7 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
     family = BasisFamily(family)
     m = int(m)
     q = (0,) * d if q is None else tuple(int(v) for v in np.atleast_1d(q))
-    bounds = _data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
+    bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
     if rot is None:
         rot = rot_select(X, y, family, m, q, bounds=bounds)
     kr = int(rot.kappa_rot)

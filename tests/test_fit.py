@@ -5,11 +5,13 @@ small instances (two-stage refit for j=2, explicit plug-in for j=3); the
 tests compare the production paths against those.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lspart.basis import BasisFamily, BasisSpec
+from lspart.basis import BasisFamily, BasisSpec, SparseRows
 from lspart.errors import ConfigError, RankDeficient, UnsupportedFamily
 from lspart.fit import (
     BandedCholesky,
@@ -19,6 +21,7 @@ from lspart.fit import (
     gram_banded,
     stack_designs,
 )
+from lspart.inference import HCKind, sigma_hat
 from lspart.partition import KnotRule, TensorPartition
 
 
@@ -30,6 +33,15 @@ def _fit_1d(y_fn, n=300, kappa=4, m=2, m_tilde=None, family=BasisFamily.BSPLINE,
     part = TensorPartition.build(rule, [[0.0, 1.0]], kappa, data=X)
     kind = EstimatorKind.default(family, m, part, m_tilde)
     return fit_estimator(kind, X, y), X, y
+
+
+def _from_band(ab):
+    K = ab.shape[1]
+    dense = np.zeros((K, K))
+    for off in range(ab.shape[0]):
+        for c in range(K - off):
+            dense[c + off, c] = dense[c, c + off] = ab[off, c]
+    return dense
 
 
 class TestGram:
@@ -48,13 +60,8 @@ class TestGram:
         fit, X, y = _fit_1d(np.cos, kappa=3, m=2)
         w = np.random.default_rng(1).random(fit.n)
         ab = gram_banded(fit.design_main, row_weights=w)
-        K = ab.shape[1]
-        dense = np.zeros((K, K))
-        for off in range(ab.shape[0]):
-            for c in range(K - off):
-                dense[c + off, c] = dense[c, c + off] = ab[off, c]
         D = fit.design_main.dense()
-        assert_allclose(dense, D.T @ (w[:, None] * D) / fit.n, atol=1e-13)
+        assert_allclose(_from_band(ab), D.T @ (w[:, None] * D) / fit.n, atol=1e-13)
 
     def test_solve_and_matvec(self):
         fit, _, _ = _fit_1d(np.sin, kappa=6, m=3)
@@ -290,6 +297,87 @@ class TestStackAndLeverage:
         D = fit.design_for(2).dense()
         H = D @ np.linalg.pinv(D)
         assert_allclose(fit.leverage(2), np.diag(H), atol=1e-8)
+
+
+def _fit_nd(d, family=BasisFamily.BSPLINE, rule=KnotRule.EVEN, seed=0):
+    n, kappa = {1: (200, 4), 2: (700, 3), 3: (1500, 2)}[d]
+    rng = np.random.default_rng([seed, d])
+    X = rng.random((n, d))
+    y = np.sin(3 * X[:, 0]) * np.cos(X[:, -1]) + 0.3 * rng.standard_normal(n)
+    part = TensorPartition.build(rule, [[0.0, 1.0]] * d, kappa, data=X)
+    return fit_estimator(EstimatorKind.default(family, 2, part), X, y)
+
+
+def _hat_diagonal(D):
+    # diag of D (D'D)^+ D', same eigenvalue cutoff as the production route
+    lam, V = np.linalg.eigh(D.T @ D)
+    keep = lam > 1e-10 * lam[-1]
+    return np.sum((D @ V[:, keep]) ** 2 / lam[keep], axis=1)
+
+
+class TestLeverageRoute:
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", [KnotRule.EVEN, KnotRule.QUANTILE])
+    def test_matches_dense_hat_diagonal(self, j, family, d, rule):
+        fit = _fit_nd(d, family, rule)
+        oracle = _hat_diagonal(fit.design_for(j).dense())
+        assert_allclose(fit.leverage(j), oracle, atol=1e-9)
+
+    def test_never_densifies(self, monkeypatch):
+        fit = _fit_nd(2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense route called")
+
+        monkeypatch.setattr(SparseRows, "dense", refuse)
+        monkeypatch.setattr(BandedCholesky, "dense", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for j in (0, 1, 2, 3):
+            assert np.all(np.isfinite(fit.leverage(j)))
+            for hc in (HCKind.HC2, HCKind.HC3):
+                assert np.all(sigma_hat(fit, j, hc).weights > 1.0)
+
+    def test_memory_stays_below_dense_design(self):
+        rng = np.random.default_rng(7)
+        n = 20_000
+        X = rng.random((n, 2))
+        y = np.sin(3 * X[:, 0]) * X[:, 1] + 0.3 * rng.standard_normal(n)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 10)
+        fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
+        dense_bytes = n * fit.design_for(2).K * 8
+        tracemalloc.start()
+        try:
+            fit.leverage(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
+
+
+class TestAccumulatorOracles:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_weighted_products_match_dense(self, d):
+        fit = _fit_nd(d, seed=3)
+        w = np.random.default_rng(d).random(fit.n)
+        Da = fit.design_main.dense()
+        Db = fit.design_bc.dense()
+        assert_allclose(
+            cross_gram(fit.design_main, fit.design_bc, row_weights=w),
+            Da.T @ (w[:, None] * Db) / fit.n,
+            atol=1e-13,
+        )
+        assert_allclose(
+            _from_band(gram_banded(fit.design_bc, row_weights=w)),
+            Db.T @ (w[:, None] * Db) / fit.n,
+            atol=1e-13,
+        )
+        for j in (0, 2):
+            var = sigma_hat(fit, j, HCKind.HC2)
+            D = fit.design_for(j).dense()
+            ref = D.T @ (var.wre2[:, None] * D) / fit.n
+            assert_allclose(var.sigma_mat, ref, atol=1e-13 * np.max(np.abs(ref)))
 
 
 class TestCrossGramFunction:

@@ -26,6 +26,7 @@ from lspart.harness import (
     run_simulation,
 )
 from lspart.inference import pointwise_ci
+from lspart.partition import data_bounds
 
 
 def _write_csv(path, X, y):
@@ -178,7 +179,7 @@ class TestSelectKappa:
             mode="fit", data_path=str(data_file), kappa=9, kappa_max=3
         ).validated()
         X, y = read_data(data_file)
-        kappa, info = harness._select_kappa(cfg, X, y, 1, harness._bounds_from_data(X))
+        kappa, info = harness._select_kappa(cfg, X, y, 1, data_bounds(X))
         assert kappa == 9
         assert info["rule"] == "fixed"
         assert info["capped"] is False
@@ -188,7 +189,7 @@ class TestSelectKappa:
             mode="fit", data_path=str(data_file), kappa="rot", kappa_max=2
         ).validated()
         X, y = read_data(data_file)
-        kappa, info = harness._select_kappa(cfg, X, y, 1, harness._bounds_from_data(X))
+        kappa, info = harness._select_kappa(cfg, X, y, 1, data_bounds(X))
         assert kappa <= 2
         assert info["cap"] == 2
         assert info["kappa_rot"] >= 1
@@ -345,6 +346,20 @@ class TestRunSimulation:
         with pytest.raises(NumericalError):
             run_simulation(_sim_cfg(n=60, kappa=80, replications=3))
 
+    def test_inconsistent_band_coverage_is_typed(self):
+        # a uniform cover in every replication cannot miss a grid point
+        cfg = _sim_cfg(j_set=(0,), band_method="plugin").validated()
+
+        def rep(band_cover):
+            entry = {"est": np.zeros(3), "cover": np.ones(3, dtype=bool),
+                     "il": np.ones(3), "band_cover": np.array(band_cover),
+                     "aw": 1.0, "ucr": True}
+            return {"kappa": 3, "per_j": {0: entry}}
+
+        results = [(0, None, rep([True, True])), (1, None, rep([False, True]))]
+        with pytest.raises(NumericalError, match=r"coverage 1\.0 .* coverage 0\.5"):
+            harness._aggregate(cfg, results, np.zeros(3))
+
     def test_output_files(self, tmp_path):
         out = tmp_path / "metrics.csv"
         run_simulation(_sim_cfg(replications=2, output_path=str(out)))
@@ -398,7 +413,7 @@ class TestEmitPlotdata:
         from lspart.partition import KnotRule, TensorPartition
 
         X, y = read_data(data_file)
-        part = TensorPartition.build(KnotRule.EVEN, harness._bounds_from_data(X), 4)
+        part = TensorPartition.build(KnotRule.EVEN, data_bounds(X), 4)
         kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
         fit = fit_estimator(kind, X, y)
         var = sigma_hat(fit, 0)
@@ -424,7 +439,7 @@ class TestEmitPlotdata:
         from lspart.partition import KnotRule, TensorPartition
 
         X, y = read_data(data_file)
-        part = TensorPartition.build(KnotRule.EVEN, harness._bounds_from_data(X), 3)
+        part = TensorPartition.build(KnotRule.EVEN, data_bounds(X), 3)
         fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
         band = band_plugin(fit, sigma_hat(fit, 0), make_grid(part.bounds, 6),
                            draws=150, seed=1)
