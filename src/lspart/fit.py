@@ -190,6 +190,7 @@ class FitResult:
             _check_normal_equations(self.gram_bc, self.beta_bc, self.rhs_bc)
 
         self._cross = None
+        self._stacked = None
         self._c2 = None
         self._c3 = None
         self._bvec0 = None
@@ -264,13 +265,18 @@ class FitResult:
     # -- per-kind reads -----------------------------------------------------
 
     def design_for(self, j):
-        """Pi_j rows at the sample: the j-relevant (possibly stacked) design."""
+        """Pi_j rows at the sample: the j-relevant (possibly stacked) design.
+
+        j = 2 and 3 share one stacked design, built on first use.
+        """
         j = self.kind.require_j(j)
         if j == 0:
             return self.design_main
         if j == 1:
             return self.design_bc
-        return stack_designs(self.design_main, self.design_bc)
+        if self._stacked is None:
+            self._stacked = stack_designs(self.design_main, self.design_bc)
+        return self._stacked
 
     def rhs_for(self, j):
         """E_n[Pi_j(x_i) y_i] as a dense vector."""

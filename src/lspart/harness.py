@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -199,7 +200,7 @@ def read_data(path):
                 vals = [float(c) for c in row]
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: {exc}") from exc
-            if not all(np.isfinite(vals)):
+            if not all(map(math.isfinite, vals)):
                 raise ParseError(f"line {lineno}: non-finite value")
             rows.append(vals)
     if not rows:

@@ -7,8 +7,15 @@ All inference runs through the sandwich pieces
 
 with gamma and Pi matching the estimator kind j. Pointwise intervals use
 normal quantiles. Uniform bands calibrate the supremum of the studentized
-process over a grid, either by simulating Gaussian vectors through a square
-root of Sigma_j (plug-in) or by wild-bootstrap resampling of residuals.
+process over a grid, either by simulating Gaussian vectors (plug-in) or by
+wild-bootstrap resampling of residuals.
+
+The plug-in band reads everything off one square root of Sigma_j: with
+A = Gamma Sigma_j^(1/2), Omega on the grid is the row sum of A**2 and the
+simulated process is A / sqrt(Omega), in O(K^3 + G K B) and no (G, n)
+array. Only the bootstrap numerators and pointwise Omega at a few points
+take the per-observation route through the score matrix
+s[g, i] = gamma_g' Pi_j(x_i).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .errors import (
 )
 
 _LEVERAGE_TOL = 1e-8
+_DRAW_CHUNK = 128  # bootstrap draws per weight block: memory O(chunk * n)
 
 
 class HCKind(enum.Enum):
@@ -51,8 +59,10 @@ class VarianceEstimate:
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
     Gram, or for j >= 2 its pseudo-inverse with cutoff ``_PINV_REL_CUTOFF``.
     The dense Sigma matrix is formed lazily by the Gram accumulator
-    :meth:`SparseRows.weighted_cross`; the production Omega route never
-    needs it (it accumulates per-observation squares through the design).
+    :meth:`SparseRows.weighted_cross`; the plug-in band takes Omega from its
+    square root. :meth:`omega_many` needs no Sigma: at a few points the
+    per-observation route through :meth:`scores` is cheaper than forming it,
+    and the bootstrap band needs those scores for its numerators anyway.
     """
 
     def __init__(self, fit, j, hc=HCKind.HC0):
@@ -93,7 +103,7 @@ class VarianceEstimate:
         return self._sigma
 
     def scores(self, gamma):
-        """s[g, i] = gamma_g' Pi_j(x_i): the band's score matrix, (G, n)."""
+        """s[g, i] = gamma_g' Pi_j(x_i): the per-observation scores, (G, n)."""
         return self.design.rows_times(np.asarray(gamma).T).T
 
     def omega_from_scores(self, scores):
@@ -234,11 +244,12 @@ def _prep_band(fit, var, grid, q, alpha, draws):
     _warn_grid_spacing(part, grid)
     gamma = fit.gamma_many(grid, q, var.j)
     est = fit.estimate_many(grid, q, var.j)
-    scores = var.scores(gamma)
-    omega = var.omega_from_scores(scores)
+    return grid, gamma, est
+
+
+def _check_grid_omega(omega):
     if np.any(omega <= 0):
         raise NonPositiveVariance("variance not positive somewhere on the grid")
-    return grid, gamma, est, scores, omega
 
 
 def _warn_grid_spacing(part, grid):
@@ -276,16 +287,21 @@ def _sup_quantile(sups, alpha):
 def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
     """Uniform band via simulated Gaussian suprema through Sigma^(1/2).
 
-    The square root uses a symmetric eigendecomposition with negative
-    eigenvalues clamped to zero: the stacked-basis Sigma of j >= 2 is
-    singular by construction, so a Cholesky factor does not exist.
+    One square root serves the whole band: A = Gamma V sqrt(lambda) from a
+    symmetric eigendecomposition Sigma = V diag(lambda) V', with negative
+    eigenvalues clamped to zero (the stacked-basis Sigma of j >= 2 is
+    singular by construction, so a Cholesky factor does not exist). Omega
+    on the grid is the row sum of A**2, and the draws simulate A / sqrt(Omega)
+    times standard normals. No (G, n) score matrix is formed.
     """
     if j is not None and int(j) != var.j:
         raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
-    grid, gamma, est, scores, omega = _prep_band(fit, var, grid, q, alpha, draws)
+    grid, gamma, est = _prep_band(fit, var, grid, q, alpha, draws)
     evals, evecs = np.linalg.eigh(var.sigma_mat)
-    root = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    M = (gamma @ root) / np.sqrt(omega)[:, None]
+    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    omega = np.sum(A**2, axis=1)
+    _check_grid_omega(omega)
+    M = A / np.sqrt(omega)[:, None]
     K_j = M.shape[1]
     draws = int(draws)
     normals = np.empty((K_j, draws))
@@ -318,32 +334,44 @@ def band_bootstrap(
     """Uniform band via the wild bootstrap with Rademacher weights.
 
     Each draw reweights residuals by independent signs, restudentizes by
-    the redrawn variance, and records the grid supremum. ``_weight_hook``
-    replaces the weight sampler in tests (e.g. all-ones reduces the
-    statistic to a deterministic direct evaluation).
+    the redrawn variance, and records the grid supremum. The numerators
+    and Omega go through the (G, n) score matrix. Weights are drawn in
+    row-major blocks of ``_DRAW_CHUNK`` draws, one key per draw, so memory
+    stays O(chunk * n) and every draw's weights do not depend on the block
+    size.
+    ``_weight_hook`` replaces the weight sampler in tests (e.g. all-ones
+    reduces the statistic to a deterministic direct evaluation).
     """
     if j is not None and int(j) != var.j:
         raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
-    grid, gamma, est, scores, omega = _prep_band(fit, var, grid, q, alpha, draws)
+    grid, gamma, est = _prep_band(fit, var, grid, q, alpha, draws)
+    scores = var.scores(gamma)
+    omega = var.omega_from_scores(scores)
+    _check_grid_omega(omega)
     n = fit.n
     resid = fit.residuals(var.j)
     draws = int(draws)
-    W = np.empty((n, draws))
-    for b in range(draws):
-        rng = np.random.default_rng(_draw_key(seed, b))
-        if _weight_hook is not None:
-            W[:, b] = _weight_hook(rng, n)
+    sq_scores = scores**2 if _weight_hook is not None else None
+    sups = np.empty(draws)
+    for start in range(0, draws, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, draws)
+        W = np.empty((stop - start, n))
+        for r, b in enumerate(range(start, stop)):
+            rng = np.random.default_rng(_draw_key(seed, b))
+            if _weight_hook is not None:
+                W[r] = _weight_hook(rng, n)
+            else:
+                W[r] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        if _weight_hook is None:
+            # Rademacher squares to one, so the redrawn variance equals omega
+            om_star = omega
         else:
-            W[:, b] = rng.integers(0, 2, size=n) * 2.0 - 1.0
-    nums = scores @ (W * resid[:, None]) / np.sqrt(n)  # (G, draws)
-    if _weight_hook is None:
-        # Rademacher squares to one, so the redrawn variance equals omega
-        om_star = np.broadcast_to(omega[:, None], nums.shape)
-    else:
-        om_star = (scores**2) @ (W**2 * var.wre2[:, None]) / n
-        if np.any(om_star <= 0):
-            raise NonPositiveVariance("bootstrap variance not positive")
-    sups = np.max(np.abs(nums) / np.sqrt(om_star), axis=0)
+            om_star = (W**2 * var.wre2) @ sq_scores.T / n  # (chunk, G)
+            if np.any(om_star <= 0):
+                raise NonPositiveVariance("bootstrap variance not positive")
+        W *= resid
+        nums = W @ scores.T / np.sqrt(n)  # (chunk, G)
+        sups[start:stop] = np.max(np.abs(nums) / np.sqrt(om_star), axis=1)
     qhat = _sup_quantile(sups, alpha)
     return BandResult(
         grid=grid,

@@ -153,6 +153,12 @@ class TestReadData:
         with pytest.raises(ParseError, match="line 2"):
             read_data(p)
 
+    def test_non_finite_after_blank_line(self, tmp_path):
+        p = tmp_path / "g.csv"
+        p.write_text("x1,y\n0.1,1.0\n\n0.2,nan\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 4: non-finite"):
+            read_data(p)
+
     def test_header_only(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("x1,y\n", encoding="utf-8")

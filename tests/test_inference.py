@@ -1,10 +1,12 @@
 """Sandwich variances, pointwise intervals, and uniform bands."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from lspart.basis import BasisFamily
+from lspart.basis import BasisFamily, SparseRows
 from lspart.errors import (
     ConfigError,
     InvalidGrid,
@@ -13,7 +15,11 @@ from lspart.errors import (
 )
 from lspart.fit import EstimatorKind, fit_estimator
 from lspart.inference import (
+    _DRAW_CHUNK,
     HCKind,
+    VarianceEstimate,
+    _draw_key,
+    _sup_quantile,
     band_bootstrap,
     band_plugin,
     make_grid,
@@ -311,3 +317,105 @@ class TestBands:
             band_plugin(fit_1d, var, grid, j=2, draws=150)
         with pytest.raises(ConfigError):
             band_bootstrap(fit_1d, var, grid, j=2, draws=150)
+
+
+def _fit_nd(d, family=BasisFamily.BSPLINE, n=None, kappa=None, seed=0):
+    n = n or {1: 300, 2: 800}[d]
+    kappa = kappa or {1: 5, 2: 3}[d]
+    rng = np.random.default_rng([seed, d])
+    X = rng.random((n, d))
+    y = np.sin(3 * X[:, 0]) * np.cos(X[:, -1]) + 0.3 * rng.standard_normal(n)
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
+    return fit_estimator(EstimatorKind.default(family, 2, part), X, y)
+
+
+class TestPluginRoute:
+    """The plug-in band reads Omega and the process off one root of Sigma."""
+
+    def test_never_builds_scores(self, monkeypatch):
+        fit = _fit_nd(2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("score route called")
+
+        monkeypatch.setattr(VarianceEstimate, "scores", refuse)
+        monkeypatch.setattr(VarianceEstimate, "omega_from_scores", refuse)
+        monkeypatch.setattr(SparseRows, "rows_times", refuse)
+        grid = make_grid([[0.0, 1.0]] * 2, 8)
+        for j in (0, 1, 2, 3):
+            band = band_plugin(fit, sigma_hat(fit, j), grid, seed=1, draws=200)
+            assert np.all(band.half_widths > 0)
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_half_widths_match_dense_omega(self, family, d, j):
+        fit = _fit_nd(d, family)
+        var = sigma_hat(fit, j)
+        grid = make_grid([[0.0, 1.0]] * d, 30 if d == 1 else 8)
+        band = band_plugin(fit, var, grid, seed=2, draws=200)
+        gamma = fit.gamma_many(grid, None, j)
+        ref = band.quantile * np.sqrt(quadratic_form(gamma, var.sigma_mat) / fit.n)
+        assert_allclose(band.half_widths, ref, rtol=1e-10)
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_memory_stays_below_score_matrix(self, j):
+        fit = _fit_nd(2, n=20_000, kappa=8, seed=7)
+        var = sigma_hat(fit, j)
+        var.sigma_mat  # built outside the measured span
+        grid = make_grid([[0.0, 1.0]] * 2, 20)
+        dense_bytes = grid.shape[0] * fit.n * 8
+        tracemalloc.start()
+        try:
+            band_plugin(fit, var, grid, seed=0, draws=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
+
+
+def _unchunked_bootstrap_sups(fit, var, grid, seed, draws, hook=None):
+    # the bootstrap statistic with all draws' weights in one (n, B) array
+    n = fit.n
+    scores = var.scores(fit.gamma_many(grid, None, var.j))
+    omega = var.omega_from_scores(scores)
+    W = np.empty((n, draws))
+    for b in range(draws):
+        rng = np.random.default_rng(_draw_key(seed, b))
+        W[:, b] = hook(rng, n) if hook else rng.integers(0, 2, size=n) * 2.0 - 1.0
+    nums = scores @ (W * fit.residuals(var.j)[:, None]) / np.sqrt(n)
+    if hook is None:
+        om_star = omega[:, None]
+    else:
+        om_star = (scores**2) @ (W**2 * var.wre2[:, None]) / n
+    return np.max(np.abs(nums) / np.sqrt(om_star), axis=0), omega
+
+
+class TestBootstrapChunks:
+    @pytest.mark.parametrize(
+        "hook", [None, lambda rng, n: rng.standard_normal(n)], ids=["rademacher", "gaussian"]
+    )
+    def test_matches_unchunked_formula(self, fit_1d, hook):
+        draws = 300
+        assert draws % _DRAW_CHUNK != 0
+        var = sigma_hat(fit_1d, 0)
+        grid = make_grid([[0.0, 1.0]], 30)
+        band = band_bootstrap(fit_1d, var, grid, seed=9, draws=draws, _weight_hook=hook)
+        sups, omega = _unchunked_bootstrap_sups(fit_1d, var, grid, 9, draws, hook)
+        qhat = _sup_quantile(sups, 0.05)
+        assert band.quantile == qhat
+        assert np.array_equal(band.half_widths, qhat * np.sqrt(omega / fit_1d.n))
+
+    def test_memory_stays_below_weight_matrix(self):
+        fit = _fit_nd(1, n=20_000, kappa=10, seed=5)
+        var = sigma_hat(fit, 0)
+        grid = make_grid([[0.0, 1.0]], 100)
+        draws = 1000
+        dense_bytes = fit.n * draws * 8
+        tracemalloc.start()
+        try:
+            band_bootstrap(fit, var, grid, seed=0, draws=draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 2
