@@ -85,11 +85,20 @@ class SparseRows:
         return np.sum(self.values * coef[self.indices], axis=1)
 
     def rows_times(self, mat):
-        """``design @ mat`` for a dense (K, r) matrix, returned as (n, r)."""
-        mat = np.asarray(mat, dtype=float)
+        """``design @ mat`` for a dense (K, r) matrix, returned as (n, r).
+
+        Each basis column's rows are gathered into one reused (n, r) scratch
+        buffer, so memory stays at two (n, r) arrays. The indices are valid
+        by construction; ``mode="clip"`` only stops ``take`` from buffering
+        its output.
+        """
+        mat = np.ascontiguousarray(mat, dtype=float)
         out = np.zeros((self.n, mat.shape[1]))
+        buf = np.empty_like(out)
         for a in range(self.width):
-            out += self.values[:, a, None] * mat[self.indices[:, a], :]
+            np.take(mat, self.indices[:, a], axis=0, out=buf, mode="clip")
+            buf *= self.values[:, a, None]
+            out += buf
         return out
 
     def accumulate(self, row_weights):

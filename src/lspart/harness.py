@@ -2,9 +2,11 @@
 
 JSON reports nest all wall-clock information under the single volatile
 "timestamp" key, so dropping that key leaves a byte-comparable document.
-Simulation replications draw from streams keyed (master_seed, rep) and are
-reduced in replication order, which makes parallel and serial runs agree
-bit for bit.
+Simulation replications draw their data from streams keyed (master_seed, rep)
+and are reduced in replication order, which makes parallel and serial runs
+agree bit for bit. Each band call draws from one stream of its own, keyed
+(seed, j) in a fit and (master_seed, rep, 1 + j) in a replication; the band
+depends only on that key and the number of draws.
 """
 
 from __future__ import annotations

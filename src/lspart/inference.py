@@ -16,6 +16,14 @@ simulated process is A / sqrt(Omega), in O(K^3 + G K B) and no (G, n)
 array. Only the bootstrap numerators and pointwise Omega at a few points
 take the per-observation route through the score matrix
 s[g, i] = gamma_g' Pi_j(x_i).
+
+Each band call makes one generator, ``np.random.default_rng(seed)``, where
+``seed`` is an int or a sequence such as (master, rep, j). Draw b takes
+row b of one row-major stream: n Rademacher weights for the bootstrap,
+K_j standard normals for the plug-in band. Both are generated in blocks of
+``_DRAW_CHUNK`` draws, and each draw's supremum is computed so that its
+rounding does not depend on the block it falls in. A band therefore
+depends only on the seed and the number of draws, not the block size.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from .errors import (
 )
 
 _LEVERAGE_TOL = 1e-8
-_DRAW_CHUNK = 128  # bootstrap draws per weight block: memory O(chunk * n)
+_DRAW_CHUNK = 128  # band draws per block: memory O(chunk) rows, not O(draws)
 
 
 class HCKind(enum.Enum):
@@ -269,19 +277,53 @@ def _warn_grid_spacing(part, grid):
             )
 
 
-def _draw_key(seed, b):
-    # one key per draw; a sequence seed lets callers nest (master, rep, ...)
-    if np.ndim(seed) == 0:
-        return [int(seed), int(b)]
-    return [int(s) for s in seed] + [int(b)]
-
-
 def _sup_quantile(sups, alpha):
     # upper order statistic at rank ceil(B(1-alpha)), 1-based
     sups = np.sort(sups)
     B = sups.shape[0]
     rank = min(max(math.ceil(B * (1.0 - alpha)), 1), B)
     return float(sups[rank - 1])
+
+
+def _rowwise(rows, mat):
+    """``rows @ mat.T`` as one matrix-vector product per row, (c, G).
+
+    A BLAS GEMM rounds a row differently by the number of rows in the block
+    and by the thread count, so a draw's supremum would depend on the block
+    it lands in. Taken one row at a time, each product has the same shape
+    whatever the block, and so the same rounding.
+    """
+    return np.matmul(rows[:, None, :], mat.T)[:, 0, :]
+
+
+def _exact_sign_sums(S):
+    """Round each row of S, in place, to a power-of-two grid fine enough that
+    every sum of its entries with weights 0 or +-1 is exact in float64.
+
+    With unit 2^(e - 52) for sum_i |S_gi| < 2^e, every partial sum of such a
+    combination is an integer multiple of the unit below 2^53 units, so
+    GEMM's result no longer depends on its summation order (block shape,
+    kernel, threads). The rounding moves a sum by at most n/2 units, the
+    order of a float64 GEMM's own error bound.
+    """
+    unit = np.ldexp(1.0, np.frexp(np.sum(np.abs(S), axis=1))[1] - 52)[:, None]
+    S /= unit
+    np.round(S, out=S)
+    S *= unit
+
+
+def _sign_bits(rng, shape):
+    """Rademacher signs as 0/1 bits, (c, n): row r is the first n bits, least
+    significant first, of the next ceil(n / 64) uint64 words of ``rng``.
+
+    Whole words per row keep each draw's signs the same however the rows
+    are split into blocks (``int8`` draws would not: numpy buffers their
+    bytes within one call).
+    """
+    c, n = shape
+    words = rng.integers(0, 2**64, size=(c, -(-n // 64)), dtype=np.uint64)
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
 
 
 def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
@@ -293,6 +335,12 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
     singular by construction, so a Cholesky factor does not exist). Omega
     on the grid is the row sum of A**2, and the draws simulate A / sqrt(Omega)
     times standard normals. No (G, n) score matrix is formed.
+
+    One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
+    normals are row b of one (draws, K_j) stream, taken in blocks of
+    ``_DRAW_CHUNK`` rows, so memory is O(chunk (G + K_j) + draws). Each
+    draw's product is taken on its own (:func:`_rowwise`), so the band
+    depends only on the seed and the number of draws, not the block size.
     """
     if j is not None and int(j) != var.j:
         raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
@@ -302,12 +350,14 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
     omega = np.sum(A**2, axis=1)
     _check_grid_omega(omega)
     M = A / np.sqrt(omega)[:, None]
-    K_j = M.shape[1]
     draws = int(draws)
-    normals = np.empty((K_j, draws))
-    for b in range(draws):
-        normals[:, b] = np.random.default_rng(_draw_key(seed, b)).standard_normal(K_j)
-    sups = np.max(np.abs(M @ normals), axis=0)
+    rng = np.random.default_rng(seed)
+    Z = np.empty((min(_DRAW_CHUNK, draws), M.shape[1]))
+    sups = np.empty(draws)
+    for start in range(0, draws, _DRAW_CHUNK):
+        z = Z[: min(_DRAW_CHUNK, draws - start)]
+        rng.standard_normal(out=z)
+        sups[start : start + len(z)] = np.max(np.abs(_rowwise(z, M)), axis=1)
     qhat = _sup_quantile(sups, alpha)
     return BandResult(
         grid=grid,
@@ -335,12 +385,21 @@ def band_bootstrap(
 
     Each draw reweights residuals by independent signs, restudentizes by
     the redrawn variance, and records the grid supremum. The numerators
-    and Omega go through the (G, n) score matrix. Weights are drawn in
-    row-major blocks of ``_DRAW_CHUNK`` draws, one key per draw, so memory
-    stays O(chunk * n) and every draw's weights do not depend on the block
-    size.
-    ``_weight_hook`` replaces the weight sampler in tests (e.g. all-ones
-    reduces the statistic to a deterministic direct evaluation).
+    and Omega go through the (G, n) score matrix, with resid / sqrt(n)
+    folded in once.
+
+    One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
+    signs are row b of one row-major (draws, n) stream (:func:`_sign_bits`),
+    generated in blocks of ``_DRAW_CHUNK`` rows into one reused buffer, so
+    memory is O(chunk n). The studentized scores S are rounded so that
+    every sum over a subset of observations is exact
+    (:func:`_exact_sign_sums`); with bits u, the numerator (2u - 1) S' is
+    2 u S' - S 1, so each block is one GEMM and a row maximum. The band
+    depends only on the seed and the number of draws, not the block size.
+
+    ``_weight_hook(rng, shape)`` replaces the weight sampler in tests (e.g.
+    all-ones reduces the statistic to a deterministic direct evaluation);
+    its draws are then restudentized one row at a time (:func:`_rowwise`).
     """
     if j is not None and int(j) != var.j:
         raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
@@ -349,29 +408,30 @@ def band_bootstrap(
     omega = var.omega_from_scores(scores)
     _check_grid_omega(omega)
     n = fit.n
-    resid = fit.residuals(var.j)
+    if _weight_hook is not None:
+        sq_scores = scores**2 * (var.wre2 / n)
+    scores *= fit.residuals(var.j) / np.sqrt(n)  # numerators: W @ scores.T
+    if _weight_hook is None:
+        # Rademacher squares to one, so the redrawn variance equals omega
+        scores /= np.sqrt(omega)[:, None]
+        _exact_sign_sums(scores)
+        row_sums = scores.sum(axis=1)
     draws = int(draws)
-    sq_scores = scores**2 if _weight_hook is not None else None
+    rng = np.random.default_rng(seed)
+    W = np.empty((min(_DRAW_CHUNK, draws), n))
     sups = np.empty(draws)
     for start in range(0, draws, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, draws)
-        W = np.empty((stop - start, n))
-        for r, b in enumerate(range(start, stop)):
-            rng = np.random.default_rng(_draw_key(seed, b))
-            if _weight_hook is not None:
-                W[r] = _weight_hook(rng, n)
-            else:
-                W[r] = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        w = W[: min(_DRAW_CHUNK, draws - start)]
         if _weight_hook is None:
-            # Rademacher squares to one, so the redrawn variance equals omega
-            om_star = omega
+            np.copyto(w, _sign_bits(rng, w.shape))
+            stat = np.abs(2.0 * (w @ scores.T) - row_sums)
         else:
-            om_star = (W**2 * var.wre2) @ sq_scores.T / n  # (chunk, G)
+            w[...] = _weight_hook(rng, w.shape)
+            om_star = _rowwise(w**2, sq_scores)
             if np.any(om_star <= 0):
                 raise NonPositiveVariance("bootstrap variance not positive")
-        W *= resid
-        nums = W @ scores.T / np.sqrt(n)  # (chunk, G)
-        sups[start:stop] = np.max(np.abs(nums) / np.sqrt(om_star), axis=1)
+            stat = np.abs(_rowwise(w, scores)) / np.sqrt(om_star)
+        sups[start : start + len(w)] = np.max(stat, axis=1)
     qhat = _sup_quantile(sups, alpha)
     return BandResult(
         grid=grid,

@@ -18,7 +18,7 @@ from lspart.inference import (
     _DRAW_CHUNK,
     HCKind,
     VarianceEstimate,
-    _draw_key,
+    _sign_bits,
     _sup_quantile,
     band_bootstrap,
     band_plugin,
@@ -252,7 +252,7 @@ class TestBands:
             grid,
             seed=7,
             draws=250,
-            _weight_hook=lambda rng, n: rng.integers(0, 2, size=n) * 2.0 - 1.0,
+            _weight_hook=lambda rng, shape: _sign_bits(rng, shape) * 2.0 - 1.0,
         )
         assert hook.quantile == pytest.approx(base.quantile, rel=1e-12)
         assert_allclose(hook.half_widths, base.half_widths, rtol=1e-12)
@@ -268,7 +268,7 @@ class TestBands:
             grid,
             seed=0,
             draws=150,
-            _weight_hook=lambda rng, n: np.ones(n),
+            _weight_hook=lambda rng, shape: np.ones(shape),
         )
         assert band.quantile < 1e-8
 
@@ -373,28 +373,124 @@ class TestPluginRoute:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
 
+    def test_memory_bounded_in_draws(self):
+        # draws in blocks: O(chunk (G + K_j) + B), not O(B (G + K_j))
+        fit = _fit_nd(2, n=2000, kappa=8, seed=6)
+        var = sigma_hat(fit, 0)
+        var.sigma_mat  # built outside the measured span
+        grid = make_grid([[0.0, 1.0]] * 2, 20)
+        draws = 20_000
+        dense_bytes = grid.shape[0] * draws * 8
+        tracemalloc.start()
+        try:
+            band_plugin(fit, var, grid, seed=0, draws=draws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 4
+
 
 def _unchunked_bootstrap_sups(fit, var, grid, seed, draws, hook=None):
-    # the bootstrap statistic with all draws' weights in one (n, B) array
+    # the bootstrap statistic with all draws' weights in one (B, n) stream
     n = fit.n
     scores = var.scores(fit.gamma_many(grid, None, var.j))
     omega = var.omega_from_scores(scores)
-    W = np.empty((n, draws))
-    for b in range(draws):
-        rng = np.random.default_rng(_draw_key(seed, b))
-        W[:, b] = hook(rng, n) if hook else rng.integers(0, 2, size=n) * 2.0 - 1.0
-    nums = scores @ (W * fit.residuals(var.j)[:, None]) / np.sqrt(n)
+    S = scores * (fit.residuals(var.j) / np.sqrt(n))
+    rng = np.random.default_rng(seed)
     if hook is None:
-        om_star = omega[:, None]
-    else:
-        om_star = (scores**2) @ (W**2 * var.wre2[:, None]) / n
-    return np.max(np.abs(nums) / np.sqrt(om_star), axis=0), omega
+        # Rademacher: studentize, round each row to 2^(e - 52) for
+        # sum |S_g| < 2^e, then every signed sum is exact in any order
+        S = S / np.sqrt(omega)[:, None]
+        unit = 2.0 ** (np.frexp(np.sum(np.abs(S), axis=1))[1] - 52)[:, None]
+        S = np.round(S / unit) * unit
+        # draw b's signs: the first n bits of its ceil(n / 64) words, LSB first
+        words = rng.integers(0, 2**64, size=(draws, -(-n // 64)), dtype=np.uint64)
+        i = np.arange(n)
+        bits = (words[:, i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+        W = 2.0 * bits - 1.0
+        return np.max(np.abs(W @ S.T), axis=1), omega
+    W = hook(rng, (draws, n))
+    sq = scores**2 * (var.wre2 / n)
+    sups = [np.max(np.abs(S @ w) / np.sqrt(sq @ w**2)) for w in W]
+    return np.array(sups), omega
+
+
+def _unchunked_plugin_sups(fit, var, grid, seed, draws):
+    # the plug-in statistic with all draws' normals in one (B, K_j) stream
+    gamma = fit.gamma_many(grid, None, var.j)
+    evals, evecs = np.linalg.eigh(var.sigma_mat)
+    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    omega = np.sum(A**2, axis=1)
+    M = A / np.sqrt(omega)[:, None]
+    Z = np.random.default_rng(seed).standard_normal((draws, M.shape[1]))
+    return np.array([np.max(np.abs(M @ z)) for z in Z]), omega
+
+
+def _gaussian_hook(rng, shape):
+    return rng.standard_normal(shape)
+
+
+class TestDrawStream:
+    """One generator per band call; the band does not depend on the block."""
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_plugin_matches_unchunked_formula(self, fit_1d, j):
+        draws = 300
+        var = sigma_hat(fit_1d, j)
+        grid = make_grid([[0.0, 1.0]], 30)
+        band = band_plugin(fit_1d, var, grid, seed=(9, 1), draws=draws)
+        sups, omega = _unchunked_plugin_sups(fit_1d, var, grid, (9, 1), draws)
+        qhat = _sup_quantile(sups, 0.05)
+        assert band.quantile == qhat
+        assert np.array_equal(band.half_widths, qhat * np.sqrt(omega / fit_1d.n))
+
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_one_generator_per_call(self, monkeypatch, fit_1d, j):
+        var = sigma_hat(fit_1d, j)
+        grid = make_grid([[0.0, 1.0]], 20)
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        band_bootstrap(fit_1d, var, grid, seed=(4, j), draws=300)
+        assert made == [((4, j),)]
+        band_plugin(fit_1d, var, grid, seed=5, draws=300)
+        assert made == [((4, j),), (5,)]
+
+    @pytest.mark.parametrize("chunk", [7, 10_000])
+    @pytest.mark.parametrize(
+        "method, hook",
+        [("bootstrap", None), ("bootstrap", _gaussian_hook), ("plugin", None)],
+        ids=["rademacher", "gaussian", "plugin"],
+    )
+    def test_band_does_not_depend_on_block_size(self, monkeypatch, method, hook, chunk):
+        # n odd puts the rows of a block at every alignment; at this size a
+        # plain GEMM rounds a 7-row block's rows unlike a full block's
+        fit = _fit_nd(2, n=801, kappa=4, seed=3)
+        var = sigma_hat(fit, 2)
+        grid = make_grid([[0.0, 1.0]] * 2, 9)
+        draws = 250
+
+        def band():
+            if method == "plugin":
+                return band_plugin(fit, var, grid, seed=(2, 8), draws=draws)
+            return band_bootstrap(
+                fit, var, grid, seed=(2, 8), draws=draws, _weight_hook=hook
+            )
+
+        base = band()
+        monkeypatch.setattr("lspart.inference._DRAW_CHUNK", chunk)
+        other = band()
+        assert other.quantile == base.quantile
+        assert np.array_equal(other.half_widths, base.half_widths)
 
 
 class TestBootstrapChunks:
-    @pytest.mark.parametrize(
-        "hook", [None, lambda rng, n: rng.standard_normal(n)], ids=["rademacher", "gaussian"]
-    )
+    @pytest.mark.parametrize("hook", [None, _gaussian_hook], ids=["rademacher", "gaussian"])
     def test_matches_unchunked_formula(self, fit_1d, hook):
         draws = 300
         assert draws % _DRAW_CHUNK != 0
@@ -419,3 +515,27 @@ class TestBootstrapChunks:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 2
+
+    def test_scores_memory_stays_near_output(self):
+        # one reused gather buffer: output plus scratch, no per-column temporaries
+        fit = _fit_nd(1, n=20_000, kappa=10, seed=5)
+        var = sigma_hat(fit, 0)
+        gamma = fit.gamma_many(make_grid([[0.0, 1.0]], 100), None, 0)
+        dense_bytes = gamma.shape[0] * fit.n * 8
+        tracemalloc.start()
+        try:
+            var.scores(gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * dense_bytes
+
+    def test_scores_equal_column_sum_formula(self):
+        fit = _fit_nd(2, seed=4)
+        var = sigma_hat(fit, 2)
+        gamma = fit.gamma_many(make_grid([[0.0, 1.0]] * 2, 7), None, 2)
+        design, mat = var.design, gamma.T
+        ref = np.zeros((fit.n, mat.shape[1]))
+        for a in range(design.width):
+            ref += design.values[:, a, None] * mat[design.indices[:, a], :]
+        assert np.array_equal(var.scores(gamma), ref.T)
