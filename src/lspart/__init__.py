@@ -10,11 +10,8 @@ from .basis import BasisFamily, BasisSpec, OrderingMap, SparseRows, alpha_list
 from .biascorrect import (
     LeadingErrorModel,
     bernoulli_poly,
-    leading_bias,
     leading_bias_many,
-    projected_bias_term,
     projected_bias_term_many,
-    shape_fn,
     shifted_legendre,
 )
 from .dgp import dgp_dim, dgp_eval, dgp_sample
@@ -54,7 +51,6 @@ from .inference import (
     band_plugin,
     make_grid,
     normal_quantile,
-    omega_hat,
     pointwise_ci,
     quadratic_form,
     sigma_hat,

@@ -51,14 +51,6 @@ def alpha_list(d, m):
 
 
 @dataclass(frozen=True)
-class BasisEval:
-    """Active basis functions at one point: parallel index/value vectors."""
-
-    indices: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SparseRows:
     """Row-sparse design: row i holds the active functions at point i.
 
@@ -233,11 +225,6 @@ class BasisSpec:
         n = X.shape[0]
         flat = np.ravel_multi_index(cells.T, self.partition.kappa)
         return SparseRows(flat[:, None], np.ones((n, 1)), self.K)
-
-    def eval(self, x, deriv=None):
-        """Single-point evaluation; see :meth:`eval_many`."""
-        rows = self.eval_many(np.atleast_2d(x), deriv)
-        return BasisEval(rows.indices[0].copy(), rows.values[0].copy())
 
     # -- family internals ---------------------------------------------------
 

@@ -137,11 +137,6 @@ class LeadingErrorModel:
         return shape * np.prod(width**expo, axis=1)
 
 
-def shape_fn(model, u, q, z):
-    """Scalar convenience wrapper over :meth:`LeadingErrorModel.shape_values`."""
-    return float(model.shape_values(u, q, np.atleast_2d(z))[0])
-
-
 def leading_bias_many(fit, pts, q=None):
     """Plug-in leading error of the order-m fit at many points, (G,).
 
@@ -165,17 +160,7 @@ def leading_bias_many(fit, pts, q=None):
     return out
 
 
-def leading_bias(fit, x, q=None):
-    """Single-point version of :func:`leading_bias_many`."""
-    return float(leading_bias_many(fit, np.atleast_2d(x), q)[0])
-
-
 def projected_bias_term_many(fit, pts, q=None):
     """gamma_{q,0}(pts)' E_n[p(x_i) leadhat_{m,0}(x_i)], vectorized (G,)."""
     rows = fit.kind.main_spec.eval_many(np.atleast_2d(pts), q)
     return rows.row_dot(fit.proj_coef_bias())
-
-
-def projected_bias_term(fit, x, q=None):
-    """Single-point version of :func:`projected_bias_term_many`."""
-    return float(projected_bias_term_many(fit, np.atleast_2d(x), q)[0])

@@ -131,10 +131,15 @@ class EstimatorKind:
 
     @classmethod
     def default(cls, family, m, partition, m_tilde=None, bc_partition=None):
-        """Main basis plus a same-partition basis one order higher."""
+        """Main basis plus a same-partition basis one order higher.
+
+        Haar is order 1 only, so a Haar main basis gets the piecewise
+        polynomial of order m_tilde (default 2) as its companion.
+        """
         main = BasisSpec(family, m, partition)
+        bc_family = BasisFamily.PP if main.family is BasisFamily.HAAR else main.family
         bc = BasisSpec(
-            family, m + 1 if m_tilde is None else m_tilde,
+            bc_family, m + 1 if m_tilde is None else m_tilde,
             partition if bc_partition is None else bc_partition,
         )
         return cls(main, bc)

@@ -154,6 +154,8 @@ class RunConfig:
             cfg.eval_points = tuple(tuple(float(v) for v in row) for row in pts)
 
         cfg.seed = int(cfg.seed)
+        if cfg.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
         cfg.jobs = int(cfg.jobs)
         if cfg.jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")

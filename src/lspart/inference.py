@@ -143,15 +143,6 @@ def quadratic_form(gamma, sigma):
     return np.sum((gamma @ sigma) * gamma, axis=1)
 
 
-def omega_hat(var, fit, x, q=None, j=None):
-    """Omega_j(x) as a scalar; ``fit``/``j`` must match ``var``."""
-    if fit is not var.fit:
-        raise ConfigError("variance estimate belongs to a different fit")
-    if j is not None and int(j) != var.j:
-        raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
-    return var.omega(x, q)
-
-
 @dataclass(frozen=True)
 class PointwiseResult:
     """Point estimates with standard errors and normal CIs on shared points."""

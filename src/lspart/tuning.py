@@ -3,25 +3,29 @@
 Both selectors minimize the estimated leading IMSE over the number of cells
 per axis (the same count on every axis), trading the variance term, which
 grows like kappa^(d+2[q])/n, against the squared bias term, which shrinks
-like kappa^(-2(m-[q])). The rule of thumb replaces the unknowns with global
-polynomial fits; the direct plug-in refits the constants with a pilot series
-fit of kappa_rot^((2m+d)/(2m+d+2)) cells per axis, rounded up. The pilot grows
-like n^(1/(2m+d+2)), the rate at which its bias constant is consistent; the
-paper fixes that rate but leaves the pilot's constant open. Both selectors
-report their constants free of kappa and share one closed form.
+like kappa^(-2(m-[q])). The rule of thumb replaces the unknowns with a
+global polynomial fit of degree m + 4, which is the piecewise-polynomial
+basis of order m + 5 on a one-cell partition. The direct plug-in refits the
+constants with a pilot series fit of kappa_rot^((2m+d)/(2m+d+2)) cells per
+axis, rounded up, through :func:`imse_components`: the variance term is the
+trace tr(Q^-1 Sigma Q^-1 Q_q), the squared bias the plug-in leading error
+minus its projection. The pilot grows like n^(1/(2m+d+2)), the rate at which
+its bias constant is consistent; the paper fixes that rate but leaves the
+pilot's constant open. Both selectors report their constants free of kappa
+and share one closed form.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import biascorrect, inference
-from .basis import BasisFamily, BasisSpec, alpha_list
+from .basis import BasisFamily, BasisSpec
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -94,64 +98,6 @@ def _eta_table(family, m, d, q):
     return table
 
 
-class _GlobalPolyFit:
-    """Least-squares global polynomial of a given total degree.
-
-    Coordinates are affinely mapped to [-1, 1] per axis and columns scaled
-    to unit root-mean-square before the solve, for conditioning; requested
-    derivatives are taken analytically with the chain factors restored.
-    """
-
-    def __init__(self, X, y, degree, bounds):
-        self.X = X
-        self.degree = int(degree)
-        self.bounds = bounds
-        d = X.shape[1]
-        self.alphas = [
-            a
-            for a in itertools.product(range(self.degree + 1), repeat=d)
-            if sum(a) <= self.degree
-        ]
-        self.alphas.sort(key=lambda a: (sum(a), a))
-        if X.shape[0] <= len(self.alphas):
-            raise ConfigError(
-                f"global degree-{self.degree} fit needs n > {len(self.alphas)}"
-            )
-        self.chain = 2.0 / (bounds[:, 1] - bounds[:, 0])
-        S = self._scaled(X)
-        design = self._columns(S, (0,) * d)
-        self.col_scale = np.sqrt(np.mean(design**2, axis=0))
-        self.col_scale[self.col_scale == 0] = 1.0
-        coef, *_ = np.linalg.lstsq(design / self.col_scale, y, rcond=None)
-        self.coef = coef / self.col_scale
-
-    def _scaled(self, X):
-        lo = self.bounds[:, 0]
-        return (X - lo) * self.chain - 1.0
-
-    def _columns(self, S, u):
-        n, d = S.shape
-        cols = np.empty((n, len(self.alphas)))
-        for c, a in enumerate(self.alphas):
-            if any(a[ell] < u[ell] for ell in range(d)):
-                cols[:, c] = 0.0
-                continue
-            col = np.ones(n)
-            for ell in range(d):
-                k = a[ell] - u[ell]
-                fac = math.factorial(a[ell]) // math.factorial(k)
-                col *= fac * S[:, ell] ** k
-            cols[:, c] = col
-        return cols
-
-    def deriv(self, X, u=None):
-        d = X.shape[1]
-        u = (0,) * d if u is None else tuple(int(v) for v in np.atleast_1d(u))
-        S = self._scaled(X)
-        vals = self._columns(S, u) @ self.coef
-        return vals * float(np.prod(self.chain ** np.asarray(u)))
-
-
 def _kappa_ceil(base):
     if not np.isfinite(base):
         raise NegativeVarianceEstimate("selector produced a nonfinite size")
@@ -183,8 +129,12 @@ def _pilot_kappa(kappa_rot, m, d):
 def rot_select(X, y, family, m, q=None, bounds=None):
     """Rule-of-thumb number of cells per axis.
 
-    Two global polynomial fits of degree m + 4 (levels, then squares)
-    estimate the bias constant through the eta integrals and the average
+    The preliminary fits are global polynomials of total degree m + 4: the
+    piecewise-polynomial basis of order m + 5 on a one-cell partition of the
+    support. One least-squares solve, with the design's columns scaled to
+    unit root-mean-square, fits the levels and the squares together. The
+    levels' derivatives give the bias constant through the eta integrals,
+    and the fitted squares minus the squared levels give the average
     conditional variance; the closed-form IMSE minimizer is then rounded
     up. J counts the within-cell functions of the family.
     """
@@ -199,20 +149,30 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
 
     degree = m + 4
-    fit_mu = _GlobalPolyFit(X, y, degree, bounds)
-    fit_y2 = _GlobalPolyFit(X, y**2, degree, bounds)
+    spec = BasisSpec(
+        BasisFamily.PP, degree + 1, TensorPartition.build(KnotRule.EVEN, bounds, 1)
+    )
+    if n <= spec.K:
+        raise ConfigError(f"global degree-{degree} fit needs n > {spec.K}")
+    design = spec.eval_many(X).dense()
+    col_scale = np.sqrt(np.mean(design**2, axis=0))
+    col_scale[col_scale == 0] = 1.0
+    coef, *_ = np.linalg.lstsq(
+        design / col_scale, np.column_stack([y, y**2]), rcond=None
+    )
+    coef /= col_scale[:, None]
+    mu, y2 = (design @ coef).T
 
     model = biascorrect.LeadingErrorModel(family, m, d)
     lam = model.lambda_set
     q0 = (0,) * d
     eta = _eta_table(family, m, d, q0)
-    derivs = {u: fit_mu.deriv(X, u) for u in lam}
+    derivs = {u: spec.eval_many(X, u).row_dot(coef[:, 0]) for u in lam}
     bias_sum = 0.0
     for u1, u2 in itertools.product(lam, lam):
         bias_sum += eta[(u1, u2, q0)] * float(np.mean(derivs[u1] * derivs[u2]))
 
-    sig2 = fit_y2.deriv(X) - fit_mu.deriv(X) ** 2
-    sig2 = np.clip(sig2, _VAR_FLOOR, None)
+    sig2 = np.clip(y2 - mu**2, _VAR_FLOOR, None)
     J = 1 if family is BasisFamily.BSPLINE else math.comb(d + m - 1, m - 1)
     v_hat = float(np.mean(sig2)) * J
     if v_hat <= 0:
@@ -235,9 +195,10 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
 
     A pilot series fit (orders m and m + 1 on the same partition, same knot
     rule as the final fit) re-estimates the squared-bias and variance
-    constants pre-asymptotically; the rounded closed form shared with
-    rot_select follows. The pilot has kappa_p = ceil(kappa_rot^((2m+d)/(2m+d+2)))
-    cells per axis, so it grows like n^(1/(2m+d+2)). At kappa_rot itself the
+    constants pre-asymptotically through :func:`imse_components`, over the
+    sample points; the rounded closed form shared with rot_select follows.
+    The pilot has kappa_p = ceil(kappa_rot^((2m+d)/(2m+d+2))) cells per
+    axis, so it grows like n^(1/(2m+d+2)). At kappa_rot itself the
     sampling variance of the plug-in bias is of the same order as the squared
     bias, and the bias constant would not be consistent. The paper fixes the
     pilot's rate, not its constant. The reported constants are free of kappa:
@@ -272,19 +233,14 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
             rot_fallback=True,
         )
 
-    bias_pts = biascorrect.leading_bias_many(pre, X, q)
-    bias_pts -= biascorrect.projected_bias_term_many(pre, X, q)
-    b_hat = float(np.mean(bias_pts**2))
-
     var = inference.sigma_hat(pre, j=0, hc=inference.HCKind.HC0)
-    gamma0 = pre.gamma_many(X, q, j=0)
-    v_hat = float(np.mean(inference.quadratic_form(gamma0, var.sigma_mat)))
-    if v_hat <= 0:
+    comp = imse_components(pre, var, q=q)
+    if comp["V_hat"] <= 0:
         raise NegativeVarianceEstimate("plug-in variance constant not positive")
 
     qo = sum(q)
-    bias_constant = kp ** (2.0 * (m - qo)) * b_hat
-    variance_constant = kp ** (-(d + 2.0 * qo)) * v_hat
+    bias_constant = kp ** (2.0 * (m - qo)) * comp["B_hat"]
+    variance_constant = kp ** (-(d + 2.0 * qo)) * comp["V_hat"]
     return TuningReport(
         kappa_rot=kr,
         kappa_dpi=_imse_kappa(bias_constant, variance_constant, m, d, qo, n),
@@ -299,13 +255,23 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
 def imse_components(fit, var, grid=None, q=None):
     """Pre-asymptotic IMSE pieces {V_hat, B_hat} for the j = 0 estimator.
 
-    With no grid, both components average over the sample points (the
-    empirical-density weighting used by the selectors); a grid argument
-    switches to uniform weighting over the given points.
+    V_hat is the mean of gamma_q(x)' Sigma gamma_q(x) over the points, taken
+    as one trace: tr(Q^-1 Sigma Q^-1 Q_pts), with Q the Gram of the fit and
+    Q_pts the mean outer product of the order-m basis derivatives p_q at
+    the points. No (G, K) array of weights is formed. B_hat is the mean
+    squared plug-in leading error minus its sample projection. With no
+    grid, both average over the sample points (the empirical-density
+    weighting used by the selectors); a grid argument switches to uniform
+    weighting over the given points. ``var`` must be the j = 0 variance.
     """
+    if var.j != 0:
+        raise ConfigError(f"IMSE components need the j = 0 variance, got j = {var.j}")
     pts = fit.X if grid is None else np.atleast_2d(np.asarray(grid, dtype=float))
-    gamma0 = fit.gamma_many(pts, q, j=0)
-    v_hat = float(np.mean(inference.quadratic_form(gamma0, var.sigma_mat)))
+    rows = fit.kind.main_spec.eval_many(pts, q)
+    gram = fit.gram_main
+    v_hat = float(
+        np.sum(gram.solve(var.sigma_mat) * gram.solve(rows.weighted_cross(rows)).T)
+    )
     bias_pts = biascorrect.leading_bias_many(fit, pts, q)
     bias_pts -= biascorrect.projected_bias_term_many(fit, pts, q)
     return {"V_hat": v_hat, "B_hat": float(np.mean(bias_pts**2))}

@@ -110,8 +110,8 @@ class TestBSpline1d:
     def test_right_endpoint_left_limit(self):
         part = _part([[0.0, 0.5, 1.0]])
         spec = BasisSpec(BasisFamily.BSPLINE, 2, part)
-        ev = spec.eval([1.0])
-        assert_allclose(sorted(ev.values), [0.0, 1.0], atol=1e-15)
+        ev = spec.eval_many([[1.0]])
+        assert_allclose(sorted(ev.values[0]), [0.0, 1.0], atol=1e-15)
 
     def test_nonnegative_and_local(self):
         part = _part([np.linspace(0, 1, 7)])
@@ -161,25 +161,24 @@ class TestPiecewisePoly:
     def test_values_are_local_monomials(self):
         part = _part([[0.0, 0.5, 1.0]])
         spec = BasisSpec(BasisFamily.PP, 3, part)
-        ev = spec.eval([0.7])
+        ev = spec.eval_many([[0.7]])
         z = (0.7 - 0.5) / 0.5
-        assert_allclose(ev.values, [1.0, z, z**2], atol=1e-14)
-        assert list(ev.indices) == [3, 4, 5]  # second cell block
+        assert_allclose(ev.values[0], [1.0, z, z**2], atol=1e-14)
+        assert list(ev.indices[0]) == [3, 4, 5]  # second cell block
 
     def test_derivative_factor(self):
         part = _part([[0.0, 0.5, 1.0]])
         spec = BasisSpec(BasisFamily.PP, 3, part)
-        ev = spec.eval([0.7], deriv=(1,))
+        ev = spec.eval_many([[0.7]], deriv=(1,))
         z, w = 0.4, 0.5
         # d/dx z^a = a z^(a-1) / w
-        assert_allclose(ev.values, [0.0, 1.0 / w, 2.0 * z / w], atol=1e-14)
+        assert_allclose(ev.values[0], [0.0, 1.0 / w, 2.0 * z / w], atol=1e-14)
 
     def test_discontinuous_across_cells(self):
         part = _part([[0.0, 0.5, 1.0]])
         spec = BasisSpec(BasisFamily.PP, 2, part)
-        left = spec.eval([0.5 - 1e-9])
-        right = spec.eval([0.5])
-        assert set(left.indices) != set(right.indices)
+        left, right = spec.eval_many([[0.5 - 1e-9], [0.5]]).indices
+        assert set(left) != set(right)
 
     def test_k_and_width(self):
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1], [0, 1]], 3)
@@ -192,9 +191,9 @@ class TestHaar:
     def test_indicator(self):
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1]], 4)
         spec = BasisSpec(BasisFamily.HAAR, 1, part)
-        ev = spec.eval([0.3])
-        assert list(ev.indices) == [1]
-        assert_allclose(ev.values, [1.0])
+        ev = spec.eval_many([[0.3]])
+        assert list(ev.indices[0]) == [1]
+        assert_allclose(ev.values[0], [1.0])
 
     def test_order_fixed(self):
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1]], 4)

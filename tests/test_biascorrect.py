@@ -16,10 +16,8 @@ from lspart.basis import BasisFamily, BasisSpec
 from lspart.biascorrect import (
     LeadingErrorModel,
     bernoulli_poly,
-    leading_bias,
     leading_bias_many,
     projected_bias_term_many,
-    shape_fn,
     shifted_legendre,
 )
 from lspart.errors import ConfigError, UnsupportedFamily
@@ -113,7 +111,8 @@ class TestShiftedLegendre:
 class TestShapes:
     def test_bspline_m2_midpoint(self):
         model = LeadingErrorModel(BasisFamily.BSPLINE, 2, 1)
-        assert shape_fn(model, (2,), (0,), [0.5]) == pytest.approx(-1 / 24)
+        got = model.shape_values((2,), (0,), [[0.5]])
+        assert_allclose(got, [-1 / 24], rtol=1e-12)
 
     def test_bspline_equals_scaled_bernoulli(self):
         model = LeadingErrorModel(BasisFamily.BSPLINE, 3, 1)
@@ -153,11 +152,11 @@ class TestShapes:
     def test_tensor_product_form(self):
         model = LeadingErrorModel(BasisFamily.PP, 3, 2)
         z = np.array([[0.2, 0.8]])
-        got = shape_fn(model, (1, 2), (0, 0), z)
+        got = model.shape_values((1, 2), (0, 0), z)
         want = (shifted_legendre(1, 0.2) / 2) * (
             shifted_legendre(2, 0.8) / (math.comb(4, 2) * 2)
         )
-        assert got == pytest.approx(want)
+        assert_allclose(got, [want], rtol=1e-12)
 
     def test_lambda_sets(self):
         bs = LeadingErrorModel(BasisFamily.BSPLINE, 3, 2)
@@ -209,20 +208,19 @@ class TestLeadingBias:
         kappa = 4
         b = 1.0 / kappa
         fit = _quadratic_fit(kappa)
-        for mid in (0.125, 0.375, 0.625):
-            assert leading_bias(fit, [[mid]]) == pytest.approx(
-                b**2 / 12, abs=1e-10
-            )
+        mids = np.array([[0.125], [0.375], [0.625]])
+        assert_allclose(leading_bias_many(fit, mids), b**2 / 12, atol=1e-10)
 
     def test_quadratic_knot_value(self):
         kappa = 4
         b = 1.0 / kappa
         fit = _quadratic_fit(kappa)
-        assert leading_bias(fit, [[0.25]]) == pytest.approx(-(b**2) / 6, abs=1e-10)
+        got = leading_bias_many(fit, [[0.25]])
+        assert_allclose(got, [-(b**2) / 6], atol=1e-10)
 
     def test_sign_flips_with_target(self):
         fit = _quadratic_fit(4, sign=-1.0)
-        assert leading_bias(fit, [[0.125]]) == pytest.approx(-1 / 192, abs=1e-10)
+        assert_allclose(leading_bias_many(fit, [[0.125]]), [-1 / 192], atol=1e-10)
 
     def test_derivative_of_leading_error(self):
         # d/dx of -b^2 B_2(z) is -b(2z - 1)

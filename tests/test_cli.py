@@ -1,8 +1,10 @@
 """Command-line interface: flags, exit codes, output modes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +150,14 @@ class TestSimulateCommand:
         code = main(["simulate", "--model", "9", "--n", "100", "--kappa", "3"])
         assert code == 2
 
+    def test_negative_seed_exit_2(self, capsys):
+        code = main([
+            "simulate", "--model", "1", "--n", "200", "--reps", "1",
+            "--kappa", "3", "--seed", "-1",
+        ])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_jobs_flag(self, capsys):
         code = main([
             "simulate", "--model", "1", "--n", "120", "--reps", "4",
@@ -164,12 +174,17 @@ class TestSimulateCommand:
 
 
 def test_module_entry_point(data_file):
+    # pytest's pythonpath setting does not reach child processes
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lspart.cli",
          "fit", "--data", str(data_file), "--kappa", "3", "--j", "0"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "lspart/1"

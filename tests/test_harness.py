@@ -16,6 +16,7 @@ from lspart.errors import (
     InvalidKappa,
     NumericalError,
     ParseError,
+    UnsupportedFamily,
 )
 from lspart.harness import (
     RunConfig,
@@ -117,6 +118,11 @@ class TestRunConfig:
     def test_jobs(self):
         with pytest.raises(ConfigError):
             RunConfig(mode="fit", data_path="x.csv", jobs=0).validated()
+
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError):
+            RunConfig(mode="simulate", model_id=1, n=50, seed=-1).validated()
+        assert RunConfig(mode="fit", data_path="x.csv", seed=0).validated().seed == 0
 
 
 class TestReadData:
@@ -284,6 +290,27 @@ class TestRunFit:
     def test_mode_guard(self):
         cfg = RunConfig(mode="simulate", model_id=1, n=50)
         with pytest.raises(ConfigError):
+            run_fit(cfg)
+
+    def test_haar_corrections_and_dpi(self, data_file):
+        # the Haar companion basis is the order-2 piecewise polynomial
+        cfg = RunConfig(
+            mode="fit", data_path=str(data_file), family="haar", m=1,
+            kappa="dpi", j_set=(0, 1, 2),
+        )
+        rep = run_fit(cfg)
+        assert rep["selection"]["rule"] == "dpi"
+        assert rep["selection"]["rot_fallback"] is False
+        assert set(rep["estimates"]) == {"j0", "j1", "j2"}
+        for block in rep["estimates"].values():
+            assert all(np.isfinite(block["estimate"]))
+
+    def test_haar_plugin_correction_unsupported(self, data_file):
+        cfg = RunConfig(
+            mode="fit", data_path=str(data_file), family="haar", m=1,
+            kappa=4, j_set=(0, 3),
+        )
+        with pytest.raises(UnsupportedFamily):
             run_fit(cfg)
 
 

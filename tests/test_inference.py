@@ -24,7 +24,6 @@ from lspart.inference import (
     band_plugin,
     make_grid,
     normal_quantile,
-    omega_hat,
     pointwise_ci,
     quadratic_form,
     sigma_hat,
@@ -85,15 +84,11 @@ class TestSigma:
         ref = quadratic_form(gamma, var.sigma_mat)
         assert_allclose(var.omega_many(pts), ref, rtol=1e-11)
 
-    def test_omega_hat_guards(self, fit_1d):
+    def test_single_point_omega(self, fit_1d):
         var = sigma_hat(fit_1d, 0)
-        got = omega_hat(var, fit_1d, [0.5])
+        got = var.omega([0.5])
         assert got > 0
-        with pytest.raises(ConfigError):
-            omega_hat(var, fit_1d, [0.5], j=1)
-        other = fit_estimator(fit_1d.kind, fit_1d.X, fit_1d.y)
-        with pytest.raises(ConfigError):
-            omega_hat(var, other, [0.5])
+        assert got == var.omega_many([[0.5]])[0]
 
     def test_leverage_overflow(self):
         # a lone observation in its own indicator cell has leverage one
@@ -156,8 +151,9 @@ class TestPointwise:
 
     def test_j_mismatch(self, fit_1d):
         var = sigma_hat(fit_1d, 0)
-        with pytest.raises(ConfigError):
-            pointwise_ci(fit_1d, var, [[0.5]], j=2)
+        for j in (1, 2):
+            with pytest.raises(ConfigError):
+                pointwise_ci(fit_1d, var, [[0.5]], j=j)
 
     def test_t_stat(self, fit_1d):
         var = sigma_hat(fit_1d, 0)

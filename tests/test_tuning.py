@@ -1,14 +1,18 @@
 """Selector constants and the two partition-size rules."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
-from lspart.basis import BasisFamily
+from lspart import dgp
+from lspart.basis import BasisFamily, SparseRows
+from lspart.biascorrect import LeadingErrorModel
 from lspart.errors import ConfigError, DegenerateData
-from lspart.fit import EstimatorKind, fit_estimator
-from lspart.inference import sigma_hat
+from lspart.fit import EstimatorKind, FitResult, fit_estimator
+from lspart.inference import make_grid, quadratic_form, sigma_hat
 from lspart.partition import KnotRule, TensorPartition
 from lspart.tuning import (
     TuningReport,
@@ -131,6 +135,78 @@ class TestRot:
             rot_select(X, y, BasisFamily.BSPLINE, 2)
 
 
+def _monomial_fit(X, y, degree, bounds):
+    """The former preliminary fit, written out as the oracle: monomials of
+    total degree <= ``degree`` in coordinates mapped to [-1, 1], columns
+    scaled to unit root-mean-square, one ``lstsq``; returns u -> d^u fit."""
+    d = X.shape[1]
+    alphas = sorted(
+        (a for a in itertools.product(range(degree + 1), repeat=d)
+         if sum(a) <= degree),
+        key=lambda a: (sum(a), a),
+    )
+    chain = 2.0 / (bounds[:, 1] - bounds[:, 0])
+    S = (X - bounds[:, 0]) * chain - 1.0
+
+    def columns(u):
+        cols = np.zeros((X.shape[0], len(alphas)))
+        for c, a in enumerate(alphas):
+            if all(a[ell] >= u[ell] for ell in range(d)):
+                col = np.ones(X.shape[0])
+                for ell in range(d):
+                    k = a[ell] - u[ell]
+                    col *= math.factorial(a[ell]) // math.factorial(k) * S[:, ell] ** k
+                cols[:, c] = col
+        return cols * np.prod(chain ** np.asarray(u, dtype=float))
+
+    design = columns((0,) * d)
+    scale = np.sqrt(np.mean(design**2, axis=0))
+    coef = np.linalg.lstsq(design / scale, y, rcond=None)[0] / scale
+    return lambda u: columns(u) @ coef
+
+
+class TestRotOracle:
+    """rot_select's one-cell piecewise-polynomial fit against the monomial one."""
+
+    @pytest.mark.parametrize("model", [2, 4, 6])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_matches_monomial_fit(self, monkeypatch, family, model, m):
+        X, y = dgp.dgp_sample(model, 1500, [model, m])
+        d = X.shape[1]
+        bounds = np.stack([X.min(axis=0), X.max(axis=0)], axis=1)
+        # the selector's row_dot calls are its derivatives, in lambda_set order
+        seen = []
+        row_dot = SparseRows.row_dot
+
+        def spy(self, coef):
+            out = row_dot(self, coef)
+            seen.append(out)
+            return out
+
+        monkeypatch.setattr(SparseRows, "row_dot", spy)
+        rep = rot_select(X, y, family, m)
+        monkeypatch.undo()
+
+        lam = LeadingErrorModel(family, m, d).lambda_set
+        mu = _monomial_fit(X, y, m + 4, bounds)
+        ref = {u: mu(u) for u in lam}
+        assert len(seen) == len(lam)
+        for u, got in zip(lam, seen):
+            assert_allclose(got, ref[u], rtol=1e-8, atol=1e-8 * np.max(np.abs(ref[u])))
+
+        q0 = (0,) * d
+        bias = sum(
+            rep.eta_table[(u1, u2, q0)] * np.mean(ref[u1] * ref[u2])
+            for u1, u2 in itertools.product(lam, lam)
+        )
+        sig2 = _monomial_fit(X, y**2, m + 4, bounds)(q0) - mu(q0) ** 2
+        J = 1 if family is BasisFamily.BSPLINE else math.comb(d + m - 1, m - 1)
+        var = np.mean(np.clip(sig2, 1e-8, None)) * J
+        assert rep.bias_constant == pytest.approx(bias, rel=1e-8)
+        assert rep.variance_constant == pytest.approx(var, rel=1e-8)
+
+
 class TestDpi:
     def test_closed_form_from_reported_constants(self):
         X, y = _curve_sample(900, seed=11)
@@ -192,6 +268,26 @@ class TestDpi:
         rep = dpi_select(X, y, BasisFamily.BSPLINE, 3, q=(1,))
         assert rep.kappa_dpi >= 1
 
+    def test_haar(self):
+        # the Haar pilot's companion is the order-2 piecewise polynomial
+        X, y = _curve_sample(900, seed=31)
+        rep = dpi_select(X, y, BasisFamily.HAAR, 1)
+        assert rep.rot_fallback is False
+        assert rep.kappa_dpi >= 1
+
+    def test_no_dense_weights(self, monkeypatch):
+        # V_hat comes from the trace route, never from gamma_many
+        X, y = _curve_sample(900, seed=37)
+        want = dpi_select(X, y, BasisFamily.BSPLINE, 2)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("dpi_select called gamma_many")
+
+        monkeypatch.setattr(FitResult, "gamma_many", boom)
+        got = dpi_select(X, y, BasisFamily.BSPLINE, 2)
+        assert got.kappa_dpi == want.kappa_dpi
+        assert got.variance_constant == want.variance_constant
+
 
 class TestImseComponents:
     def test_keys_and_signs(self):
@@ -215,3 +311,30 @@ class TestImseComponents:
         out = imse_components(fit, var, grid=grid)
         assert out["V_hat"] > 0
         assert np.isfinite(out["B_hat"])
+
+    def test_needs_j0_variance(self):
+        X, y = _curve_sample(300, seed=41)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 3)
+        fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
+        with pytest.raises(ConfigError):
+            imse_components(fit, sigma_hat(fit, 1))
+
+    @pytest.mark.parametrize("on_grid", [False, True])
+    @pytest.mark.parametrize("deriv", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_trace_matches_dense_oracle(self, family, d, deriv, on_grid):
+        rng = np.random.default_rng(100 + d)
+        X = rng.random((800, d))
+        y = np.sin(3 * X.sum(axis=1)) + 0.3 * rng.standard_normal(800)
+        bounds = [[0.0, 1.0]] * d
+        part = TensorPartition.build(KnotRule.EVEN, bounds, 3 if d < 3 else 2)
+        fit = fit_estimator(EstimatorKind.default(family, 2, part), X, y)
+        var = sigma_hat(fit, 0)
+        q = (1,) + (0,) * (d - 1) if deriv else None
+        grid = make_grid(bounds, 7) if on_grid else None
+        pts = X if grid is None else grid
+        gamma = fit.gamma_many(pts, q, j=0)
+        ref = np.mean(quadratic_form(gamma, var.sigma_mat))
+        got = imse_components(fit, var, grid=grid, q=q)["V_hat"]
+        assert got == pytest.approx(ref, rel=1e-10)
