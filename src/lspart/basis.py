@@ -12,6 +12,20 @@ Families
 - Piecewise polynomials of order m: all monomials of total degree < m in
   the cell-local coordinates, discontinuous across cells.
 - Haar: cell indicators (the order-1 case of either family above).
+
+Groups
+------
+Every row of a :class:`SparseRows` carries a group id, and rows with the
+same id have identical ``indices`` rows: they activate the same functions.
+:meth:`BasisSpec.eval_many` uses the flat cell of the point, since all
+points of a cell share their active set in all three families, at every
+derivative order. A stacked design groups its rows by the pair of the two
+ids (:func:`pair_groups`), which stays valid when the two bases live on
+different partitions. The dense-output kernels (``weighted_cross``,
+``quadratic_forms``, ``rows_times``) work one group at a time: one small
+matrix product over the group's rows, then one write of the group's block.
+Any grouping that keeps the invariant gives the same numbers up to roundoff;
+the trivial one (every row its own group) is valid input too.
 """
 
 from __future__ import annotations
@@ -20,14 +34,12 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, UnsupportedDerivative
 from .partition import TensorPartition
-
-_GRAM_CHUNK = 4096  # rows per accumulation pass, bounds scratch memory
-
 
 class BasisFamily(enum.Enum):
     BSPLINE = "bspline"
@@ -56,12 +68,15 @@ class SparseRows:
 
     ``indices`` and ``values`` are (n, width) arrays; column counts are
     constant by construction of the local bases. ``K`` is the full basis
-    dimension.
+    dimension. ``groups`` is an (n,) integer array of group ids, and rows
+    with the same id have identical ``indices`` rows (see the module
+    docstring). The kernels below do one small matrix product per group.
     """
 
     indices: np.ndarray
     values: np.ndarray
     K: int
+    groups: np.ndarray
 
     @property
     def n(self):
@@ -71,6 +86,10 @@ class SparseRows:
     def width(self):
         return self.indices.shape[1]
 
+    @cached_property
+    def _group_runs(self):
+        return _runs(self.groups)
+
     def row_dot(self, coef):
         """Per-row inner product with a dense coefficient vector: (n,)."""
         coef = np.asarray(coef, dtype=float)
@@ -79,18 +98,18 @@ class SparseRows:
     def rows_times(self, mat):
         """``design @ mat`` for a dense (K, r) matrix, returned as (n, r).
 
-        Each basis column's rows are gathered into one reused (n, r) scratch
-        buffer, so memory stays at two (n, r) arrays. The indices are valid
-        by construction; ``mode="clip"`` only stops ``take`` from buffering
-        its output.
+        Per group: one product V_g @ mat[idx_g] of its (n_g, width) values
+        with the width rows of ``mat`` its rows share, written straight into
+        the group's output rows. Memory stays at the (n, r) output plus one
+        group's block.
         """
         mat = np.ascontiguousarray(mat, dtype=float)
-        out = np.zeros((self.n, mat.shape[1]))
-        buf = np.empty_like(out)
-        for a in range(self.width):
-            np.take(mat, self.indices[:, a], axis=0, out=buf, mode="clip")
-            buf *= self.values[:, a, None]
-            out += buf
+        order, bounds = self._group_runs
+        lead = self.indices[order[bounds[:-1]]]
+        vals = self.values[order]
+        out = np.empty((self.n, mat.shape[1]))
+        for g, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            out[order[s:e]] = vals[s:e] @ mat[lead[g]]
         return out
 
     def accumulate(self, row_weights):
@@ -106,37 +125,48 @@ class SparseRows:
         """Dense (K, other.K) mean (1/n) sum_i w_i p(x_i) q(x_i)', w = 1 by default.
 
         The one accumulation loop behind the Gram, cross-Gram and Sigma
-        matrices: each chunk of rows adds its weighted outer products into a
-        flat histogram, so scratch memory stays O(chunk * width * width).
+        matrices. Rows are grouped by the pair of group ids
+        (:func:`pair_groups`); a design crossed with itself keeps its own
+        groups. Per group, one product (V_a,g * w_g)' V_b,g gives a
+        (width_a, width_b) block, and the blocks are scattered into the
+        output once: C * width_a * width_b entries for C groups. The weights
+        may be negative, so they scale the rows and are never split into
+        square roots.
         """
         if other.n != self.n:
             raise ConfigError("designs must share the sample")
-        n = self.n
-        w = np.full(n, 1.0 / n) if row_weights is None else np.asarray(row_weights) / n
-        Kb = other.K
-        out = np.zeros(self.K * Kb)
-        for s in range(0, n, _GRAM_CHUNK):
-            rows = slice(s, s + _GRAM_CHUNK)
-            ia, ib = self.indices[rows], other.indices[rows]
-            va = self.values[rows] * w[rows, None]
-            flat = (ia[:, :, None] * Kb + ib[:, None, :]).ravel()
-            vals = (va[:, :, None] * other.values[rows][:, None, :]).ravel()
-            out += np.bincount(flat, weights=vals, minlength=out.size)
-        return out.reshape(self.K, Kb)
+        if other is self:
+            order, bounds = self._group_runs
+        else:
+            order, bounds = _runs(pair_groups(self.groups, other.groups))
+        va = self.values[order]
+        if row_weights is not None:
+            va *= np.asarray(row_weights, dtype=float)[order, None]
+        vb = other.values[order]
+        blocks = np.empty((bounds.size - 1, self.width, other.width))
+        for g, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            np.matmul(va[s:e].T, vb[s:e], out=blocks[g])
+        lead = order[bounds[:-1]]
+        flat = self.indices[lead][:, :, None] * other.K + other.indices[lead][:, None, :]
+        out = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=self.K * other.K)
+        return out.reshape(self.K, other.K) / self.n
 
     def quadratic_forms(self, mat):
         """Row-wise ``p(x_i)' mat p(x_i)`` for a dense (K, K) matrix: (n,).
 
-        Each row reads only its (width, width) block of ``mat``, one block
-        row at a time over chunks of rows, so no (n, K) array is formed.
+        Each group reads its (width, width) block of ``mat`` once and takes
+        one product V_g @ M_g; the forms are then row-wise dots with V, so
+        no (n, K) array is formed.
         """
-        out = np.zeros(self.n)
-        for s in range(0, self.n, _GRAM_CHUNK):
-            rows = slice(s, s + _GRAM_CHUNK)
-            idx, val = self.indices[rows], self.values[rows]
-            for a in range(self.width):
-                block_row = mat[idx[:, a, None], idx]
-                out[rows] += val[:, a] * np.einsum("ib,ib->i", block_row, val)
+        order, bounds = self._group_runs
+        lead = self.indices[order[bounds[:-1]]]
+        blocks = np.asarray(mat)[lead[:, :, None], lead[:, None, :]]
+        vals = self.values[order]
+        vm = np.empty_like(vals)
+        for g, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+            np.matmul(vals[s:e], blocks[g], out=vm[s:e])
+        out = np.empty(self.n)
+        out[order] = np.einsum("ib,ib->i", vm, vals)
         return out
 
     def dense(self):
@@ -144,6 +174,29 @@ class SparseRows:
         out = np.zeros((self.n, self.K))
         np.add.at(out, (np.arange(self.n)[:, None], self.indices), self.values)
         return out
+
+
+def pair_groups(ga, gb):
+    """One integer key per pair (ga_i, gb_i) of group ids.
+
+    Rows that agree in both ids share the active sets of both designs, so
+    the key is a valid grouping of their concatenation or cross product.
+    """
+    ga = np.asarray(ga, dtype=np.int64)
+    gb = np.asarray(gb, dtype=np.int64)
+    return ga * (int(np.max(gb, initial=-1)) + 1) + gb
+
+
+def _runs(groups):
+    """Stable sort order of ``groups`` and the bounds of its runs.
+
+    Group g is rows ``order[bounds[g]:bounds[g + 1]]``.
+    """
+    order = np.argsort(groups, kind="stable")
+    k = groups[order]
+    new = np.ones(k.size, dtype=bool)
+    new[1:] = k[1:] != k[:-1]
+    return order, np.append(np.flatnonzero(new), k.size)
 
 
 @dataclass(frozen=True)
@@ -218,13 +271,14 @@ class BasisSpec:
         deriv = self._check_deriv(deriv)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         cells = self.partition.locate(X)
-        if self.family is BasisFamily.BSPLINE:
-            return self._eval_bspline(X, cells, deriv)
-        if self.family is BasisFamily.PP:
-            return self._eval_pp(X, cells, deriv)
-        n = X.shape[0]
         flat = np.ravel_multi_index(cells.T, self.partition.kappa)
-        return SparseRows(flat[:, None], np.ones((n, 1)), self.K)
+        if self.family is BasisFamily.BSPLINE:
+            indices, values = self._eval_bspline(X, cells, deriv)
+        elif self.family is BasisFamily.PP:
+            indices, values = self._eval_pp(X, cells, flat, deriv)
+        else:
+            indices, values = flat[:, None], np.ones((X.shape[0], 1))
+        return SparseRows(indices, values, self.K, flat)
 
     # -- family internals ---------------------------------------------------
 
@@ -253,29 +307,34 @@ class BasisSpec:
                 val *= vals_per_dim[ell][:, offs[ell]]
             indices[:, a] = idx
             values[:, a] = val
-        return SparseRows(indices, values, self.K)
+        return indices, values
 
-    def _eval_pp(self, X, cells, deriv):
+    def _eval_pp(self, X, cells, flat, deriv):
         d, m = self.dim, self.m
         n = X.shape[0]
         alphas = alpha_list(d, m)
         J = len(alphas)
         lower, width = self.partition.geometry(cells)
         z = (X - lower) / width
-        flat = np.ravel_multi_index(cells.T, self.partition.kappa)
         indices = flat[:, None] * J + np.arange(J, dtype=np.intp)[None, :]
-        values = np.empty((n, J))
+        # power table: zpow[ell, k] = z_ell ** k as running products
+        zpow = np.empty((d, m, n))
+        zpow[:, 0] = 1.0
+        for k in range(1, m):
+            zpow[:, k] = zpow[:, k - 1] * z.T
+        scale = np.prod(width ** np.asarray(deriv), axis=1)
+        values = np.zeros((n, J))
         for rank, a in enumerate(alphas):
             if any(a[ell] < deriv[ell] for ell in range(d)):
-                values[:, rank] = 0.0  # derivative kills this monomial
-                continue
-            col = np.ones(n)
+                continue  # derivative kills this monomial
+            col = np.full(n, float(math.prod(
+                math.factorial(a[ell]) // math.factorial(a[ell] - deriv[ell])
+                for ell in range(d)
+            )))
             for ell in range(d):
-                k = a[ell] - deriv[ell]
-                c = math.factorial(a[ell]) // math.factorial(k)
-                col *= c * z[:, ell] ** k / width[:, ell] ** deriv[ell]
-            values[:, rank] = col
-        return SparseRows(np.ascontiguousarray(indices), values, self.K)
+                col *= zpow[ell, a[ell] - deriv[ell]]
+            values[:, rank] = col / scale
+        return np.ascontiguousarray(indices), values
 
     # -- ordering -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import biascorrect
-from .basis import BasisFamily, BasisSpec, SparseRows
+from .basis import BasisFamily, BasisSpec, SparseRows, pair_groups
 from .errors import (
     ConfigError,
     NumericalError,
@@ -36,9 +36,10 @@ def gram_banded(design, row_weights=None):
     """Symmetric Gram (1/n) sum_i w_i p(x_i) p(x_i)' in lower-banded storage.
 
     Returns ``ab`` with ``ab[r - c, c]`` holding entry (r, c) for r >= c,
-    read off the dense Gram from :meth:`SparseRows.weighted_cross`. The
-    bandwidth comes from the actual index spread of the rows, which for
-    the local bases equals the structural overlap width.
+    read off the dense Gram from :meth:`SparseRows.weighted_cross`, which
+    takes one (width, width) product per cell and scatters the cell blocks
+    once. The bandwidth comes from the actual index spread of the rows,
+    which for the local bases equals the structural overlap width.
     """
     idx = design.indices
     K = design.K
@@ -174,10 +175,13 @@ class FitResult:
             raise ConfigError("y must be a vector matching X rows")
 
         part = kind.main_spec.partition
-        self.cells = part.locate(self.X)
+        self.design_main = kind.main_spec.eval_many(self.X)
+        # the main design's groups are the flat cells of the main partition
+        self.cells = np.stack(
+            np.unravel_index(self.design_main.groups, part.kappa), axis=1
+        )
         self.cell_lower, self.cell_width = part.geometry(self.cells)
 
-        self.design_main = kind.main_spec.eval_many(self.X)
         self.gram_main = BandedCholesky(gram_banded(self.design_main))
         self.rhs_main = self.design_main.accumulate(self.y) / self.n
         self.beta_main = self.gram_main.solve(self.rhs_main)
@@ -404,13 +408,19 @@ class FitResult:
 
 
 def stack_designs(a, b):
-    """Concatenate two designs on the same sample into one block design."""
+    """Concatenate two designs on the same sample into one block design.
+
+    A stacked row's group is the pair of its two groups
+    (:func:`~lspart.basis.pair_groups`), whether or not the two bases share
+    their partition.
+    """
     if a.n != b.n:
         raise ConfigError("designs must share the sample")
     return SparseRows(
         np.hstack([a.indices, b.indices + a.K]),
         np.hstack([a.values, b.values]),
         a.K + b.K,
+        pair_groups(a.groups, b.groups),
     )
 
 

@@ -23,6 +23,7 @@ from lspart.basis import (
     polynomial_reproduction_check,
 )
 from lspart.errors import ConfigError, UnsupportedDerivative
+from lspart.fit import stack_designs
 from lspart.partition import KnotRule, TensorPartition
 
 
@@ -65,7 +66,7 @@ class TestSparseRows:
         n, w, K = 40, 3, 11
         idx = np.stack([rng.choice(K, size=w, replace=False) for _ in range(n)])
         val = rng.standard_normal((n, w))
-        rows = SparseRows(idx, val, K)
+        rows = SparseRows(idx, val, K, groups=np.arange(n))
         D = rows.dense()
         coef = rng.standard_normal(K)
         assert_allclose(rows.row_dot(coef), D @ coef, atol=1e-14)
@@ -73,6 +74,104 @@ class TestSparseRows:
         assert_allclose(rows.rows_times(M), D @ M, atol=1e-14)
         weights = rng.standard_normal(n)
         assert_allclose(rows.accumulate(weights), D.T @ weights, atol=1e-13)
+        assert_allclose(
+            rows.weighted_cross(rows, weights), D.T @ (weights[:, None] * D) / n,
+            atol=1e-14,
+        )
+        S = rng.standard_normal((K, K))
+        assert_allclose(
+            rows.quadratic_forms(S), np.einsum("ik,kl,il->i", D, S, D), atol=1e-13
+        )
+
+
+def _cell_sample(rule, d, kappa, n, seed):
+    """Random points plus points on interior knots and the right endpoint."""
+    rng = np.random.default_rng([seed, d])
+    X = rng.random((n, d))
+    part = TensorPartition.build(rule, [[0.0, 1.0]] * d, kappa, data=X)
+    on_knots = []
+    for ell, k in enumerate(part.knots):
+        for t in k[1:]:
+            x = rng.random((3, d))
+            x[:, ell] = t
+            on_knots.append(x)
+    on_knots.append(np.ones((1, d)))
+    return part, np.vstack([X, *on_knots])
+
+
+def _assert_groups_valid(rows):
+    # every row carries the indices of the first row of its group
+    _, first, inv = np.unique(rows.groups, return_index=True, return_inverse=True)
+    assert rows.groups.shape == (rows.n,)
+    assert np.array_equal(rows.indices, rows.indices[first][inv.ravel()])
+
+
+_KERNEL_CASES = list(itertools.product(
+    [BasisFamily.BSPLINE, BasisFamily.PP, BasisFamily.HAAR],
+    [1, 2, 3],
+    [KnotRule.EVEN, KnotRule.QUANTILE],
+))
+
+
+class TestCellKernels:
+    """The per-group kernels against the dense design, family by family."""
+
+    def _designs(self, family, d, rule):
+        kappa = {1: 5, 2: 3, 3: 2}[d]
+        part, X = _cell_sample(rule, d, kappa, 150 * d, seed=3)
+        other = TensorPartition.build(rule, [[0.0, 1.0]] * d, kappa + 1, data=X)
+        main = BasisSpec(family, 1 if family is BasisFamily.HAAR else 2, part)
+        bc_family = BasisFamily.PP if family is BasisFamily.HAAR else family
+        a = main.eval_many(X)
+        b = BasisSpec(bc_family, 3, part).eval_many(X)
+        c = BasisSpec(bc_family, 3, other).eval_many(X)  # a bc_partition pair
+        return X, {"main": a, "bc": b, "other": c, "stacked": stack_designs(a, b),
+                   "stacked_other": stack_designs(a, c)}
+
+    @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
+    def test_weighted_cross_matches_dense(self, family, d, rule):
+        X, rows = self._designs(family, d, rule)
+        rng = np.random.default_rng(d)
+        n = X.shape[0]
+        for w in (None, rng.random(n) + 0.5, rng.standard_normal(n)):
+            wd = np.ones(n) if w is None else w
+            for ka, kb in [("main", "main"), ("bc", "bc"), ("main", "bc"),
+                           ("main", "other"), ("other", "bc"),
+                           ("stacked", "stacked"), ("stacked_other", "stacked_other")]:
+                Da, Db = rows[ka].dense(), rows[kb].dense()
+                ref = Da.T @ (wd[:, None] * Db) / n
+                got = rows[ka].weighted_cross(rows[kb], w)
+                assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
+    def test_quadratic_forms_and_rows_times_match_dense(self, family, d, rule):
+        X, rows = self._designs(family, d, rule)
+        rng = np.random.default_rng(d + 10)
+        for r in rows.values():
+            D = r.dense()
+            S = rng.standard_normal((r.K, r.K))
+            S = S + S.T
+            ref = np.einsum("ik,kl,il->i", D, S, D)
+            assert_allclose(r.quadratic_forms(S), ref, rtol=0,
+                            atol=1e-13 * np.max(np.abs(ref)))
+            M = rng.standard_normal((r.K, 5))
+            ref = D @ M
+            assert_allclose(r.rows_times(M), ref, rtol=0,
+                            atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
+    def test_groups_share_indices(self, family, d, rule):
+        X, rows = self._designs(family, d, rule)
+        for r in rows.values():
+            _assert_groups_valid(r)
+        spec = BasisSpec(family, 1 if family is BasisFamily.HAAR else 3,
+                         TensorPartition.build(rule, [[0.0, 1.0]] * d, 3, data=X))
+        for deriv in itertools.product(range(spec.m), repeat=d):
+            _assert_groups_valid(spec.eval_many(X, deriv))
+        # one group per occupied cell
+        cells = spec.partition.locate(X)
+        n_cells = np.unique(np.ravel_multi_index(cells.T, spec.partition.kappa)).size
+        assert np.unique(spec.eval_many(X).groups).size == n_cells
 
 
 class TestBSpline1d:
@@ -185,6 +284,33 @@ class TestPiecewisePoly:
         spec = BasisSpec(BasisFamily.PP, 2, part)
         assert spec.K == 9 * 3
         assert spec.active_width == 3
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_power_table_matches_pow_formula(self, m, d):
+        # running products against c * z**k / width**nu, monomial by monomial
+        rng = np.random.default_rng(10 * m + d)
+        part = TensorPartition.build(KnotRule.QUANTILE, [[0.0, 1.0]] * d, 3,
+                                     data=rng.random((50, d)))
+        spec = BasisSpec(BasisFamily.PP, m, part)
+        X = rng.random((200, d))
+        cells = part.locate(X)
+        lower, width = part.geometry(cells)
+        z = (X - lower) / width
+        derivs = {(0,) * d, (m - 1,) + (0,) * (d - 1), tuple(min(1, m - 1) for _ in range(d)),
+                  tuple(int(v) for v in rng.integers(0, m, d))}
+        for deriv in derivs:
+            ref = np.zeros((X.shape[0], len(alpha_list(d, m))))
+            for rank, a in enumerate(alpha_list(d, m)):
+                if any(a[ell] < deriv[ell] for ell in range(d)):
+                    continue
+                col = np.ones(X.shape[0])
+                for ell in range(d):
+                    k = a[ell] - deriv[ell]
+                    c = math.factorial(a[ell]) // math.factorial(k)
+                    col *= c * z[:, ell] ** k / width[:, ell] ** deriv[ell]
+                ref[:, rank] = col
+            assert_allclose(spec.eval_many(X, deriv).values, ref, rtol=1e-13, atol=0)
 
 
 class TestHaar:

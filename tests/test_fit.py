@@ -379,6 +379,20 @@ class TestAccumulatorOracles:
             ref = D.T @ (var.wre2[:, None] * D) / fit.n
             assert_allclose(var.sigma_mat, ref, atol=1e-13 * np.max(np.abs(ref)))
 
+    def test_gram_memory_per_cell(self):
+        # per-cell blocks: scratch is O(n * width + C * width^2), not n * width^2
+        rng = np.random.default_rng(11)
+        X = rng.random((20_000, 3))
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 3, 5)
+        design = BasisSpec(BasisFamily.BSPLINE, 3, part).eval_many(X)
+        tracemalloc.start()
+        try:
+            gram_banded(design)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
 
 class TestCrossGramFunction:
     def test_mismatched_samples(self):
