@@ -104,12 +104,12 @@ class SparseRows:
         group's block.
         """
         mat = np.ascontiguousarray(mat, dtype=float)
-        order, bounds = self._group_runs
-        lead = self.indices[order[bounds[:-1]]]
+        order, lead, spans = self._group_runs
+        idx = self.indices[lead]
         vals = self.values[order]
         out = np.empty((self.n, mat.shape[1]))
-        for g, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-            out[order[s:e]] = vals[s:e] @ mat[lead[g]]
+        for g, (s, e) in enumerate(spans):
+            out[order[s:e]] = vals[s:e] @ mat[idx[g]]
         return out
 
     def accumulate(self, row_weights):
@@ -136,17 +136,16 @@ class SparseRows:
         if other.n != self.n:
             raise ConfigError("designs must share the sample")
         if other is self:
-            order, bounds = self._group_runs
+            order, lead, spans = self._group_runs
         else:
-            order, bounds = _runs(pair_groups(self.groups, other.groups))
+            order, lead, spans = _runs(pair_groups(self.groups, other.groups))
         va = self.values[order]
         if row_weights is not None:
             va *= np.asarray(row_weights, dtype=float)[order, None]
         vb = other.values[order]
-        blocks = np.empty((bounds.size - 1, self.width, other.width))
-        for g, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        blocks = np.empty((len(spans), self.width, other.width))
+        for g, (s, e) in enumerate(spans):
             np.matmul(va[s:e].T, vb[s:e], out=blocks[g])
-        lead = order[bounds[:-1]]
         flat = self.indices[lead][:, :, None] * other.K + other.indices[lead][:, None, :]
         out = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=self.K * other.K)
         return out.reshape(self.K, other.K) / self.n
@@ -158,12 +157,12 @@ class SparseRows:
         one product V_g @ M_g; the forms are then row-wise dots with V, so
         no (n, K) array is formed.
         """
-        order, bounds = self._group_runs
-        lead = self.indices[order[bounds[:-1]]]
-        blocks = np.asarray(mat)[lead[:, :, None], lead[:, None, :]]
+        order, lead, spans = self._group_runs
+        idx = self.indices[lead]
+        blocks = np.asarray(mat)[idx[:, :, None], idx[:, None, :]]
         vals = self.values[order]
         vm = np.empty_like(vals)
-        for g, (s, e) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        for g, (s, e) in enumerate(spans):
             np.matmul(vals[s:e], blocks[g], out=vm[s:e])
         out = np.empty(self.n)
         out[order] = np.einsum("ib,ib->i", vm, vals)
@@ -188,15 +187,19 @@ def pair_groups(ga, gb):
 
 
 def _runs(groups):
-    """Stable sort order of ``groups`` and the bounds of its runs.
+    """Rows sorted by group: ``(order, lead, spans)``.
 
-    Group g is rows ``order[bounds[g]:bounds[g + 1]]``.
+    ``order`` is the stable sort order of ``groups``. Group g is rows
+    ``order[s:e]`` for ``(s, e) = spans[g]``, and ``lead[g]`` is its first
+    row, whose ``indices`` row all of the group shares.
     """
     order = np.argsort(groups, kind="stable")
     k = groups[order]
     new = np.ones(k.size, dtype=bool)
     new[1:] = k[1:] != k[:-1]
-    return order, np.append(np.flatnonzero(new), k.size)
+    starts = np.flatnonzero(new)
+    spans = list(zip(starts.tolist(), starts[1:].tolist() + [k.size]))
+    return order, order[starts], spans
 
 
 @dataclass(frozen=True)
