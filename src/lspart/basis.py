@@ -41,6 +41,7 @@ import numpy as np
 from .errors import ConfigError, UnsupportedDerivative
 from .partition import TensorPartition
 
+
 class BasisFamily(enum.Enum):
     BSPLINE = "bspline"
     PP = "pp"
@@ -330,10 +331,11 @@ class BasisSpec:
         for rank, a in enumerate(alphas):
             if any(a[ell] < deriv[ell] for ell in range(d)):
                 continue  # derivative kills this monomial
-            col = np.full(n, float(math.prod(
+            c = math.prod(
                 math.factorial(a[ell]) // math.factorial(a[ell] - deriv[ell])
                 for ell in range(d)
-            )))
+            )
+            col = np.full(n, float(c))
             for ell in range(d):
                 col *= zpow[ell, a[ell] - deriv[ell]]
             values[:, rank] = col / scale
