@@ -132,7 +132,10 @@ class SparseRows:
         (width_a, width_b) block, and the blocks are scattered into the
         output once: C * width_a * width_b entries for C groups. The weights
         may be negative, so they scale the rows and are never split into
-        square roots.
+        square roots. Only V_a is gathered into group order as a whole; V_b,g
+        is gathered per group. That saves one (n, width) copy, and a Gram
+        keeps two distinct buffers, so numpy does not switch its product to
+        the symmetric-rank-k kernel, whose roundoff differs.
         """
         if other.n != self.n:
             raise ConfigError("designs must share the sample")
@@ -143,13 +146,14 @@ class SparseRows:
         va = self.values[order]
         if row_weights is not None:
             va *= np.asarray(row_weights, dtype=float)[order, None]
-        vb = other.values[order]
+        vb = other.values
         blocks = np.empty((len(spans), self.width, other.width))
         for g, (s, e) in enumerate(spans):
-            np.matmul(va[s:e].T, vb[s:e], out=blocks[g])
+            np.matmul(va[s:e].T, vb.take(order[s:e], axis=0), out=blocks[g])
         flat = self.indices[lead][:, :, None] * other.K + other.indices[lead][:, None, :]
         out = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=self.K * other.K)
-        return out.reshape(self.K, other.K) / self.n
+        out /= self.n
+        return out.reshape(self.K, other.K)
 
     def quadratic_forms(self, mat):
         """Row-wise ``p(x_i)' mat p(x_i)`` for a dense (K, K) matrix: (n,).

@@ -29,7 +29,7 @@ from .errors import (
 )
 
 _PIVOT_REL_TOL = 1e-10
-_PINV_REL_CUTOFF = 1e-10  # stacked-Gram pseudo-inverse: eigenvalue cutoff / max
+_PINV_REL_CUTOFF = 1e-10  # stacked-Gram Schur complement: eigenvalue cutoff / trace
 
 
 def gram_banded(design, row_weights=None):
@@ -384,27 +384,47 @@ class FitResult:
     def leverage(self, j):
         """Diagonal of the hat matrix for the j-relevant design, (n,).
 
-        One route for every j: h_i = Pi_j(x_i)' G^+ Pi_j(x_i) / n against the
-        (pseudo-)inverse Gram, in O(K^3 + n width^2) and no (n, K) array. For
-        j <= 1 the inverse comes from the banded factor. The stacked Gram
-        [[Q_0, C], [C', Q_1]] of j >= 2 is rank deficient by construction; its
-        pseudo-inverse (one ``eigh``) drops eigenvalues at or below
-        ``_PINV_REL_CUTOFF`` times the largest.
+        One route for every j: h_i = Pi_j(x_i)' G^- Pi_j(x_i) / n against a
+        generalized inverse of the Gram, in O(K^3 + n width^2) and no (n, K)
+        array. For j <= 1 the inverse comes from the banded factor. The
+        stacked Gram of j >= 2 is rank deficient by construction; its
+        generalized inverse comes from the Schur complement of the
+        bias-correction block (:func:`_stacked_ginv`). The hat diagonal does
+        not depend on which generalized inverse is used.
         """
         j = self.kind.require_j(j)
         if j <= 1:
             factor = self.gram_main if j == 0 else self.gram_bc
             ginv = factor.solve(np.eye(factor.K))
         else:
-            cross = self.cross_gram
-            gram = np.block([
-                [_unband(self.gram_main.ab), cross],
-                [cross.T, _unband(self.gram_bc.ab)],
-            ])
-            lam, vec = np.linalg.eigh(gram)
-            keep = lam > _PINV_REL_CUTOFF * lam[-1]
-            ginv = (vec[:, keep] / lam[keep]) @ vec[:, keep].T
+            ginv, _ = _stacked_ginv(self.gram_main, self.gram_bc, self.cross_gram)
         return self.design_for(j).quadratic_forms(ginv) / self.n
+
+
+def _stacked_ginv(gram_main, gram_bc, cross):
+    """Generalized inverse of the stacked Gram [[Q_0, C], [C', Q_1]].
+
+    Returns ``(ginv, dropped)``. Q_1 is positive definite (its banded
+    factor was checked at fit time), so the Gram factors through the
+    K_0 x K_0 Schur complement S = Q_0 - T C' with T = C Q_1^{-1}, and
+
+        G^- = L S^+ L' + blockdiag(0, Q_1^{-1}),   L = [I; -T'],
+
+    is a generalized inverse of G. S^+ is taken from one ``eigh`` of S and
+    drops the ``dropped`` eigenvalues at or below ``_PINV_REL_CUTOFF``
+    times tr(G): the rank deficiency of the stacked basis, m^d for
+    B-splines and K_0 when the main span lies inside the bias-correction
+    span (PP -> PP, Haar -> PP).
+    """
+    k0 = gram_main.K
+    q1inv = gram_bc.solve(np.eye(gram_bc.K))
+    t = cross @ q1inv
+    lam, vec = np.linalg.eigh(_unband(gram_main.ab) - t @ cross.T)
+    keep = lam > _PINV_REL_CUTOFF * (np.sum(gram_main.ab[0]) + np.sum(gram_bc.ab[0]))
+    lv = np.vstack([vec[:, keep], -t.T @ vec[:, keep]]) / np.sqrt(lam[keep])
+    ginv = lv @ lv.T
+    ginv[k0:, k0:] += q1inv
+    return ginv, int(np.count_nonzero(~keep))
 
 
 def stack_designs(a, b):

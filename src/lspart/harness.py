@@ -175,14 +175,18 @@ class RunConfig:
 
 
 def read_data(path):
-    """Parse a CSV with header x1,...,xd,y into (X, y)."""
+    """Parse a CSV with header x1,...,xd,y into (X, y).
+
+    The body is parsed in one ``np.loadtxt`` pass. Anything that pass
+    rejects, a wrong column count and a non-finite value go through the
+    row loop :func:`_parse_rows` instead, which names the offending line.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise ParseError("line 1: empty file")
         cols = [c.strip() for c in header]
@@ -192,25 +196,40 @@ def read_data(path):
             raise ParseError(
                 f"line 1: header must be x1,...,xd,y; got {','.join(cols)!r}"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != d + 1:
-                raise ParseError(
-                    f"line {lineno}: expected {d + 1} fields, got {len(row)}"
-                )
-            try:
-                vals = [float(c) for c in row]
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-            if not all(map(math.isfinite, vals)):
-                raise ParseError(f"line {lineno}: non-finite value")
-            rows.append(vals)
+        body = fh.read()
+    arr = None
+    if body.strip():  # loadtxt warns on an input with no rows
+        try:
+            arr = np.loadtxt(
+                io.StringIO(body, newline=""), delimiter=",", comments=None, ndmin=2
+            )
+        except ValueError:
+            pass
+    if arr is None or arr.shape[1] != d + 1 or not np.all(np.isfinite(arr)):
+        arr = _parse_rows(io.StringIO(body, newline=""), d)
+    return arr[:, :d], arr[:, d]
+
+
+def _parse_rows(body, d):
+    """Row-by-row parse of the CSV body after the header: (rows, d + 1)."""
+    rows = []
+    for lineno, row in enumerate(csv.reader(body), start=2):
+        if not row:
+            continue
+        if len(row) != d + 1:
+            raise ParseError(
+                f"line {lineno}: expected {d + 1} fields, got {len(row)}"
+            )
+        try:
+            vals = [float(c) for c in row]
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, vals)):
+            raise ParseError(f"line {lineno}: non-finite value")
+        rows.append(vals)
     if not rows:
         raise DegenerateData("no data rows")
-    arr = np.asarray(rows, dtype=float)
-    return arr[:, :d], arr[:, d]
+    return np.asarray(rows, dtype=float)
 
 
 def _effective_cap(cfg, d):

@@ -65,7 +65,9 @@ class VarianceEstimate:
 
     Binds the fit, the kind j, and the HC residual weighting. HC2/HC3 use
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
-    Gram, or for j >= 2 its pseudo-inverse with cutoff ``_PINV_REL_CUTOFF``.
+    Gram, or for j >= 2 against a generalized inverse of the stacked Gram
+    built from the Schur complement of its bias-correction block, dropping
+    eigenvalues at or below ``_PINV_REL_CUTOFF`` times the Gram's trace.
     The dense Sigma matrix is formed lazily by the Gram accumulator
     :meth:`SparseRows.weighted_cross`; the plug-in band takes Omega from its
     square root. :meth:`omega_many` needs no Sigma: at a few points the

@@ -16,6 +16,7 @@ from lspart.errors import ConfigError, RankDeficient, UnsupportedFamily
 from lspart.fit import (
     BandedCholesky,
     EstimatorKind,
+    _stacked_ginv,
     cross_gram,
     fit_estimator,
     gram_banded,
@@ -299,13 +300,15 @@ class TestStackAndLeverage:
         assert_allclose(fit.leverage(2), np.diag(H), atol=1e-8)
 
 
-def _fit_nd(d, family=BasisFamily.BSPLINE, rule=KnotRule.EVEN, seed=0):
+def _fit_nd(d, family=BasisFamily.BSPLINE, rule=KnotRule.EVEN, seed=0, m=2,
+            bc_partition=None):
     n, kappa = {1: (200, 4), 2: (700, 3), 3: (1500, 2)}[d]
     rng = np.random.default_rng([seed, d])
     X = rng.random((n, d))
     y = np.sin(3 * X[:, 0]) * np.cos(X[:, -1]) + 0.3 * rng.standard_normal(n)
     part = TensorPartition.build(rule, [[0.0, 1.0]] * d, kappa, data=X)
-    return fit_estimator(EstimatorKind.default(family, 2, part), X, y)
+    kind = EstimatorKind.default(family, m, part, bc_partition=bc_partition)
+    return fit_estimator(kind, X, y)
 
 
 def _hat_diagonal(D):
@@ -324,6 +327,42 @@ class TestLeverageRoute:
         fit = _fit_nd(d, family, rule)
         oracle = _hat_diagonal(fit.design_for(j).dense())
         assert_allclose(fit.leverage(j), oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bias_correction_partition_differs(self, d):
+        bc_part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, 3 if d < 3 else 2)
+        fit = _fit_nd(d, rule=KnotRule.QUANTILE, bc_partition=bc_part)
+        for j in (2, 3):
+            oracle = _hat_diagonal(fit.design_for(j).dense())
+            assert_allclose(fit.leverage(j), oracle, atol=1e-9)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family,m", [
+        (BasisFamily.BSPLINE, 2), (BasisFamily.BSPLINE, 3),
+        (BasisFamily.PP, 2), (BasisFamily.HAAR, 1),
+    ])
+    def test_dropped_eigenvalues_are_structural(self, family, m, d):
+        # B-splines: the spans meet in the polynomials of degree < m, m^d of
+        # them; PP -> PP and Haar -> PP: the main span lies in the other
+        fit = _fit_nd(d, family, m=m)
+        _, dropped = _stacked_ginv(fit.gram_main, fit.gram_bc, fit.cross_gram)
+        want = m**d if family is BasisFamily.BSPLINE else fit.design_main.K
+        assert dropped == want
+
+    def test_eigh_no_larger_than_main_basis(self, monkeypatch):
+        fit = _fit_nd(2)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def record(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", record)
+        for j in (2, 3):
+            fit.leverage(j)
+        k0 = fit.design_main.K
+        assert shapes and all(s == (k0, k0) for s in shapes)
 
     def test_never_densifies(self, monkeypatch):
         fit = _fit_nd(2)
@@ -379,8 +418,8 @@ class TestAccumulatorOracles:
             ref = D.T @ (var.wre2[:, None] * D) / fit.n
             assert_allclose(var.sigma_mat, ref, atol=1e-13 * np.max(np.abs(ref)))
 
-    def test_gram_memory_per_cell(self):
-        # per-cell blocks: scratch is O(n * width + C * width^2), not n * width^2
+    @staticmethod
+    def _order3_gram_peak():
         rng = np.random.default_rng(11)
         X = rng.random((20_000, 3))
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 3, 5)
@@ -391,7 +430,17 @@ class TestAccumulatorOracles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak, design
+
+    def test_gram_memory_per_cell(self):
+        # per-cell blocks: scratch is O(n * width + C * width^2), not n * width^2
+        peak, _ = self._order3_gram_peak()
         assert peak < 16e6
+
+    def test_gram_gathers_sorted_values_once(self):
+        # two sorted (n, width) copies of the values peaked at 12.2 MB
+        peak, design = self._order3_gram_peak()
+        assert peak <= 12.2e6 - design.n * design.width * 8
 
 
 class TestCrossGramFunction:

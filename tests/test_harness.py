@@ -1,6 +1,7 @@
 """Run drivers: config validation, data ingestion, fit and simulate loops."""
 
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -183,6 +184,55 @@ class TestReadData:
         X, y = read_data(p)
         assert X.shape == (2, 2)
         assert_allclose(y, [1.0, 2.0])
+
+    def test_vectorised_parse_equals_row_loop(self, tmp_path, monkeypatch):
+        # the fit_csv_3d_hc2 shape, written the way the benchmark writes it
+        rng = np.random.default_rng(5)
+        data = np.column_stack([rng.random((10_000, 3)), rng.standard_normal(10_000)])
+        p = tmp_path / "big.csv"
+        np.savetxt(p, data, delimiter=",", fmt="%.17g", header="x1,x2,x3,y",
+                   comments="")
+        ref = _row_loop(p, 3)
+        monkeypatch.setattr(harness, "_parse_rows", None)  # no fallback taken
+        X, y = read_data(p)
+        assert np.array_equal(X, ref[:, :3]) and np.array_equal(y, ref[:, 3])
+
+    @pytest.mark.parametrize("body", [
+        b"# comment\n0.1,1.0\n",
+        b'"0.5",1.0\n0.25,2.0\n',
+        b" 0.5 , 1.0 \n\t0.25,2.0\t\n",
+        b"0.5,1.0\r\n0.25,2.0\r\n",
+        b"\n0.5,1.0\n\n\n0.25,2.0\n\n",
+        b"0.5,1.0\n   \n0.25,2.0\n",
+        b"1_000,1.0\n0.25,2.0\n",
+        b"0.5,nan\n",
+        b"0.5,1.0\n-inf,2.0\n",
+        b"0.5,1.0,\n",
+        b"",
+        b"\n\n",
+    ], ids=["hash", "quoted", "padded", "crlf", "blank", "spaces", "underscore",
+            "nan", "inf", "trailing-comma", "header-only", "header-blank"])
+    def test_same_answer_as_row_loop(self, tmp_path, body):
+        p = tmp_path / "edge.csv"
+        p.write_bytes(b"x1,y\n" + body)
+        try:
+            ref = _row_loop(p, 1)
+        except (ParseError, DegenerateData) as exc:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(type(exc)) as info:
+                    read_data(p)
+            assert str(info.value) == str(exc)
+        else:
+            X, y = read_data(p)
+            assert np.array_equal(X[:, 0], ref[:, 0]) and np.array_equal(y, ref[:, 1])
+
+
+def _row_loop(path, d):
+    """The row-by-row parse alone, as the reference for ``read_data``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        return harness._parse_rows(fh, d)
 
 
 class TestSelectKappa:
