@@ -2,8 +2,9 @@
 
 All four point estimators share the structure
 ``deriv-estimate(x) = gamma_j(x)' E_n[Pi_j(x_i) y_i]`` where gamma depends
-on the Gram factors only. The fit is performed once; every j is a different
-read of the same factored objects:
+on the Gram factors only. Each Gram is accumulated cell by cell into a dense
+K x K matrix and factored by one dense Cholesky. The fit is performed once;
+every j is a different read of the same factored objects:
 
 - j = 0: the plain least-squares fit of order m.
 - j = 1: the fit of order mtilde > m used directly.
@@ -14,7 +15,7 @@ read of the same factored objects:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -33,22 +34,14 @@ _PINV_REL_CUTOFF = 1e-10  # stacked-Gram Schur complement: eigenvalue cutoff / t
 
 
 def gram_banded(design, row_weights=None):
-    """Symmetric Gram (1/n) sum_i w_i p(x_i) p(x_i)' in lower-banded storage.
+    """Dense symmetric Gram (1/n) sum_i w_i p(x_i) p(x_i)', (K, K).
 
-    Returns ``ab`` with ``ab[r - c, c]`` holding entry (r, c) for r >= c,
-    read off the dense Gram from :meth:`SparseRows.weighted_cross`, which
-    takes one (width, width) product per cell and scatters the cell blocks
-    once. The bandwidth comes from the actual index spread of the rows,
-    which for the local bases equals the structural overlap width.
+    :meth:`SparseRows.weighted_cross` of the design with itself, which takes
+    one (width, width) product per cell. The local support of the basis
+    makes the Gram banded, but every consumer wants dense operands, so it is
+    stored dense; the name is the benchmark's span label ``fit.gram_banded``.
     """
-    idx = design.indices
-    K = design.K
-    bw = int(np.max(np.ptp(idx, axis=1))) if idx.shape[1] > 1 else 0
-    dense = design.weighted_cross(design, row_weights)
-    ab = np.zeros((bw + 1, K))
-    for off in range(bw + 1):
-        ab[off, : K - off] = np.diagonal(dense, -off)
-    return ab
+    return design.weighted_cross(design, row_weights)
 
 
 def cross_gram(design_a, design_b, row_weights=None):
@@ -56,32 +49,26 @@ def cross_gram(design_a, design_b, row_weights=None):
     return design_a.weighted_cross(design_b, row_weights)
 
 
-def _unband(ab):
-    """Dense symmetric matrix from lower-banded storage."""
-    K = ab.shape[1]
-    Q = np.zeros((K, K))
-    for off in range(ab.shape[0]):
-        c = np.arange(K - off)
-        Q[c + off, c] = Q[c, c + off] = ab[off, : K - off]
-    return Q
-
-
 class BandedCholesky:
-    """Cholesky factor of a symmetric positive-definite banded matrix."""
+    """Dense Cholesky factor of a symmetric positive-definite Gram ``Q``.
 
-    def __init__(self, ab):
-        self.ab = ab
-        K = ab.shape[1]
-        trace = float(np.sum(ab[0]))
+    Holds ``Q`` and its lower factor from one ``cho_factor``. The class and
+    its methods keep the benchmark's span labels (``fit.factor`` and
+    ``fit.solve``); nothing here uses banded storage.
+    """
+
+    def __init__(self, Q):
+        self.Q = Q
+        K = Q.shape[0]
         try:
-            self.cb = scipy.linalg.cholesky_banded(ab, lower=True)
+            self.cf = scipy.linalg.cho_factor(Q, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise RankDeficient(
                 "Gram matrix is not positive definite (empty or nearly empty "
                 "cell); reduce kappa or use more data"
             ) from exc
-        pivots = self.cb[0] ** 2
-        if float(np.min(pivots)) < _PIVOT_REL_TOL * trace / K:
+        pivots = np.diagonal(self.cf[0]) ** 2
+        if float(np.min(pivots)) < _PIVOT_REL_TOL * float(np.trace(Q)) / K:
             raise RankDeficient(
                 "Gram matrix is numerically rank deficient (near-empty cell); "
                 "reduce kappa or use more data"
@@ -89,24 +76,11 @@ class BandedCholesky:
 
     @property
     def K(self):
-        return self.ab.shape[1]
+        return self.Q.shape[0]
 
     def solve(self, b):
         """Solve Q x = b for vector or (K, r) matrix right-hand sides."""
-        return scipy.linalg.cho_solve_banded((self.cb, True), b)
-
-    def matvec(self, x):
-        ab = self.ab
-        K = ab.shape[1]
-        y = ab[0] * x
-        for off in range(1, ab.shape[0]):
-            y[off:] += ab[off, : K - off] * x[: K - off]
-            y[: K - off] += ab[off, : K - off] * x[off:]
-        return y
-
-    def dense(self):
-        """Materialize Q; tests and small diagnostics only."""
-        return _unband(self.ab)
+        return scipy.linalg.cho_solve(self.cf, b)
 
 
 @dataclass(frozen=True)
@@ -200,6 +174,7 @@ class FitResult:
 
         self._cross = None
         self._stacked = None
+        self._leverage = {}
         self._c2 = None
         self._c3 = None
         self._bvec0 = None
@@ -362,50 +337,53 @@ class FitResult:
         if j == 1:
             bc_rows = self.kind.bc_spec.eval_many(pts, q)
             return self.gram_bc.solve(bc_rows.dense().T).T
+        # the bias-correction block is linear in its right-hand sides, so
+        # each kind sums them and takes one solve against the order-mtilde Gram
         if j == 2:
             bc_rows = self.kind.bc_spec.eval_many(pts, q)
-            gamma1 = self.gram_bc.solve(bc_rows.dense().T).T
-            corr = self.gram_bc.solve(self.cross_gram.T @ gamma0.T).T
-            return np.hstack([gamma0, gamma1 - corr])
-        model = self.leading_error_model
-        part = self.kind.main_spec.partition
-        cells = part.locate(pts)
-        lower, width = part.geometry(cells)
-        z = (pts - lower) / width
-        block = np.zeros((pts.shape[0], self.design_bc.K))
-        for u in model.lambda_set:
-            w_u = model.weight_values(u, q, z, width)
-            du_rows = self.kind.bc_spec.eval_many(pts, u)
-            gamma_u1 = self.gram_bc.solve(du_rows.dense().T).T
-            proj = self.gram_bc.solve(self._cross_u(u).T @ gamma0.T).T
-            block += w_u[:, None] * gamma_u1 - proj
-        return np.hstack([gamma0, block])
+            rhs = bc_rows.dense().T - self.cross_gram.T @ gamma0.T
+        else:
+            model = self.leading_error_model
+            part = self.kind.main_spec.partition
+            cells = part.locate(pts)
+            lower, width = part.geometry(cells)
+            z = (pts - lower) / width
+            rhs = np.zeros((self.design_bc.K, pts.shape[0]))
+            for u in model.lambda_set:
+                w_u = model.weight_values(u, q, z, width)
+                du_rows = self.kind.bc_spec.eval_many(pts, u)
+                rhs += du_rows.dense().T * w_u - self._cross_u(u).T @ gamma0.T
+        return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
 
     def leverage(self, j):
         """Diagonal of the hat matrix for the j-relevant design, (n,).
 
         One route for every j: h_i = Pi_j(x_i)' G^- Pi_j(x_i) / n against a
         generalized inverse of the Gram, in O(K^3 + n width^2) and no (n, K)
-        array. For j <= 1 the inverse comes from the banded factor. The
-        stacked Gram of j >= 2 is rank deficient by construction; its
+        array. For j <= 1 the inverse comes from the dense Cholesky factor.
+        The stacked Gram of j >= 2 is rank deficient by construction; its
         generalized inverse comes from the Schur complement of the
         bias-correction block (:func:`_stacked_ginv`). The hat diagonal does
-        not depend on which generalized inverse is used.
+        not depend on which generalized inverse is used. j = 2 and j = 3
+        share one stacked design, so they share one cached leverage array.
         """
         j = self.kind.require_j(j)
-        if j <= 1:
-            factor = self.gram_main if j == 0 else self.gram_bc
-            ginv = factor.solve(np.eye(factor.K))
-        else:
-            ginv, _ = _stacked_ginv(self.gram_main, self.gram_bc, self.cross_gram)
-        return self.design_for(j).quadratic_forms(ginv) / self.n
+        key = min(j, 2)
+        if key not in self._leverage:
+            if key <= 1:
+                factor = self.gram_main if key == 0 else self.gram_bc
+                ginv = factor.solve(np.eye(factor.K))
+            else:
+                ginv, _ = _stacked_ginv(self.gram_main, self.gram_bc, self.cross_gram)
+            self._leverage[key] = self.design_for(key).quadratic_forms(ginv) / self.n
+        return self._leverage[key]
 
 
 def _stacked_ginv(gram_main, gram_bc, cross):
     """Generalized inverse of the stacked Gram [[Q_0, C], [C', Q_1]].
 
-    Returns ``(ginv, dropped)``. Q_1 is positive definite (its banded
-    factor was checked at fit time), so the Gram factors through the
+    Returns ``(ginv, dropped)``. Q_1 is positive definite (its dense
+    Cholesky factor was checked at fit time), so the Gram factors through the
     K_0 x K_0 Schur complement S = Q_0 - T C' with T = C Q_1^{-1}, and
 
         G^- = L S^+ L' + blockdiag(0, Q_1^{-1}),   L = [I; -T'],
@@ -419,8 +397,8 @@ def _stacked_ginv(gram_main, gram_bc, cross):
     k0 = gram_main.K
     q1inv = gram_bc.solve(np.eye(gram_bc.K))
     t = cross @ q1inv
-    lam, vec = np.linalg.eigh(_unband(gram_main.ab) - t @ cross.T)
-    keep = lam > _PINV_REL_CUTOFF * (np.sum(gram_main.ab[0]) + np.sum(gram_bc.ab[0]))
+    lam, vec = np.linalg.eigh(gram_main.Q - t @ cross.T)
+    keep = lam > _PINV_REL_CUTOFF * (np.trace(gram_main.Q) + np.trace(gram_bc.Q))
     lv = np.vstack([vec[:, keep], -t.T @ vec[:, keep]]) / np.sqrt(lam[keep])
     ginv = lv @ lv.T
     ginv[k0:, k0:] += q1inv
@@ -450,7 +428,7 @@ def fit_estimator(kind, X, y):
 
 
 def _check_normal_equations(factor, beta, rhs):
-    gap = float(np.max(np.abs(factor.matvec(beta) - rhs)))
+    gap = float(np.max(np.abs(factor.Q @ beta - rhs)))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     if gap > 1e-10 * scale:
         raise NumericalError(

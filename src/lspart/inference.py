@@ -65,9 +65,11 @@ class VarianceEstimate:
 
     Binds the fit, the kind j, and the HC residual weighting. HC2/HC3 use
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
-    Gram, or for j >= 2 against a generalized inverse of the stacked Gram
-    built from the Schur complement of its bias-correction block, dropping
-    eigenvalues at or below ``_PINV_REL_CUTOFF`` times the Gram's trace.
+    Gram, solved from its dense Cholesky factor, or for j >= 2 against a
+    generalized inverse of the stacked Gram built from the Schur complement
+    of its bias-correction block, dropping eigenvalues at or below
+    ``_PINV_REL_CUTOFF`` times the Gram's trace. j = 2 and j = 3 share the
+    cached leverage of their common stacked design.
     The dense Sigma matrix is formed lazily by the Gram accumulator
     :meth:`SparseRows.weighted_cross`; the plug-in band takes Omega from its
     square root. :meth:`omega_many` needs no Sigma: at a few points the

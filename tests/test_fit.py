@@ -9,12 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+import lspart.fit as fit_module
 from lspart.basis import BasisFamily, BasisSpec, SparseRows
+from lspart.cli import main
 from lspart.errors import ConfigError, RankDeficient, UnsupportedFamily
 from lspart.fit import (
-    BandedCholesky,
     EstimatorKind,
     _stacked_ginv,
     cross_gram,
@@ -22,6 +24,7 @@ from lspart.fit import (
     gram_banded,
     stack_designs,
 )
+from lspart.harness import RunConfig, run_fit
 from lspart.inference import HCKind, sigma_hat
 from lspart.partition import KnotRule, TensorPartition
 
@@ -36,20 +39,11 @@ def _fit_1d(y_fn, n=300, kappa=4, m=2, m_tilde=None, family=BasisFamily.BSPLINE,
     return fit_estimator(kind, X, y), X, y
 
 
-def _from_band(ab):
-    K = ab.shape[1]
-    dense = np.zeros((K, K))
-    for off in range(ab.shape[0]):
-        for c in range(K - off):
-            dense[c + off, c] = dense[c, c + off] = ab[off, c]
-    return dense
-
-
 class TestGram:
-    def test_banded_matches_dense(self):
+    def test_gram_matches_dense(self):
         fit, X, y = _fit_1d(np.sin, kappa=5, m=3)
         D = fit.design_main.dense()
-        assert_allclose(fit.gram_main.dense(), D.T @ D / fit.n, atol=1e-13)
+        assert_allclose(fit.gram_main.Q, D.T @ D / fit.n, atol=1e-13)
 
     def test_cross_matches_dense(self):
         fit, X, y = _fit_1d(np.sin, kappa=5, m=2)
@@ -60,16 +54,16 @@ class TestGram:
     def test_weighted_gram(self):
         fit, X, y = _fit_1d(np.cos, kappa=3, m=2)
         w = np.random.default_rng(1).random(fit.n)
-        ab = gram_banded(fit.design_main, row_weights=w)
+        Q = gram_banded(fit.design_main, row_weights=w)
         D = fit.design_main.dense()
-        assert_allclose(_from_band(ab), D.T @ (w[:, None] * D) / fit.n, atol=1e-13)
+        assert_allclose(Q, D.T @ (w[:, None] * D) / fit.n, atol=1e-13)
 
     def test_solve_and_matvec(self):
         fit, _, _ = _fit_1d(np.sin, kappa=6, m=3)
         rng = np.random.default_rng(2)
         b = rng.standard_normal(fit.gram_main.K)
         x = fit.gram_main.solve(b)
-        assert_allclose(fit.gram_main.matvec(x), b, atol=1e-11)
+        assert_allclose(fit.gram_main.Q @ x, b, atol=1e-11)
 
     def test_rank_deficient_raises(self):
         # data concentrated in one cell leaves others empty
@@ -79,6 +73,67 @@ class TestGram:
         kind = EstimatorKind(BasisSpec(BasisFamily.BSPLINE, 2, part))
         with pytest.raises(RankDeficient):
             fit_estimator(kind, X, y)
+
+
+def _rank_deficient_sample(d, route, n=3000, seed=0):
+    """Sample on [0, 1]^d whose centre cell of a kappa = 3 partition is empty
+    (``route="empty"``) or holds points whose first coordinate varies by only
+    1e-6 (``route="near"``): the cell's order-2 piecewise-polynomial block is
+    then zero, or positive definite with one pivot below 1e-11 relative.
+    """
+    rng = np.random.default_rng([seed, d])
+    X = rng.random((n, d))
+    X = X[~np.all((X > 0.3) & (X < 0.7), axis=1)]
+    if route == "near":
+        cell = 0.36 + 0.28 * rng.random((100, d))
+        cell[:, 0] = 0.5 + 1e-6 * rng.random(100)
+        X = np.vstack([X, cell])
+    y = np.sin(3 * X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0])
+    return X, y
+
+
+class TestRankDeficientRoutes:
+    @staticmethod
+    def _fit(d, route):
+        X, y = _rank_deficient_sample(d, route)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, 3)
+        return fit_estimator(EstimatorKind(BasisSpec(BasisFamily.PP, 2, part)), X, y)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_empty_cell_maps_factor_error(self, d):
+        with pytest.raises(RankDeficient, match="not positive definite") as info:
+            self._fit(d, "empty")
+        assert isinstance(info.value.__cause__, scipy.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_near_empty_cell_fails_pivot_test(self, d, monkeypatch):
+        pivots = []
+        cho_factor = scipy.linalg.cho_factor
+
+        def record(a, *args, **kwargs):
+            out = cho_factor(a, *args, **kwargs)
+            pivots.append(np.diagonal(out[0]) ** 2 / (np.trace(a) / a.shape[0]))
+            return out
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", record)
+        with pytest.raises(RankDeficient, match="numerically rank deficient") as info:
+            self._fit(d, "near")
+        assert info.value.__cause__ is None
+        assert 0.0 < np.min(pivots[-1]) < fit_module._PIVOT_REL_TOL
+
+    @pytest.mark.parametrize("route", ["empty", "near"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cli_exits_4(self, d, route, tmp_path, capsys):
+        X, y = _rank_deficient_sample(d, route)
+        path = tmp_path / "data.csv"
+        header = ",".join([f"x{k + 1}" for k in range(d)] + ["y"])
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g",
+                   header=header, comments="")
+        code = main(["fit", "--data", str(path), "--family", "pp", "--kappa", "3",
+                     "--j", "0", "--hc", "hc2"])
+        assert code == 4
+        want = {"empty": "not positive definite", "near": "numerically rank deficient"}
+        assert want[route] in capsys.readouterr().err
 
 
 class TestNormalEquations:
@@ -364,6 +419,25 @@ class TestLeverageRoute:
         k0 = fit.design_main.K
         assert shapes and all(s == (k0, k0) for s in shapes)
 
+    def test_stacked_inverse_built_once_per_fit(self, monkeypatch, tmp_path):
+        # j = 2 and j = 3 share one stacked design and so one leverage
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return _stacked_ginv(*args)
+
+        monkeypatch.setattr(fit_module, "_stacked_ginv", record)
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.random.default_rng(5).random((400, 2)), delimiter=",",
+                   fmt="%.17g", header="x1,y", comments="")
+        run_fit(RunConfig(mode="fit", data_path=str(path), kappa=4,
+                          j_set=(0, 1, 2, 3), hc_kind="hc2"))
+        assert len(calls) == 1
+        fit = _fit_nd(2)
+        assert np.array_equal(fit.leverage(2), fit.leverage(3))
+        assert len(calls) == 2
+
     def test_never_densifies(self, monkeypatch):
         fit = _fit_nd(2)
 
@@ -371,7 +445,6 @@ class TestLeverageRoute:
             raise AssertionError("dense route called")
 
         monkeypatch.setattr(SparseRows, "dense", refuse)
-        monkeypatch.setattr(BandedCholesky, "dense", refuse)
         monkeypatch.setattr(np.linalg, "svd", refuse)
         for j in (0, 1, 2, 3):
             assert np.all(np.isfinite(fit.leverage(j)))
@@ -408,7 +481,7 @@ class TestAccumulatorOracles:
             atol=1e-13,
         )
         assert_allclose(
-            _from_band(gram_banded(fit.design_bc, row_weights=w)),
+            gram_banded(fit.design_bc, row_weights=w),
             Db.T @ (w[:, None] * Db) / fit.n,
             atol=1e-13,
         )
