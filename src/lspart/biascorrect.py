@@ -8,8 +8,16 @@ fit takes the family-specific form
 
 where shape is a fixed polynomial product on [0,1]^d (Bernoulli factors for
 B-splines, scaled shifted-Legendre factors for piecewise polynomials) and
-vanishes whenever u - q has a negative entry. Plug-in correction and the
-direct-plug-in partition-size selector both consume this module.
+vanishes whenever u - q has a negative entry. The plug-in estimate reads
+d^u mu off the order-mtilde fit, d^u mu-tilde = (d^u ptilde)' beta-tilde, so
+it is linear in the coefficients:
+
+    lead_q(x) = - R_q(x)' beta-tilde,   R_q = sum_u w_{u,q} d^u ptilde,
+
+with w_{u,q} = b^(u-q) * shape(u, q, z). :func:`lead_design` builds R_q as
+one row-sparse design; every use of the lead (the plug-in estimate, the
+fitted values and weights of the j = 3 estimator, the direct-plug-in
+partition-size selector) goes through it.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFamily
+from .basis import BasisFamily, SparseRows
 from .errors import ConfigError, UnsupportedFamily
 
 _MAX_ORDER = 12
@@ -137,27 +145,41 @@ class LeadingErrorModel:
         return shape * np.prod(width**expo, axis=1)
 
 
-def leading_bias_many(fit, pts, q=None):
-    """Plug-in leading error of the order-m fit at many points, (G,).
+def lead_design(fit, pts, q=None):
+    """R_q at many points: sum_u w_{u,q}(x) d^u ptilde(x) as one SparseRows.
 
-    Derivatives of the regression function are read off the order-mtilde
-    fit; cell geometry comes from the main partition.
+    Every d^u ptilde activates the same functions at a point, so the rows of
+    all u share their indices and groups, and their values are summed with
+    the per-point weights w_{u,q}; the cell geometry behind the weights comes
+    from the main partition. A u whose weight is zero at every point is
+    skipped, and when no u is left (no u in Lambda_m has u >= q) the result
+    is the empty sum: rows of width 0, whose products are all zero.
     """
-    model = fit.leading_error_model
+    model = LeadingErrorModel.for_spec(fit.kind.main_spec)
     part = fit.kind.main_spec.partition
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    q = (0,) * part.dim if q is None else tuple(int(v) for v in np.atleast_1d(q))
-    cells = part.locate(pts)
-    lower, width = part.geometry(cells)
+    lower, width = part.geometry(part.locate(pts))
     z = (pts - lower) / width
-    out = np.zeros(pts.shape[0])
+    rows, values = None, 0.0
     for u in model.lambda_set:
         w_u = model.weight_values(u, q, z, width)
         if not np.any(w_u):
             continue
-        du_rows = fit.kind.bc_spec.eval_many(pts, u)
-        out -= w_u * du_rows.row_dot(fit.beta_bc)
-    return out
+        rows = fit.kind.bc_spec.eval_many(pts, u)
+        values = values + w_u[:, None] * rows.values
+    G, K = pts.shape[0], fit.kind.bc_spec.K
+    if rows is None:
+        return SparseRows(np.empty((G, 0), dtype=np.intp), np.empty((G, 0)), K,
+                          np.zeros(G, dtype=np.intp))
+    return SparseRows(rows.indices, values, K, rows.groups)
+
+
+def leading_bias_many(fit, pts, q=None):
+    """Plug-in leading error of the order-m fit at many points, (G,).
+
+    -R_q(pts)' beta-tilde through :func:`lead_design`.
+    """
+    return -lead_design(fit, pts, q).row_dot(fit.beta_bc)
 
 
 def projected_bias_term_many(fit, pts, q=None):

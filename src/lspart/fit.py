@@ -10,7 +10,13 @@ every j is a different read of the same factored objects:
 - j = 1: the fit of order mtilde > m used directly.
 - j = 2: j = 0 plus a least-squares correction through the j = 1 fit.
 - j = 3: j = 0 minus an explicit plug-in estimate of the leading error,
-  recentred by its own sample projection.
+  recentred by its own sample projection. The lead is -R_q' beta-tilde,
+  with R_q from :func:`~lspart.biascorrect.lead_design` at the sample and
+  at evaluation points alike.
+
+``fitted`` and ``estimate_many`` share one j-dispatch over the rows and the
+lead at a point set; ``gamma_many`` reaches the same estimates independently,
+through Gram solves (``estimate == gamma_many @ rhs_for``).
 """
 
 from __future__ import annotations
@@ -148,14 +154,7 @@ class FitResult:
         if self.y.shape != (self.n,):
             raise ConfigError("y must be a vector matching X rows")
 
-        part = kind.main_spec.partition
         self.design_main = kind.main_spec.eval_many(self.X)
-        # the main design's groups are the flat cells of the main partition
-        self.cells = np.stack(
-            np.unravel_index(self.design_main.groups, part.kappa), axis=1
-        )
-        self.cell_lower, self.cell_width = part.geometry(self.cells)
-
         self.gram_main = BandedCholesky(gram_banded(self.design_main))
         self.rhs_main = self.design_main.accumulate(self.y) / self.n
         self.beta_main = self.gram_main.solve(self.rhs_main)
@@ -177,11 +176,8 @@ class FitResult:
         self._leverage = {}
         self._c2 = None
         self._c3 = None
-        self._bvec0 = None
-        self._cu = {}
-        self._du_mu1_data = {}
+        self._lead = None
         self._fitted = {}
-        self._model = None
 
     # -- shared pieces ------------------------------------------------------
 
@@ -192,14 +188,6 @@ class FitResult:
             self._cross = cross_gram(self.design_main, self.design_bc)
         return self._cross
 
-    @property
-    def leading_error_model(self):
-        if self._model is None:
-            self._model = biascorrect.LeadingErrorModel.for_spec(
-                self.kind.main_spec
-            )
-        return self._model
-
     def _proj_coef_j2(self):
         # c with p(x)'c = gamma_0(x)' E_n[p mu1]: the correction's projection
         if self._c2 is None:
@@ -208,25 +196,23 @@ class FitResult:
             self._c2 = self.gram_main.solve(t)
         return self._c2
 
-    def du_mu1_at_data(self, u):
-        """Derivative d^u of the order-mtilde fit at the sample points."""
-        if u not in self._du_mu1_data:
-            rows = self.kind.bc_spec.eval_many(self.X, u)
-            self._du_mu1_data[u] = rows.row_dot(self.beta_bc)
-        return self._du_mu1_data[u]
+    def _lead_at_data(self):
+        """``(lead, C)`` from one pass of R_0 at the sample.
+
+        lead = -R_0(x_i)' beta-tilde is the plug-in leading error B-hat_{m,0}
+        at the sample, (n,), and C = E_n[p(x_i) R_0(x_i)'] is dense
+        (K, Ktilde), the cross-Gram of the j = 3 weights.
+        """
+        if self._lead is None:
+            rows = biascorrect.lead_design(self, self.X)
+            self._lead = (
+                -rows.row_dot(self.beta_bc), cross_gram(self.design_main, rows)
+            )
+        return self._lead
 
     def leading_error_at_data(self):
         """B-hat_{m,0}(x_i): plug-in leading error at the sample, (n,)."""
-        if self._bvec0 is None:
-            model = self.leading_error_model
-            z = (self.X - self.cell_lower) / self.cell_width
-            out = np.zeros(self.n)
-            q0 = (0,) * self.X.shape[1]
-            for u in model.lambda_set:
-                w_u = model.weight_values(u, q0, z, self.cell_width)
-                out -= w_u * self.du_mu1_at_data(u)
-            self._bvec0 = out
-        return self._bvec0
+        return self._lead_at_data()[0]
 
     def proj_coef_bias(self):
         """Coefficients c with p(x)'c = gamma_0(x)' E_n[p leadhat_{m,0}]."""
@@ -234,17 +220,6 @@ class FitResult:
             t = self.design_main.accumulate(self.leading_error_at_data()) / self.n
             self._c3 = self.gram_main.solve(t)
         return self._c3
-
-    def _cross_u(self, u):
-        """C_u = E_n[w_u0(x_i) p(x_i) (d^u ptilde(x_i))'], dense (K, Ktilde)."""
-        if u not in self._cu:
-            model = self.leading_error_model
-            z = (self.X - self.cell_lower) / self.cell_width
-            q0 = (0,) * self.X.shape[1]
-            w_u = model.weight_values(u, q0, z, self.cell_width)
-            du_rows = self.kind.bc_spec.eval_many(self.X, u)
-            self._cu[u] = cross_gram(self.design_main, du_rows, row_weights=w_u)
-        return self._cu[u]
 
     # -- per-kind reads -----------------------------------------------------
 
@@ -271,24 +246,28 @@ class FitResult:
             return self.rhs_bc
         return np.concatenate([self.rhs_main, self.rhs_bc])
 
+    def _mu_hat(self, j, main_rows, bc_rows, lead):
+        """mu-hat_j (or a derivative) from the rows and the lead at a point set.
+
+        Only the pieces j reads need be given: main rows for j != 1, bias-
+        correction rows for j = 1, 2 and the plug-in lead for j = 3.
+        """
+        if j == 0:
+            return main_rows.row_dot(self.beta_main)
+        if j == 1:
+            return bc_rows.row_dot(self.beta_bc)
+        if j == 2:
+            return main_rows.row_dot(
+                self.beta_main - self._proj_coef_j2()
+            ) + bc_rows.row_dot(self.beta_bc)
+        return main_rows.row_dot(self.beta_main + self.proj_coef_bias()) - lead
+
     def fitted(self, j):
         """mu-hat_j at the sample points, (n,)."""
         j = self.kind.require_j(j)
         if j not in self._fitted:
-            if j == 0:
-                vals = self.design_main.row_dot(self.beta_main)
-            elif j == 1:
-                vals = self.design_bc.row_dot(self.beta_bc)
-            elif j == 2:
-                vals = self.design_main.row_dot(
-                    self.beta_main - self._proj_coef_j2()
-                ) + self.design_bc.row_dot(self.beta_bc)
-            else:
-                vals = (
-                    self.design_main.row_dot(self.beta_main + self.proj_coef_bias())
-                    - self.leading_error_at_data()
-                )
-            self._fitted[j] = vals
+            lead = self.leading_error_at_data() if j == 3 else None
+            self._fitted[j] = self._mu_hat(j, self.design_main, self.design_bc, lead)
         return self._fitted[j]
 
     def residuals(self, j):
@@ -299,20 +278,10 @@ class FitResult:
         """Point estimates of the q-th derivative at many points, (G,)."""
         j = self.kind.require_j(j)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = self.X.shape[1]
-        q = (0,) * d if q is None else tuple(int(v) for v in np.atleast_1d(q))
         main_q = self.kind.main_spec.eval_many(pts, q) if j != 1 else None
-        if j == 0:
-            return main_q.row_dot(self.beta_main)
-        bc_q = self.kind.bc_spec.eval_many(pts, q)
-        if j == 1:
-            return bc_q.row_dot(self.beta_bc)
-        if j == 2:
-            return main_q.row_dot(
-                self.beta_main - self._proj_coef_j2()
-            ) + bc_q.row_dot(self.beta_bc)
-        bias_q = biascorrect.leading_bias_many(self, pts, q)
-        return main_q.row_dot(self.beta_main + self.proj_coef_bias()) - bias_q
+        bc_q = self.kind.bc_spec.eval_many(pts, q) if j in (1, 2) else None
+        lead_q = biascorrect.leading_bias_many(self, pts, q) if j == 3 else None
+        return self._mu_hat(j, main_q, bc_q, lead_q)
 
     def estimate(self, x, q=None, j=0):
         """Single-point version of :meth:`estimate_many`."""
@@ -321,13 +290,16 @@ class FitResult:
     def gamma_many(self, pts, q=None, j=0):
         """Evaluation weights gamma_{q,j} at many points, dense (G, K_j).
 
-        The estimator identity ``estimate == gamma_many @ rhs_for(j)`` holds
-        to roundoff and is exercised in tests.
+        For j >= 2 the bias-correction block is one solve against the
+        order-mtilde Gram: of Ptilde_q(pts)' - C' gamma_0' for j = 2, with C
+        the cross-Gram of the two bases, and of R_q(pts)' - C' gamma_0' for
+        j = 3, with R_q from :func:`~lspart.biascorrect.lead_design` and C
+        the cross-Gram of p and R_0 at the sample. The estimator identity
+        ``estimate == gamma_many @ rhs_for(j)`` holds to roundoff and is
+        exercised in tests.
         """
         j = self.kind.require_j(j)
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = self.X.shape[1]
-        q = (0,) * d if q is None else tuple(int(v) for v in np.atleast_1d(q))
         gamma0 = None
         if j != 1:
             main_rows = self.kind.main_spec.eval_many(pts, q)
@@ -337,22 +309,11 @@ class FitResult:
         if j == 1:
             bc_rows = self.kind.bc_spec.eval_many(pts, q)
             return self.gram_bc.solve(bc_rows.dense().T).T
-        # the bias-correction block is linear in its right-hand sides, so
-        # each kind sums them and takes one solve against the order-mtilde Gram
         if j == 2:
-            bc_rows = self.kind.bc_spec.eval_many(pts, q)
-            rhs = bc_rows.dense().T - self.cross_gram.T @ gamma0.T
+            rows, cross = self.kind.bc_spec.eval_many(pts, q), self.cross_gram
         else:
-            model = self.leading_error_model
-            part = self.kind.main_spec.partition
-            cells = part.locate(pts)
-            lower, width = part.geometry(cells)
-            z = (pts - lower) / width
-            rhs = np.zeros((self.design_bc.K, pts.shape[0]))
-            for u in model.lambda_set:
-                w_u = model.weight_values(u, q, z, width)
-                du_rows = self.kind.bc_spec.eval_many(pts, u)
-                rhs += du_rows.dense().T * w_u - self._cross_u(u).T @ gamma0.T
+            rows, cross = biascorrect.lead_design(self, pts, q), self._lead_at_data()[1]
+        rhs = rows.dense().T - cross.T @ gamma0.T
         return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
 
     def leverage(self, j):

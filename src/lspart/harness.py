@@ -107,10 +107,9 @@ class RunConfig:
         cfg.j_set = tuple(sorted({int(j) for j in cfg.j_set}))
         if not cfg.j_set or any(j not in (0, 1, 2, 3) for j in cfg.j_set):
             raise ConfigError(f"j_set must be a nonempty subset of 0..3, got {cfg.j_set}")
-        if max(cfg.j_set) >= 1:
-            mt = cfg.m + 1 if cfg.m_tilde is None else cfg.m_tilde
-            if mt <= cfg.m:
-                raise ConfigError(f"m_tilde {mt} must exceed m {cfg.m}")
+        mt = _m_tilde(cfg)
+        if mt is not None and mt <= cfg.m:
+            raise ConfigError(f"m_tilde {mt} must exceed m {cfg.m}")
 
         if isinstance(cfg.kappa, str):
             if cfg.kappa not in ("rot", "dpi"):
@@ -172,6 +171,21 @@ class RunConfig:
             if cfg.replications < 1:
                 raise ConfigError(f"need at least 1 replication, got {cfg.replications}")
         return cfg
+
+
+def _m_tilde(cfg):
+    """The bias-correction order of a run, or None when every j is 0."""
+    if max(cfg.j_set) < 1:
+        return None
+    return cfg.m + 1 if cfg.m_tilde is None else cfg.m_tilde
+
+
+def _resolve_q(cfg, d):
+    """The derivative order of a run: ``cfg.q``, zeros by default, of length d."""
+    q = cfg.q if cfg.q is not None else (0,) * d
+    if len(q) != d:
+        raise ConfigError(f"q has {len(q)} entries for {d} covariates")
+    return q
 
 
 def read_data(path):
@@ -239,7 +253,7 @@ def _effective_cap(cfg, d):
 
 
 def _select_kappa(cfg, X, y, d, bounds):
-    q = cfg.q if cfg.q is not None else (0,) * d
+    q = _resolve_q(cfg, d)
     info = {"rule": None, "requested": cfg.kappa, "kappa": None,
             "kappa_rot": None, "kappa_dpi": None, "rot_fallback": False,
             "cap": None, "capped": False}
@@ -322,9 +336,7 @@ def run_fit(config):
         raise ConfigError("run_fit needs a fit-mode config")
     X, y = read_data(cfg.data_path)
     n, d = X.shape
-    q = cfg.q if cfg.q is not None else (0,) * d
-    if len(q) != d:
-        raise ConfigError(f"q has {len(q)} entries for {d} covariates")
+    q = _resolve_q(cfg, d)
     bounds = data_bounds(X)
 
     kappa, selection = _select_kappa(cfg, X, y, d, bounds)
@@ -370,9 +382,7 @@ def run_fit(config):
         "d": d,
         "family": cfg.family.value,
         "m": cfg.m,
-        "m_tilde": (cfg.m + 1 if cfg.m_tilde is None else cfg.m_tilde)
-        if max(cfg.j_set) >= 1
-        else None,
+        "m_tilde": _m_tilde(cfg),
         "knot_rule": cfg.knot_rule.value,
         "q": list(q),
         "j_set": list(cfg.j_set),
@@ -399,23 +409,18 @@ def run_fit(config):
 
 
 def _simulate_rep(args):
-    """One replication; returns (rep, error message or None, metrics or None)."""
-    cfg, rep = args
+    """One replication; returns (rep, error message or None, metrics or None).
+
+    ``args`` is ``(cfg, rep, q, pts, truth_pts)``: the derivative order, the
+    evaluation points and the truth there are resolved once per study.
+    """
+    cfg, rep, q, pts, truth_pts = args
     try:
         rng = np.random.default_rng([cfg.seed, rep])
         X, y = dgp.dgp_sample(cfg.model_id, cfg.n, rng)
-        d = X.shape[1]
-        q = cfg.q if cfg.q is not None else (0,) * d
         bounds = data_bounds(X)
-        kappa, _ = _select_kappa(cfg, X, y, d, bounds)
+        kappa, _ = _select_kappa(cfg, X, y, X.shape[1], bounds)
         fit = _build_fit(cfg, X, y, bounds, kappa)
-
-        pts = (
-            np.asarray(cfg.eval_points, dtype=float)
-            if cfg.eval_points is not None
-            else _default_eval_points(np.array([[0.0, 1.0]] * d))
-        )
-        truth_pts = dgp.dgp_eval(cfg.model_id, pts)
         grid = make_grid(bounds, cfg.grid_size) if cfg.band_method else None
 
         ci_fn = _CI_HOOK or pointwise_ci
@@ -466,9 +471,7 @@ def _aggregate(cfg, results, truth_pts):
             "j": j,
             "family": cfg.family.value,
             "m": cfg.m,
-            "m_tilde": (cfg.m + 1 if cfg.m_tilde is None else cfg.m_tilde)
-            if max(cfg.j_set) >= 1
-            else None,
+            "m_tilde": _m_tilde(cfg),
             "n": cfg.n,
             "reps": R,
             "failures": len(failures),
@@ -542,9 +545,7 @@ def run_simulation(config):
     if cfg.mode != "simulate":
         raise ConfigError("run_simulation needs a simulate-mode config")
     d = dgp.dgp_dim(cfg.model_id)
-    q = cfg.q if cfg.q is not None else (0,) * d
-    if len(q) != d:
-        raise ConfigError(f"q has {len(q)} entries for {d} covariates")
+    q = _resolve_q(cfg, d)
 
     pts = (
         np.asarray(cfg.eval_points, dtype=float)
@@ -555,7 +556,7 @@ def run_simulation(config):
         raise ConfigError(f"eval points have {pts.shape[1]} coordinates, need {d}")
     truth_pts = dgp.dgp_eval(cfg.model_id, pts)
 
-    args = [(cfg, rep) for rep in range(cfg.replications)]
+    args = [(cfg, rep, q, pts, truth_pts) for rep in range(cfg.replications)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_simulate_rep, args))

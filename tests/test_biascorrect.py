@@ -16,6 +16,7 @@ from lspart.basis import BasisFamily, BasisSpec
 from lspart.biascorrect import (
     LeadingErrorModel,
     bernoulli_poly,
+    lead_design,
     leading_bias_many,
     projected_bias_term_many,
     shifted_legendre,
@@ -253,3 +254,72 @@ class TestLeadingBias:
             leading_bias_many(fit, fit.X),
             atol=1e-12,
         )
+
+
+def _lead_fit(family, d, m=2, seed=0):
+    n, kappa = {1: (300, 4), 2: (900, 3)}[d]
+    rng = np.random.default_rng([seed, d, m])
+    X = rng.random((n, d))
+    y = np.sin(3 * X[:, 0]) * np.cos(2 * X[:, -1]) + 0.2 * rng.standard_normal(n)
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
+    return fit_estimator(EstimatorKind.default(family, m, part), X, y)
+
+
+def _per_u_terms(fit, pts, q):
+    """[(w_u, dense d^u ptilde rows)] for u in Lambda_m, one loop per u."""
+    model = LeadingErrorModel.for_spec(fit.kind.main_spec)
+    part = fit.kind.main_spec.partition
+    lower, width = part.geometry(part.locate(pts))
+    z = (pts - lower) / width
+    return [
+        (model.weight_values(u, q, z, width), fit.kind.bc_spec.eval_many(pts, u).dense())
+        for u in model.lambda_set
+    ]
+
+
+def _per_u_gamma3(fit, pts, q):
+    """gamma_{q,3} as the per-u sum: [gamma_0, Q1^-1 sum_u (D_u' w_u - C_u' gamma_0')]."""
+    q0 = (0,) * fit.X.shape[1]
+    P = fit.kind.main_spec.eval_many(pts, q).dense()
+    gamma0 = np.linalg.solve(fit.gram_main.Q, P.T).T
+    D = fit.design_main.dense()
+    rhs = np.zeros((fit.gram_bc.K, pts.shape[0]))
+    for (w_u, Du), (w0, Du0) in zip(_per_u_terms(fit, pts, q), _per_u_terms(fit, fit.X, q0)):
+        C_u = D.T @ (w0[:, None] * Du0) / fit.n
+        rhs += Du.T * w_u - C_u.T @ gamma0.T
+    return np.hstack([gamma0, np.linalg.solve(fit.gram_bc.Q, rhs).T])
+
+
+class TestLeadDesign:
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("q_first", [0, 1])
+    def test_matches_per_u_loop(self, family, d, q_first):
+        # q = 0, or q = e_1: at d = 2 one B-spline u (0, 2) has no u >= q
+        fit = _lead_fit(family, d)
+        q = tuple([q_first] + [0] * (d - 1))
+        pts = np.random.default_rng(d).random((11, d))
+        terms = _per_u_terms(fit, pts, q)
+        lead = -sum(w_u * (Du @ fit.beta_bc) for w_u, Du in terms)
+        R = sum(w_u[:, None] * Du for w_u, Du in terms)
+        assert_allclose(lead_design(fit, pts, q).dense(), R, atol=1e-12)
+        assert_allclose(leading_bias_many(fit, pts, q), lead, rtol=1e-12, atol=1e-13)
+        assert_allclose(fit.gamma_many(pts, q, j=3), _per_u_gamma3(fit, pts, q),
+                        rtol=1e-9, atol=1e-9)
+        sample = _per_u_terms(fit, fit.X, (0,) * d)
+        assert_allclose(fit.leading_error_at_data(),
+                        -sum(w * (Du @ fit.beta_bc) for w, Du in sample),
+                        rtol=1e-12, atol=1e-13)
+
+    def test_all_weights_zero(self):
+        # B-splines of order 3 at d = 2: Lambda = {(3, 0), (0, 3)}, and
+        # neither is >= q = (1, 1), so the lead vanishes identically
+        fit = _lead_fit(BasisFamily.BSPLINE, 2, m=3)
+        q = (1, 1)
+        pts = np.random.default_rng(5).random((9, 2))
+        assert lead_design(fit, pts, q).width == 0
+        assert np.array_equal(leading_bias_many(fit, pts, q), np.zeros(9))
+        assert_allclose(fit.gamma_many(pts, q, j=3) @ fit.rhs_for(3),
+                        fit.estimate_many(pts, q, j=3), atol=1e-10)
+        assert_allclose(fit.gamma_many(pts, q, j=3), _per_u_gamma3(fit, pts, q),
+                        rtol=1e-9, atol=1e-9)

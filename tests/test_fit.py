@@ -404,6 +404,30 @@ class TestLeverageRoute:
         want = m**d if family is BasisFamily.BSPLINE else fit.design_main.K
         assert dropped == want
 
+    @pytest.mark.parametrize("family,m,d,kappa,n", [
+        (BasisFamily.BSPLINE, 2, 1, 16, 1000),
+        (BasisFamily.BSPLINE, 2, 2, 10, 4000),
+        (BasisFamily.BSPLINE, 2, 3, 6, 8000),
+        (BasisFamily.BSPLINE, 3, 2, 6, 3000),
+        (BasisFamily.PP, 2, 1, 16, 1000),
+        (BasisFamily.PP, 2, 2, 6, 3000),
+        (BasisFamily.HAAR, 1, 1, 16, 1000),
+        (BasisFamily.HAAR, 1, 2, 10, 4000),
+    ])
+    def test_dropped_count_pins_the_cutoff(self, family, m, d, kappa, n):
+        # mtilde = m + 1 on one partition. On these finer partitions the
+        # smallest kept eigenvalue of the B-spline Schur complement sits
+        # below 1e-6 tr(G) and the dropped ones at roundoff, so the count
+        # moves if the cutoff is raised or lowered by a few decades.
+        rng = np.random.default_rng([n, d])
+        X = rng.random((n, d))
+        y = np.sin(3 * X[:, 0]) + 0.3 * rng.standard_normal(n)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
+        fit = fit_estimator(EstimatorKind.default(family, m, part), X, y)
+        _, dropped = _stacked_ginv(fit.gram_main, fit.gram_bc, fit.cross_gram)
+        want = m**d if family is BasisFamily.BSPLINE else fit.design_main.K
+        assert dropped == want
+
     def test_eigh_no_larger_than_main_basis(self, monkeypatch):
         fit = _fit_nd(2)
         shapes = []
