@@ -36,7 +36,6 @@ from .errors import (
 from .fit import EstimatorKind, FitResult, fit_estimator
 from .harness import (
     RunConfig,
-    emit_plotdata,
     metrics_csv,
     read_data,
     run_fit,

@@ -19,9 +19,9 @@ Every row of a :class:`SparseRows` carries a group id, and rows with the
 same id have identical ``indices`` rows: they activate the same functions.
 :meth:`BasisSpec.eval_many` uses the flat cell of the point, since all
 points of a cell share their active set in all three families, at every
-derivative order. A stacked design groups its rows by the pair of the two
-ids (:func:`pair_groups`), which stays valid when the two bases live on
-different partitions. The dense-output kernels (``weighted_cross``,
+derivative order. Every basis of one fit lives on the main partition, so
+its designs share their groups, and a stacked design or a cross product
+keeps them. The dense-output kernels (``weighted_cross``,
 ``quadratic_forms``, ``rows_times``) work one group at a time: one small
 matrix product over the group's rows, then one write of the group's block.
 Any grouping that keeps the invariant gives the same numbers up to roundoff;
@@ -126,9 +126,8 @@ class SparseRows:
         """Dense (K, other.K) mean (1/n) sum_i w_i p(x_i) q(x_i)', w = 1 by default.
 
         The one accumulation loop behind the Gram, cross-Gram and Sigma
-        matrices. Rows are grouped by the pair of group ids
-        (:func:`pair_groups`); a design crossed with itself keeps its own
-        groups. Per group, one product (V_a,g * w_g)' V_b,g gives a
+        matrices. The two designs share their groups (:func:`shared_groups`).
+        Per group, one product (V_a,g * w_g)' V_b,g gives a
         (width_a, width_b) block, and the blocks are scattered into the
         output once: C * width_a * width_b entries for C groups. The weights
         may be negative, so they scale the rows and are never split into
@@ -137,12 +136,8 @@ class SparseRows:
         keeps two distinct buffers, so numpy does not switch its product to
         the symmetric-rank-k kernel, whose roundoff differs.
         """
-        if other.n != self.n:
-            raise ConfigError("designs must share the sample")
-        if other is self:
-            order, lead, spans = self._group_runs
-        else:
-            order, lead, spans = _runs(pair_groups(self.groups, other.groups))
+        shared_groups(self, other)
+        order, lead, spans = self._group_runs
         va = self.values[order]
         if row_weights is not None:
             va *= np.asarray(row_weights, dtype=float)[order, None]
@@ -180,15 +175,13 @@ class SparseRows:
         return out
 
 
-def pair_groups(ga, gb):
-    """One integer key per pair (ga_i, gb_i) of group ids.
-
-    Rows that agree in both ids share the active sets of both designs, so
-    the key is a valid grouping of their concatenation or cross product.
-    """
-    ga = np.asarray(ga, dtype=np.int64)
-    gb = np.asarray(gb, dtype=np.int64)
-    return ga * (int(np.max(gb, initial=-1)) + 1) + gb
+def shared_groups(a, b):
+    """The groups of two designs on one sample and partition; else ConfigError."""
+    if a.n != b.n:
+        raise ConfigError("designs must share the sample")
+    if a.groups is not b.groups and not np.array_equal(a.groups, b.groups):
+        raise ConfigError("designs must share their groups (one partition)")
+    return a.groups
 
 
 def _runs(groups):

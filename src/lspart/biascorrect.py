@@ -153,12 +153,13 @@ def lead_design(fit, pts, q=None):
     the per-point weights w_{u,q}; the cell geometry behind the weights comes
     from the main partition. A u whose weight is zero at every point is
     skipped, and when no u is left (no u in Lambda_m has u >= q) the result
-    is the empty sum: rows of width 0, whose products are all zero.
+    is the empty sum: rows of width 0 grouped by cell, whose products are 0.
     """
     model = LeadingErrorModel.for_spec(fit.kind.main_spec)
     part = fit.kind.main_spec.partition
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lower, width = part.geometry(part.locate(pts))
+    cells = part.locate(pts)
+    lower, width = part.geometry(cells)
     z = (pts - lower) / width
     rows, values = None, 0.0
     for u in model.lambda_set:
@@ -170,7 +171,7 @@ def lead_design(fit, pts, q=None):
     G, K = pts.shape[0], fit.kind.bc_spec.K
     if rows is None:
         return SparseRows(np.empty((G, 0), dtype=np.intp), np.empty((G, 0)), K,
-                          np.zeros(G, dtype=np.intp))
+                          np.ravel_multi_index(cells.T, part.kappa))
     return SparseRows(rows.indices, values, K, rows.groups)
 
 

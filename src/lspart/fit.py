@@ -22,12 +22,13 @@ through Gram solves (``estimate == gamma_many @ rhs_for``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from . import biascorrect
-from .basis import BasisFamily, BasisSpec, SparseRows, pair_groups
+from .basis import BasisFamily, BasisSpec, SparseRows, shared_groups
 from .errors import (
     ConfigError,
     NumericalError,
@@ -36,7 +37,7 @@ from .errors import (
 )
 
 _PIVOT_REL_TOL = 1e-10
-_PINV_REL_CUTOFF = 1e-10  # stacked-Gram Schur complement: eigenvalue cutoff / trace
+_EPS = np.finfo(float).eps
 
 
 def gram_banded(design, row_weights=None):
@@ -91,39 +92,43 @@ class BandedCholesky:
 
 @dataclass(frozen=True)
 class EstimatorKind:
-    """Main basis plus the optional higher-order basis for bias correction."""
+    """Main basis plus, if ``m_tilde`` is set, its bias-correction companion.
+
+    The companion is the main family (PP for Haar) of order ``m_tilde`` on
+    the main partition, so the two spans share exactly :attr:`null_dim`
+    dimensions.
+    """
 
     main_spec: BasisSpec
-    bc_spec: BasisSpec | None = None
+    m_tilde: int | None = None
 
     def __post_init__(self):
-        if self.bc_spec is not None:
-            if self.bc_spec.m <= self.main_spec.m:
-                raise ConfigError(
-                    f"bias-correction order {self.bc_spec.m} must exceed "
-                    f"main order {self.main_spec.m}"
-                )
-            if self.bc_spec.dim != self.main_spec.dim:
-                raise ConfigError("basis dimensions disagree")
-            ba = self.main_spec.partition.bounds
-            bb = self.bc_spec.partition.bounds
-            if not np.allclose(ba, bb):
-                raise ConfigError("bases must share the support")
+        if self.m_tilde is not None and self.m_tilde <= self.main_spec.m:
+            raise ConfigError(
+                f"bias-correction order {self.m_tilde} must exceed "
+                f"main order {self.main_spec.m}"
+            )
 
     @classmethod
-    def default(cls, family, m, partition, m_tilde=None, bc_partition=None):
-        """Main basis plus a same-partition basis one order higher.
+    def default(cls, family, m, partition, m_tilde=None):
+        """Main basis plus its companion, by default one order higher."""
+        m_tilde = m + 1 if m_tilde is None else m_tilde
+        return cls(BasisSpec(family, m, partition), m_tilde)
 
-        Haar is order 1 only, so a Haar main basis gets the piecewise
-        polynomial of order m_tilde (default 2) as its companion.
-        """
-        main = BasisSpec(family, m, partition)
-        bc_family = BasisFamily.PP if main.family is BasisFamily.HAAR else main.family
-        bc = BasisSpec(
-            bc_family, m + 1 if m_tilde is None else m_tilde,
-            partition if bc_partition is None else bc_partition,
-        )
-        return cls(main, bc)
+    @cached_property
+    def bc_spec(self):
+        """The order-mtilde companion basis on the main partition, or None."""
+        if self.m_tilde is None:
+            return None
+        main = self.main_spec
+        family = BasisFamily.PP if main.family is BasisFamily.HAAR else main.family
+        return BasisSpec(family, self.m_tilde, main.partition)
+
+    @property
+    def null_dim(self):
+        """m^d for B-splines (the polynomials of degree < m per axis), else K_0."""
+        main = self.main_spec
+        return main.m**main.dim if main.family is BasisFamily.BSPLINE else main.K
 
     def require_j(self, j):
         j = int(j)
@@ -176,7 +181,6 @@ class FitResult:
         self._leverage = {}
         self._c2 = None
         self._c3 = None
-        self._lead = None
         self._fitted = {}
 
     # -- shared pieces ------------------------------------------------------
@@ -196,23 +200,24 @@ class FitResult:
             self._c2 = self.gram_main.solve(t)
         return self._c2
 
-    def _lead_at_data(self):
-        """``(lead, C)`` from one pass of R_0 at the sample.
+    @cached_property
+    def _lead_rows(self):
+        # R_0 at the sample (biascorrect.lead_design), evaluated once
+        return biascorrect.lead_design(self, self.X)
 
-        lead = -R_0(x_i)' beta-tilde is the plug-in leading error B-hat_{m,0}
-        at the sample, (n,), and C = E_n[p(x_i) R_0(x_i)'] is dense
-        (K, Ktilde), the cross-Gram of the j = 3 weights.
-        """
-        if self._lead is None:
-            rows = biascorrect.lead_design(self, self.X)
-            self._lead = (
-                -rows.row_dot(self.beta_bc), cross_gram(self.design_main, rows)
-            )
-        return self._lead
+    @cached_property
+    def _lead(self):
+        return -self._lead_rows.row_dot(self.beta_bc)
+
+    @cached_property
+    def _lead_cross(self):
+        # C = E_n[p(x_i) R_0(x_i)'], dense (K, Ktilde): read by the j = 3
+        # weights only, so the dpi pilot never forms it
+        return cross_gram(self.design_main, self._lead_rows)
 
     def leading_error_at_data(self):
         """B-hat_{m,0}(x_i): plug-in leading error at the sample, (n,)."""
-        return self._lead_at_data()[0]
+        return self._lead
 
     def proj_coef_bias(self):
         """Coefficients c with p(x)'c = gamma_0(x)' E_n[p leadhat_{m,0}]."""
@@ -312,7 +317,7 @@ class FitResult:
         if j == 2:
             rows, cross = self.kind.bc_spec.eval_many(pts, q), self.cross_gram
         else:
-            rows, cross = biascorrect.lead_design(self, pts, q), self._lead_at_data()[1]
+            rows, cross = biascorrect.lead_design(self, pts, q), self._lead_cross
         rhs = rows.dense().T - cross.T @ gamma0.T
         return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
 
@@ -322,8 +327,8 @@ class FitResult:
         One route for every j: h_i = Pi_j(x_i)' G^- Pi_j(x_i) / n against a
         generalized inverse of the Gram, in O(K^3 + n width^2) and no (n, K)
         array. For j <= 1 the inverse comes from the dense Cholesky factor.
-        The stacked Gram of j >= 2 is rank deficient by construction; its
-        generalized inverse comes from the Schur complement of the
+        The stacked Gram of j >= 2 is rank deficient by ``kind.null_dim``;
+        its generalized inverse comes from the Schur complement of the
         bias-correction block (:func:`_stacked_ginv`). The hat diagonal does
         not depend on which generalized inverse is used. j = 2 and j = 3
         share one stacked design, so they share one cached leverage array.
@@ -335,51 +340,53 @@ class FitResult:
                 factor = self.gram_main if key == 0 else self.gram_bc
                 ginv = factor.solve(np.eye(factor.K))
             else:
-                ginv, _ = _stacked_ginv(self.gram_main, self.gram_bc, self.cross_gram)
+                ginv = _stacked_ginv(
+                    self.gram_main, self.gram_bc, self.cross_gram, self.kind.null_dim
+                )
             self._leverage[key] = self.design_for(key).quadratic_forms(ginv) / self.n
         return self._leverage[key]
 
 
-def _stacked_ginv(gram_main, gram_bc, cross):
+def _stacked_ginv(gram_main, gram_bc, cross, dropped):
     """Generalized inverse of the stacked Gram [[Q_0, C], [C', Q_1]].
 
-    Returns ``(ginv, dropped)``. Q_1 is positive definite (its dense
-    Cholesky factor was checked at fit time), so the Gram factors through the
-    K_0 x K_0 Schur complement S = Q_0 - T C' with T = C Q_1^{-1}, and
+    Q_1 is positive definite (its dense Cholesky factor was checked at fit
+    time), so the Gram factors through the K_0 x K_0 Schur complement
+    S = Q_0 - T C' with T = C Q_1^{-1}, and
 
         G^- = L S^+ L' + blockdiag(0, Q_1^{-1}),   L = [I; -T'],
 
     is a generalized inverse of G. S^+ is taken from one ``eigh`` of S and
-    drops the ``dropped`` eigenvalues at or below ``_PINV_REL_CUTOFF``
-    times tr(G): the rank deficiency of the stacked basis, m^d for
-    B-splines and K_0 when the main span lies inside the bias-correction
-    span (PP -> PP, Haar -> PP).
+    drops its ``dropped`` smallest eigenvalues (:attr:`EstimatorKind.null_dim`).
+    With s = max diag(Q_0), they must lie below sqrt(eps) s and the next one
+    (if any) 100 times above both them and eps s, or ``NumericalError``.
     """
     k0 = gram_main.K
     q1inv = gram_bc.solve(np.eye(gram_bc.K))
     t = cross @ q1inv
     lam, vec = np.linalg.eigh(gram_main.Q - t @ cross.T)
-    keep = lam > _PINV_REL_CUTOFF * (np.trace(gram_main.Q) + np.trace(gram_bc.Q))
-    lv = np.vstack([vec[:, keep], -t.T @ vec[:, keep]]) / np.sqrt(lam[keep])
+    scale = float(np.max(np.diagonal(gram_main.Q)))
+    floor = float(np.max(np.abs(lam[:dropped]), initial=0.0))
+    gap = dropped == k0 or lam[dropped] >= 100.0 * max(floor, _EPS * scale)
+    if floor > np.sqrt(_EPS) * scale or not gap:
+        raise NumericalError(
+            f"stacked Gram: its {dropped} null directions are not separated "
+            "from its spectrum; reduce kappa or use more data"
+        )
+    keep = vec[:, dropped:]
+    lv = np.vstack([keep, -t.T @ keep]) / np.sqrt(lam[dropped:])
     ginv = lv @ lv.T
     ginv[k0:, k0:] += q1inv
-    return ginv, int(np.count_nonzero(~keep))
+    return ginv
 
 
 def stack_designs(a, b):
-    """Concatenate two designs on the same sample into one block design.
-
-    A stacked row's group is the pair of its two groups
-    (:func:`~lspart.basis.pair_groups`), whether or not the two bases share
-    their partition.
-    """
-    if a.n != b.n:
-        raise ConfigError("designs must share the sample")
+    """Concatenate two designs on one sample and partition, keeping their groups."""
     return SparseRows(
         np.hstack([a.indices, b.indices + a.K]),
         np.hstack([a.values, b.values]),
         a.K + b.K,
-        pair_groups(a.groups, b.groups),
+        shared_groups(a, b),
     )
 
 

@@ -293,10 +293,7 @@ def _default_eval_points(bounds):
 
 def _build_fit(cfg, X, y, bounds, kappa):
     part = TensorPartition.build(cfg.knot_rule, bounds, kappa, data=X)
-    if max(cfg.j_set) >= 1:
-        kind = EstimatorKind.default(cfg.family, cfg.m, part, cfg.m_tilde)
-    else:
-        kind = EstimatorKind(BasisSpec(cfg.family, cfg.m, part))
+    kind = EstimatorKind(BasisSpec(cfg.family, cfg.m, part), _m_tilde(cfg))
     for j in cfg.j_set:
         kind.require_j(j)
     return fit_estimator(kind, X, y)
@@ -323,9 +320,9 @@ def _pyify(obj):
 
 
 def _write_json(path, report):
+    text = json.dumps(report, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def run_fit(config):
@@ -595,28 +592,3 @@ def run_simulation(config):
         _write_json(str(cfg.output_path) + ".json", summary)
     return rows, summary
 
-
-def emit_plotdata(band, truth=None, path=None):
-    """Band results as plot-ready CSV text; 17 significant digits throughout."""
-    grid = np.atleast_2d(band.grid)
-    d = grid.shape[1]
-    cols = ["x"] if d == 1 else [f"x{k + 1}" for k in range(d)]
-    cols += ["estimate", "lo", "hi"]
-    if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        cols.append("truth")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    lo, hi = band.lo, band.hi
-    for g in range(grid.shape[0]):
-        rec = [f"{v:.17g}" for v in grid[g]]
-        rec += [f"{band.estimates[g]:.17g}", f"{lo[g]:.17g}", f"{hi[g]:.17g}"]
-        if truth is not None:
-            rec.append(f"{truth[g]:.17g}")
-        writer.writerow(rec)
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text

@@ -67,9 +67,8 @@ class VarianceEstimate:
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
     Gram, solved from its dense Cholesky factor, or for j >= 2 against a
     generalized inverse of the stacked Gram built from the Schur complement
-    of its bias-correction block, dropping eigenvalues at or below
-    ``_PINV_REL_CUTOFF`` times the Gram's trace. j = 2 and j = 3 share the
-    cached leverage of their common stacked design.
+    of its bias-correction block, less its ``kind.null_dim`` null directions.
+    j = 2 and j = 3 share the cached leverage of their common stacked design.
     The dense Sigma matrix is formed lazily by the Gram accumulator
     :meth:`SparseRows.weighted_cross`; the plug-in band takes Omega from its
     square root. :meth:`omega_many` needs no Sigma: at a few points the
@@ -325,9 +324,9 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
     """Uniform band via simulated Gaussian suprema through Sigma^(1/2).
 
     One square root serves the whole band: A = Gamma V sqrt(lambda) from a
-    symmetric eigendecomposition Sigma = V diag(lambda) V', with negative
-    eigenvalues clamped to zero (the stacked-basis Sigma of j >= 2 is
-    singular by construction, so a Cholesky factor does not exist). Omega
+    symmetric eigendecomposition Sigma = V diag(lambda) V'. For j >= 2 the
+    ``kind.null_dim`` smallest eigenvalues, the stacked basis's known null
+    directions, are set to zero; any other negative one is clipped. Omega
     on the grid is the row sum of A**2, and the draws simulate A / sqrt(Omega)
     times standard normals. No (G, n) score matrix is formed.
 
@@ -341,6 +340,8 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
         raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
     grid, gamma, est = _prep_band(fit, var, grid, q, alpha, draws)
     evals, evecs = np.linalg.eigh(var.sigma_mat)
+    if var.j >= 2:
+        evals[: fit.kind.null_dim] = 0.0
     A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
     omega = np.sum(A**2, axis=1)
     _check_grid_omega(omega)

@@ -119,14 +119,11 @@ class TestCellKernels:
     def _designs(self, family, d, rule):
         kappa = {1: 5, 2: 3, 3: 2}[d]
         part, X = _cell_sample(rule, d, kappa, 150 * d, seed=3)
-        other = TensorPartition.build(rule, [[0.0, 1.0]] * d, kappa + 1, data=X)
         main = BasisSpec(family, 1 if family is BasisFamily.HAAR else 2, part)
         bc_family = BasisFamily.PP if family is BasisFamily.HAAR else family
         a = main.eval_many(X)
         b = BasisSpec(bc_family, 3, part).eval_many(X)
-        c = BasisSpec(bc_family, 3, other).eval_many(X)  # a bc_partition pair
-        return X, {"main": a, "bc": b, "other": c, "stacked": stack_designs(a, b),
-                   "stacked_other": stack_designs(a, c)}
+        return X, {"main": a, "bc": b, "stacked": stack_designs(a, b)}
 
     @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
     def test_weighted_cross_matches_dense(self, family, d, rule):
@@ -136,12 +133,23 @@ class TestCellKernels:
         for w in (None, rng.random(n) + 0.5, rng.standard_normal(n)):
             wd = np.ones(n) if w is None else w
             for ka, kb in [("main", "main"), ("bc", "bc"), ("main", "bc"),
-                           ("main", "other"), ("other", "bc"),
-                           ("stacked", "stacked"), ("stacked_other", "stacked_other")]:
+                           ("stacked", "stacked")]:
                 Da, Db = rows[ka].dense(), rows[kb].dense()
                 ref = Da.T @ (wd[:, None] * Db) / n
                 got = rows[ka].weighted_cross(rows[kb], w)
                 assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("family", list(BasisFamily))
+    def test_two_partitions_rejected(self, family):
+        # designs on another partition group their rows by other cells
+        X, rows = self._designs(family, 2, KnotRule.QUANTILE)
+        other = TensorPartition.build(KnotRule.QUANTILE, [[0.0, 1.0]] * 2, 4, data=X)
+        bc_family = BasisFamily.PP if family is BasisFamily.HAAR else family
+        c = BasisSpec(bc_family, 3, other).eval_many(X)
+        with pytest.raises(ConfigError):
+            rows["main"].weighted_cross(c)
+        with pytest.raises(ConfigError):
+            stack_designs(rows["main"], c)
 
     @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
     def test_quadratic_forms_and_rows_times_match_dense(self, family, d, rule):

@@ -15,7 +15,12 @@ from numpy.testing import assert_allclose
 import lspart.fit as fit_module
 from lspart.basis import BasisFamily, BasisSpec, SparseRows
 from lspart.cli import main
-from lspart.errors import ConfigError, RankDeficient, UnsupportedFamily
+from lspart.errors import (
+    ConfigError,
+    NumericalError,
+    RankDeficient,
+    UnsupportedFamily,
+)
 from lspart.fit import (
     EstimatorKind,
     _stacked_ginv,
@@ -161,10 +166,7 @@ class TestKindValidation:
 
     def test_haar_plugin_rejected(self):
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1]], 3)
-        kind = EstimatorKind(
-            BasisSpec(BasisFamily.HAAR, 1, part),
-            BasisSpec(BasisFamily.PP, 2, part),
-        )
+        kind = EstimatorKind(BasisSpec(BasisFamily.HAAR, 1, part), 2)
         with pytest.raises(UnsupportedFamily):
             kind.require_j(3)
 
@@ -355,22 +357,35 @@ class TestStackAndLeverage:
         assert_allclose(fit.leverage(2), np.diag(H), atol=1e-8)
 
 
-def _fit_nd(d, family=BasisFamily.BSPLINE, rule=KnotRule.EVEN, seed=0, m=2,
-            bc_partition=None):
+def _fit_nd(d, family=BasisFamily.BSPLINE, rule=KnotRule.EVEN, seed=0, m=2):
     n, kappa = {1: (200, 4), 2: (700, 3), 3: (1500, 2)}[d]
     rng = np.random.default_rng([seed, d])
     X = rng.random((n, d))
     y = np.sin(3 * X[:, 0]) * np.cos(X[:, -1]) + 0.3 * rng.standard_normal(n)
     part = TensorPartition.build(rule, [[0.0, 1.0]] * d, kappa, data=X)
-    kind = EstimatorKind.default(family, m, part, bc_partition=bc_partition)
+    kind = EstimatorKind.default(family, m, part)
     return fit_estimator(kind, X, y)
 
 
-def _hat_diagonal(D):
-    # diag of D (D'D)^+ D', same eigenvalue cutoff as the production route
-    lam, V = np.linalg.eigh(D.T @ D)
-    keep = lam > 1e-10 * lam[-1]
-    return np.sum((D @ V[:, keep]) ** 2 / lam[keep], axis=1)
+def _rank(fit, j):
+    # rank of Pi_j: the stacked basis of j >= 2 loses kind.null_dim
+    if j <= 1:
+        return fit.design_for(j).K
+    return fit.design_main.K + fit.design_bc.K - fit.kind.null_dim
+
+
+def _hat_diagonal(D, rank):
+    # diag of D (D'D)^+ D' from the leading ``rank`` left singular vectors
+    U = np.linalg.svd(D, full_matrices=False)[0]
+    return np.sum(U[:, :rank] ** 2, axis=1)
+
+
+def _fine_fit(family, m, m_tilde, d, kappa, n):
+    rng = np.random.default_rng([n, d])
+    X = rng.random((n, d))
+    y = np.sin(3 * X[:, 0]) + 0.3 * rng.standard_normal(n)
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
+    return fit_estimator(EstimatorKind.default(family, m, part, m_tilde), X, y)
 
 
 class TestLeverageRoute:
@@ -380,16 +395,8 @@ class TestLeverageRoute:
     @pytest.mark.parametrize("rule", [KnotRule.EVEN, KnotRule.QUANTILE])
     def test_matches_dense_hat_diagonal(self, j, family, d, rule):
         fit = _fit_nd(d, family, rule)
-        oracle = _hat_diagonal(fit.design_for(j).dense())
+        oracle = _hat_diagonal(fit.design_for(j).dense(), _rank(fit, j))
         assert_allclose(fit.leverage(j), oracle, atol=1e-9)
-
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_bias_correction_partition_differs(self, d):
-        bc_part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, 3 if d < 3 else 2)
-        fit = _fit_nd(d, rule=KnotRule.QUANTILE, bc_partition=bc_part)
-        for j in (2, 3):
-            oracle = _hat_diagonal(fit.design_for(j).dense())
-            assert_allclose(fit.leverage(j), oracle, atol=1e-9)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("family,m", [
@@ -400,33 +407,53 @@ class TestLeverageRoute:
         # B-splines: the spans meet in the polynomials of degree < m, m^d of
         # them; PP -> PP and Haar -> PP: the main span lies in the other
         fit = _fit_nd(d, family, m=m)
-        _, dropped = _stacked_ginv(fit.gram_main, fit.gram_bc, fit.cross_gram)
-        want = m**d if family is BasisFamily.BSPLINE else fit.design_main.K
-        assert dropped == want
+        r = _rank(fit, 2)
+        assert np.sum(fit.leverage(2)) == pytest.approx(r, abs=1e-8)
+        assert_allclose(fit.leverage(2), _hat_diagonal(fit.design_for(2).dense(), r),
+                        atol=1e-9)
 
-    @pytest.mark.parametrize("family,m,d,kappa,n", [
-        (BasisFamily.BSPLINE, 2, 1, 16, 1000),
-        (BasisFamily.BSPLINE, 2, 2, 10, 4000),
-        (BasisFamily.BSPLINE, 2, 3, 6, 8000),
-        (BasisFamily.BSPLINE, 3, 2, 6, 3000),
-        (BasisFamily.PP, 2, 1, 16, 1000),
-        (BasisFamily.PP, 2, 2, 6, 3000),
-        (BasisFamily.HAAR, 1, 1, 16, 1000),
-        (BasisFamily.HAAR, 1, 2, 10, 4000),
+    @pytest.mark.parametrize("family,m,m_tilde,d,kappa,n", [
+        (BasisFamily.BSPLINE, 2, 3, 1, 16, 1000),
+        (BasisFamily.BSPLINE, 2, 3, 2, 10, 4000),
+        (BasisFamily.BSPLINE, 2, 3, 3, 6, 8000),
+        (BasisFamily.BSPLINE, 3, 4, 2, 6, 3000),
+        (BasisFamily.PP, 2, 3, 1, 16, 1000),
+        (BasisFamily.PP, 2, 3, 2, 6, 3000),
+        (BasisFamily.HAAR, 1, 2, 1, 16, 1000),
+        (BasisFamily.HAAR, 1, 2, 2, 10, 4000),
+        # fine partitions: the smallest real eigenvalue of the Schur
+        # complement falls like a power of kappa
+        (BasisFamily.BSPLINE, 3, 4, 1, 40, 4000),
+        (BasisFamily.BSPLINE, 3, 4, 1, 60, 6000),
+        (BasisFamily.BSPLINE, 2, 3, 1, 150, 20000),
+        (BasisFamily.BSPLINE, 3, 5, 1, 40, 4000),
     ])
-    def test_dropped_count_pins_the_cutoff(self, family, m, d, kappa, n):
-        # mtilde = m + 1 on one partition. On these finer partitions the
-        # smallest kept eigenvalue of the B-spline Schur complement sits
-        # below 1e-6 tr(G) and the dropped ones at roundoff, so the count
-        # moves if the cutoff is raised or lowered by a few decades.
-        rng = np.random.default_rng([n, d])
-        X = rng.random((n, d))
-        y = np.sin(3 * X[:, 0]) + 0.3 * rng.standard_normal(n)
-        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
-        fit = fit_estimator(EstimatorKind.default(family, m, part), X, y)
-        _, dropped = _stacked_ginv(fit.gram_main, fit.gram_bc, fit.cross_gram)
-        want = m**d if family is BasisFamily.BSPLINE else fit.design_main.K
-        assert dropped == want
+    def test_dropped_count_pins_the_rank(self, family, m, m_tilde, d, kappa, n):
+        # the leverage sums to the stacked rank and is the rank-r hat
+        # diagonal, so the count of dropped directions is exactly null_dim
+        fit = _fine_fit(family, m, m_tilde, d, kappa, n)
+        r = _rank(fit, 2)
+        lev = fit.leverage(2)
+        assert np.sum(lev) == pytest.approx(r, abs=1e-5)
+        assert_allclose(lev, _hat_diagonal(fit.design_for(2).dense(), r), atol=1e-7)
+
+    @pytest.mark.parametrize("family", [BasisFamily.PP, BasisFamily.HAAR])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nested_kinds_leverage_is_j1(self, family, d):
+        # span(main) lies inside span(bc): all K_0 directions drop
+        fit = _fit_nd(d, family, m=1 if family is BasisFamily.HAAR else 2)
+        assert fit.kind.null_dim == fit.design_main.K
+        assert_allclose(fit.leverage(2), fit.leverage(1), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_wrong_null_count_raises(self, shift):
+        # one too few leaves a roundoff eigenvalue kept; one too many drops
+        # a real one, which at coarse kappa is far above sqrt(eps)
+        fit = _fit_nd(1, m=3)
+        args = (fit.gram_main, fit.gram_bc, fit.cross_gram)
+        _stacked_ginv(*args, fit.kind.null_dim)
+        with pytest.raises(NumericalError):
+            _stacked_ginv(*args, fit.kind.null_dim + shift)
 
     def test_eigh_no_larger_than_main_basis(self, monkeypatch):
         fit = _fit_nd(2)

@@ -21,7 +21,6 @@ from lspart.errors import (
 )
 from lspart.harness import (
     RunConfig,
-    emit_plotdata,
     metrics_csv,
     read_data,
     run_fit,
@@ -304,6 +303,14 @@ class TestRunFit:
         loaded = json.loads(out.read_text(encoding="utf-8"))
         assert loaded == rep
 
+    def test_output_file_bytes(self, data_file, tmp_path):
+        # the report is written as one indented dump plus a newline
+        out = tmp_path / "report.json"
+        rep = run_fit(RunConfig(mode="fit", data_path=str(data_file), kappa=3,
+                                output_path=str(out), band_method="plugin",
+                                B=150, grid_size=12))
+        assert out.read_text(encoding="utf-8") == json.dumps(rep, indent=2) + "\n"
+
     def test_band_block(self, data_file):
         cfg = RunConfig(
             mode="fit", data_path=str(data_file), kappa=4, j_set=(0,),
@@ -486,47 +493,3 @@ class TestMetricsCsv:
         # 17 significant digits survive a float round trip
         assert float(rec[12]) == rows[0]["rmse"][0]
 
-
-class TestEmitPlotdata:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_csv_structure(self, data_file):
-        from lspart.basis import BasisFamily
-        from lspart.fit import EstimatorKind, fit_estimator
-        from lspart.inference import band_plugin, make_grid, sigma_hat
-        from lspart.partition import KnotRule, TensorPartition
-
-        X, y = read_data(data_file)
-        part = TensorPartition.build(KnotRule.EVEN, data_bounds(X), 4)
-        kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
-        fit = fit_estimator(kind, X, y)
-        var = sigma_hat(fit, 0)
-        grid = make_grid(part.bounds, 8)
-        band = band_plugin(fit, var, grid, draws=150, seed=0)
-        truth = np.sin(3 * grid[:, 0])
-        text = emit_plotdata(band, truth=truth)
-        lines = text.strip().split("\n")
-        assert lines[0] == "x,estimate,lo,hi,truth"
-        assert len(lines) == 9
-        for g, line in enumerate(lines[1:]):
-            x, est, lo, hi, tr = (float(v) for v in line.split(","))
-            assert x == grid[g, 0]
-            assert lo <= est <= hi
-            assert est == band.estimates[g]  # 17 digits are lossless
-            assert tr == truth[g]
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_writes_file(self, tmp_path, data_file):
-        from lspart.basis import BasisFamily
-        from lspart.fit import EstimatorKind, fit_estimator
-        from lspart.inference import band_plugin, make_grid, sigma_hat
-        from lspart.partition import KnotRule, TensorPartition
-
-        X, y = read_data(data_file)
-        part = TensorPartition.build(KnotRule.EVEN, data_bounds(X), 3)
-        fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
-        band = band_plugin(fit, sigma_hat(fit, 0), make_grid(part.bounds, 6),
-                           draws=150, seed=1)
-        p = tmp_path / "plot.csv"
-        text = emit_plotdata(band, path=str(p))
-        assert p.read_text(encoding="utf-8") == text
-        assert text.splitlines()[0] == "x,estimate,lo,hi"
