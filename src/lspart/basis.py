@@ -113,6 +113,25 @@ class SparseRows:
             out[order[s:e]] = vals[s:e] @ mat[idx[g]]
         return out
 
+    def left_times(self, W):
+        """``W @ design`` for a dense (c, n) matrix, returned as (c, K).
+
+        The transpose of :meth:`rows_times`. W's columns are gathered into
+        group order once; per group, one product W_g V_g of its (c, n_g)
+        columns with the group's values is added into the width columns its
+        rows share. W may hold 0/1 bits as ``uint8``: each group's columns
+        are converted to float on their own, so memory stays at the gathered
+        W plus one group's block.
+        """
+        order, lead, spans = self._group_runs
+        idx = self.indices[lead]
+        vals = self.values[order]
+        W = np.asarray(W)[:, order]
+        out = np.zeros((W.shape[0], self.K))
+        for g, (s, e) in enumerate(spans):
+            out[:, idx[g]] += W[:, s:e].astype(float, copy=False) @ vals[s:e]
+        return out
+
     def accumulate(self, row_weights):
         """``design' w`` for per-row weights: dense (K,) vector of sums."""
         w = np.asarray(row_weights, dtype=float)

@@ -183,7 +183,11 @@ def leading_bias_many(fit, pts, q=None):
     return -lead_design(fit, pts, q).row_dot(fit.beta_bc)
 
 
-def projected_bias_term_many(fit, pts, q=None):
-    """gamma_{q,0}(pts)' E_n[p(x_i) leadhat_{m,0}(x_i)], vectorized (G,)."""
-    rows = fit.kind.main_spec.eval_many(np.atleast_2d(pts), q)
+def projected_bias_term_many(fit, pts, q=None, rows=None):
+    """gamma_{q,0}(pts)' E_n[p(x_i) leadhat_{m,0}(x_i)], vectorized (G,).
+
+    ``rows`` are the order-m rows p_q at ``pts`` when the caller has them.
+    """
+    if rows is None:
+        rows = fit.kind.main_spec.eval_many(np.atleast_2d(pts), q)
     return rows.row_dot(fit.proj_coef_bias())

@@ -10,32 +10,44 @@ normal quantiles. Uniform bands calibrate the supremum of the studentized
 process over a grid, either by simulating Gaussian vectors (plug-in) or by
 wild-bootstrap resampling of residuals.
 
-The plug-in band reads everything off one square root of Sigma_j: with
-A = Gamma Sigma_j^(1/2), Omega on the grid is the row sum of A**2 and the
-simulated process is A / sqrt(Omega), in O(K^3 + G K B) and no (G, n)
-array. Only the bootstrap numerators and pointwise Omega at a few points
-take the per-observation route through the score matrix
+Both bands read Omega and the process off one square root of Sigma_j
+(``_band_root``): with A = Gamma Sigma_j^(1/2), Omega on the grid is the row
+sum of A**2, in O(K^3 + G K^2) and no (G, n) array. Both suprema are linear
+in the K_j coefficients. The plug-in process is M z with M = A / sqrt(Omega)
+and z standard normal. The bootstrap numerator is M T with
+M = Gamma / sqrt(Omega) and T = sum_i w_i Pi_j(x_i) epshat_i / sqrt(n), summed
+per cell from the sign bits. Each block of draws is then one exact GEMM
+(``_exact_product``): the left factor is rounded to the grid 2^-23 and each
+row of M to 24 significant bits of its L1 norm, so every partial sum is
+exact in float64. The rounding moves a supremum by a few 1e-6 relative at
+most, far inside the Monte Carlo error of the band quantile.
+Only pointwise Omega at a few points, and the test-only bootstrap weight
+hook, take the per-observation route through the score matrix
 s[g, i] = gamma_g' Pi_j(x_i).
 
 Each band call makes one generator, ``np.random.default_rng(seed)``, where
-``seed`` is an int or a sequence such as (master, rep, j). Draw b takes
-row b of one row-major stream: n Rademacher weights for the bootstrap,
-K_j standard normals for the plug-in band. Both are generated in blocks of
-``_DRAW_CHUNK`` draws, and each draw's supremum is computed so that its
-rounding does not depend on the block it falls in. A band therefore
-depends only on the seed and the number of draws, not the block size.
+``seed`` is a non-negative int or a sequence of them, such as
+(master, rep, j). Draw b takes row b of one row-major stream: n Rademacher
+signs for the bootstrap, K_j standard normals for the plug-in band. Both are
+generated in blocks of ``_DRAW_CHUNK`` draws. Because each block's product is
+exact, a draw's supremum does not depend on the block it falls in, nor on the
+BLAS thread count, and a band depends only on the seed and the number of
+draws, not on the block size. (Omega for j >= 2 comes from the eigenvalue
+routine, whose last bits may still vary with the thread count.)
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
+from .basis import SparseRows
 from .errors import (
     ConfigError,
     InvalidGrid,
@@ -70,10 +82,9 @@ class VarianceEstimate:
     of its bias-correction block, less its ``kind.null_dim`` null directions.
     j = 2 and j = 3 share the cached leverage of their common stacked design.
     The dense Sigma matrix is formed lazily by the Gram accumulator
-    :meth:`SparseRows.weighted_cross`; the plug-in band takes Omega from its
+    :meth:`SparseRows.weighted_cross`; both bands take Omega from its
     square root. :meth:`omega_many` needs no Sigma: at a few points the
-    per-observation route through :meth:`scores` is cheaper than forming it,
-    and the bootstrap band needs those scores for its numerators anyway.
+    per-observation route through :meth:`scores` is cheaper than forming it.
     """
 
     def __init__(self, fit, j, hc=HCKind.HC0):
@@ -230,11 +241,34 @@ def make_grid(bounds, points_per_dim=None):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _prep_band(fit, var, grid, q, alpha, draws):
+def _check_draws(draws):
+    if isinstance(draws, numbers.Integral) or (
+        isinstance(draws, numbers.Real) and float(draws).is_integer()
+    ):
+        draws = int(draws)
+    else:
+        raise ConfigError(f"draws must be an integer, got {draws!r}")
+    if draws < 100:
+        raise ConfigError(f"need at least 100 draws, got {draws}")
+    return draws
+
+
+def _check_seed(seed):
+    keys = seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed
+    keys = keys if isinstance(keys, (list, tuple)) else [keys]
+    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in keys):
+        raise ConfigError(
+            f"seed must be a non-negative int or a sequence of them, got {seed!r}"
+        )
+
+
+def _prep_band(fit, var, grid, q, alpha, draws, seed, j):
+    if j is not None and int(j) != var.j:
+        raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    if int(draws) < 100:
-        raise ConfigError(f"need at least 100 draws, got {draws}")
+    draws = _check_draws(draws)
+    _check_seed(seed)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] < 1:
         raise InvalidGrid("empty evaluation grid")
@@ -246,7 +280,7 @@ def _prep_band(fit, var, grid, q, alpha, draws):
     _warn_grid_spacing(part, grid)
     gamma = fit.gamma_many(grid, q, var.j)
     est = fit.estimate_many(grid, q, var.j)
-    return grid, gamma, est
+    return grid, gamma, est, draws
 
 
 def _check_grid_omega(omega):
@@ -279,31 +313,119 @@ def _sup_quantile(sups, alpha):
     return float(sups[rank - 1])
 
 
+def _draw_sups(draws, stat):
+    """Grid suprema of |stat(c)| for ``draws`` draws, in blocks of _DRAW_CHUNK.
+
+    ``stat(c)`` returns the next c draws' statistics on the grid as a new
+    (c, G) array, which is overwritten: taking |.| in place spares a second
+    (c, G) temporary per block.
+    """
+    sups = np.empty(draws)
+    for start in range(0, draws, _DRAW_CHUNK):
+        c = min(_DRAW_CHUNK, draws - start)
+        block = stat(c)
+        sups[start : start + c] = np.max(np.abs(block, out=block), axis=1)
+    return sups
+
+
+def _band_result(grid, est, omega, n, sups, alpha, method):
+    qhat = _sup_quantile(sups, alpha)
+    return BandResult(
+        grid=grid,
+        estimates=est,
+        half_widths=qhat * np.sqrt(omega / n),
+        quantile=qhat,
+        alpha=alpha,
+        method=method,
+        draws=sups.shape[0],
+    )
+
+
+def _band_root(fit, var, gamma):
+    """One square root of the variance on the grid: ``(A, Omega)``.
+
+    A = Gamma V sqrt(lambda), (G, K_j), from the symmetric eigendecomposition
+    Sigma_j = V diag(lambda) V'. For j >= 2 the ``kind.null_dim`` smallest
+    eigenvalues, the stacked basis's known null directions, are set to zero;
+    any other negative one is clipped. Omega = rowsum(A**2) is
+    gamma' Sigma_j gamma at each grid point; NonPositiveVariance if any
+    is not positive.
+    """
+    evals, evecs = np.linalg.eigh(var.sigma_mat)
+    if var.j >= 2:
+        evals[: fit.kind.null_dim] = 0.0
+    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    omega = np.sum(A**2, axis=1)
+    _check_grid_omega(omega)
+    return A, omega
+
+
+def _exact_rows(R):
+    """R with each row rounded to 24 significant bits of its L1 norm.
+
+    Row g goes on the grid 2^(e_g - 24), where sum_k |R_gk| < 2^e_g: it is
+    an integer vector c_g times that unit, with sum_k |c_gk| <= 2^24 + K/2.
+    The rounding moves an entry by at most 2^-24 ||R_g||_1. This is the
+    right factor of :func:`_exact_product`.
+    """
+    unit = np.ldexp(1.0, np.frexp(np.sum(np.abs(R), axis=1))[1] - 24)[:, None]
+    return np.round(R / unit) * unit
+
+
+def _exact_product(Z, R):
+    """``Z @ R.T`` for R from :func:`_exact_rows`, exact in float64.
+
+    Z is clipped to |Z| <= 63 and rounded, in place, to the grid 2^-23, so
+    its entries are integers a with |a| <= 63 * 2^23 = 2^29 - 2^23 times
+    2^-23; the rounding moves an entry by at most 2^-24. Every product and
+    partial sum of row b with row g is then an integer multiple of
+    2^-23 times row g's unit, below 2^53 such units when K < 2^19, so it is
+    exact in float64. A plain GEMM therefore gives the same bits in any
+    order, blocking, kernel or thread count: a draw's statistic does not
+    depend on the block it falls in. (A row of R whose L1 norm is below
+    2^-1028 puts its products below the smallest subnormal unit, 2^-1074,
+    and loses this property.)
+    """
+    np.clip(Z, -63.0, 63.0, out=Z)
+    Z *= 2.0**23
+    np.round(Z, out=Z)
+    Z *= 2.0**-23
+    return Z @ R.T
+
+
 def _rowwise(rows, mat):
     """``rows @ mat.T`` as one matrix-vector product per row, (c, G).
 
-    A BLAS GEMM rounds a row differently by the number of rows in the block
-    and by the thread count, so a draw's supremum would depend on the block
-    it lands in. Taken one row at a time, each product has the same shape
-    whatever the block, and so the same rounding.
+    The ``_weight_hook`` test route of :func:`band_bootstrap` takes its
+    products this way. A BLAS GEMM rounds a row by the block's shape and the
+    thread count; one matrix-vector product per row has the same shape, and
+    so the same rounding, whatever the block. The default routes of both
+    bands use the exact block product (:func:`_exact_product`) instead.
     """
     return np.matmul(rows[:, None, :], mat.T)[:, 0, :]
 
 
-def _exact_sign_sums(S):
-    """Round each row of S, in place, to a power-of-two grid fine enough that
-    every sum of its entries with weights 0 or +-1 is exact in float64.
+def _exact_sign_sums(rows):
+    """Round each column of a row-sparse matrix, in place, so that every sum
+    of its entries with weights 0 or +-1 is exact in float64; return the
+    column exponents e, (K,).
 
-    With unit 2^(e - 52) for sum_i |S_gi| < 2^e, every partial sum of such a
-    combination is an integer multiple of the unit below 2^53 units, so
-    GEMM's result no longer depends on its summation order (block shape,
-    kernel, threads). The rounding moves a sum by at most n/2 units, the
-    order of a float64 GEMM's own error bound.
+    ``rows`` is a :class:`SparseRows`. Column k goes on the grid
+    2^(e_k - 52), where sum_i |P_ik| < 2^e_k, so every partial sum of such a
+    combination is an integer multiple of the unit below 2^53 units,
+    whatever its order (block shape, kernel, threads). The rounding moves a
+    sum by at most n/2 units, the order of a float64 GEMM's own error bound.
     """
-    unit = np.ldexp(1.0, np.frexp(np.sum(np.abs(S), axis=1))[1] - 52)[:, None]
-    S /= unit
-    np.round(S, out=S)
-    S *= unit
+    total = np.bincount(
+        rows.indices.ravel(), weights=np.abs(rows.values).ravel(), minlength=rows.K
+    )
+    expo = np.frexp(total)[1]
+    unit = np.ldexp(1.0, expo - 52)[rows.indices]
+    values = rows.values
+    values /= unit
+    np.round(values, out=values)
+    values *= unit
+    return expo
 
 
 def _sign_bits(rng, shape):
@@ -323,47 +445,30 @@ def _sign_bits(rng, shape):
 def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
     """Uniform band via simulated Gaussian suprema through Sigma^(1/2).
 
-    One square root serves the whole band: A = Gamma V sqrt(lambda) from a
-    symmetric eigendecomposition Sigma = V diag(lambda) V'. For j >= 2 the
-    ``kind.null_dim`` smallest eigenvalues, the stacked basis's known null
-    directions, are set to zero; any other negative one is clipped. Omega
-    on the grid is the row sum of A**2, and the draws simulate A / sqrt(Omega)
-    times standard normals. No (G, n) score matrix is formed.
+    One square root serves the whole band (:func:`_band_root`): with
+    A = Gamma Sigma_j^(1/2), Omega on the grid is the row sum of A**2, and
+    draw b's process is M z_b with M = A / sqrt(Omega) and z_b standard
+    normal. No (G, n) score matrix is formed.
 
     One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
     normals are row b of one (draws, K_j) stream, taken in blocks of
     ``_DRAW_CHUNK`` rows, so memory is O(chunk (G + K_j) + draws). Each
-    draw's product is taken on its own (:func:`_rowwise`), so the band
-    depends only on the seed and the number of draws, not the block size.
+    block is one exact GEMM (:func:`_exact_product`): the normals are
+    rounded to the grid 2^-23 and each row of M to 24 significant bits of its
+    L1 norm, which moves a supremum by about 1e-6 relative. The band then
+    depends only on the seed and the number of draws, not on the block
+    size.
     """
-    if j is not None and int(j) != var.j:
-        raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
-    grid, gamma, est = _prep_band(fit, var, grid, q, alpha, draws)
-    evals, evecs = np.linalg.eigh(var.sigma_mat)
-    if var.j >= 2:
-        evals[: fit.kind.null_dim] = 0.0
-    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
-    omega = np.sum(A**2, axis=1)
-    _check_grid_omega(omega)
-    M = A / np.sqrt(omega)[:, None]
-    draws = int(draws)
+    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed, j)
+    A, omega = _band_root(fit, var, gamma)
+    right = _exact_rows(A / np.sqrt(omega)[:, None])
     rng = np.random.default_rng(seed)
-    Z = np.empty((min(_DRAW_CHUNK, draws), M.shape[1]))
-    sups = np.empty(draws)
-    for start in range(0, draws, _DRAW_CHUNK):
-        z = Z[: min(_DRAW_CHUNK, draws - start)]
-        rng.standard_normal(out=z)
-        sups[start : start + len(z)] = np.max(np.abs(_rowwise(z, M)), axis=1)
-    qhat = _sup_quantile(sups, alpha)
-    return BandResult(
-        grid=grid,
-        estimates=est,
-        half_widths=qhat * np.sqrt(omega / fit.n),
-        quantile=qhat,
-        alpha=alpha,
-        method="plugin",
-        draws=draws,
-    )
+
+    def stat(c):
+        return _exact_product(rng.standard_normal((c, right.shape[1])), right)
+
+    sups = _draw_sups(draws, stat)
+    return _band_result(grid, est, omega, fit.n, sups, alpha, "plugin")
 
 
 def band_bootstrap(
@@ -379,62 +484,81 @@ def band_bootstrap(
 ):
     """Uniform band via the wild bootstrap with Rademacher weights.
 
-    Each draw reweights residuals by independent signs, restudentizes by
-    the redrawn variance, and records the grid supremum. The numerators
-    and Omega go through the (G, n) score matrix, with resid / sqrt(n)
-    folded in once.
+    Each draw reweights the residuals by independent signs w_i and records
+    the grid supremum of the restudentized process. The redrawn variance
+    equals Omega, because w_i^2 = 1, and Omega and M = Gamma / sqrt(Omega)
+    come from the same square root as the plug-in band (:func:`_band_root`).
+    The numerator is linear in the K_j coefficients, M T_b with
+    T_b = sum_i w_i P_i and P_i = Pi_j(x_i) epshat_i / sqrt(n), so no (G, n)
+    score matrix is formed:
+
+    1. The columns of P are rounded so that every 0/1 sum is exact
+       (:func:`_exact_sign_sums`). With bits u, T_b = 2 U_b - P'1 and
+       U_b = u_b P, one small product per cell of the design's group order.
+    2. T_b scaled column-wise into [-32, 32] and M scaled back go through the
+       exact GEMM of the plug-in band (:func:`_exact_product`). That moves a
+       supremum by a few 1e-6 relative at most, most where the stacked rows
+       of M (j >= 2) cancel.
 
     One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
     signs are row b of one row-major (draws, n) stream (:func:`_sign_bits`),
-    generated in blocks of ``_DRAW_CHUNK`` rows into one reused buffer, so
-    memory is O(chunk n). The studentized scores S are rounded so that
-    every sum over a subset of observations is exact
-    (:func:`_exact_sign_sums`); with bits u, the numerator (2u - 1) S' is
-    2 u S' - S 1, so each block is one GEMM and a row maximum. The band
-    depends only on the seed and the number of draws, not the block size.
+    generated in blocks of ``_DRAW_CHUNK`` rows, so memory is a few
+    (chunk, n) arrays of one-byte bits plus O(n width + G K_j) floats. The
+    band depends only on the seed and the number of draws, not on the block
+    size.
 
     ``_weight_hook(rng, shape)`` replaces the weight sampler in tests (e.g.
-    all-ones reduces the statistic to a deterministic direct evaluation);
-    its draws are then restudentized one row at a time (:func:`_rowwise`).
+    all-ones reduces the statistic to a deterministic direct evaluation).
+    That route keeps the per-observation oracle: the (G, n) scores, Omega
+    from them, and each draw restudentized one row at a time
+    (:func:`_rowwise`).
     """
-    if j is not None and int(j) != var.j:
-        raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
-    grid, gamma, est = _prep_band(fit, var, grid, q, alpha, draws)
+    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed, j)
+    rng = np.random.default_rng(seed)
+    if _weight_hook is None:
+        _, omega = _band_root(fit, var, gamma)
+        stat = _sign_stat(fit, var, gamma / np.sqrt(omega)[:, None], rng)
+    else:
+        omega, stat = _hook_stat(fit, var, gamma, rng, _weight_hook)
+    sups = _draw_sups(draws, stat)
+    return _band_result(grid, est, omega, fit.n, sups, alpha, "bootstrap")
+
+
+def _sign_stat(fit, var, M, rng):
+    # the Rademacher numerators M T_b in coefficient space; see band_bootstrap
+    design, n = var.design, fit.n
+    resid = fit.residuals(var.j) / np.sqrt(n)
+    P = SparseRows(
+        design.indices, design.values * resid[:, None], design.K, design.groups
+    )
+    expo = _exact_sign_sums(P)
+    total = P.accumulate(np.ones(n))
+    # |T_k| <= sum_i |P_ik| < 2^e_k, so T 2^(5 - e_k) lies in [-32, 32]:
+    # inside the left grid's range, never clipped, with 5 more bits than [-1, 1]
+    scale = np.ldexp(1.0, 5 - expo)
+    right = _exact_rows(M / scale)
+
+    def stat(c):
+        U = P.left_times(_sign_bits(rng, (c, n)))
+        return _exact_product((2.0 * U - total) * scale, right)
+
+    return stat
+
+
+def _hook_stat(fit, var, gamma, rng, hook):
+    # the per-observation route for test weights; see band_bootstrap
+    n = fit.n
     scores = var.scores(gamma)
     omega = var.omega_from_scores(scores)
     _check_grid_omega(omega)
-    n = fit.n
-    if _weight_hook is not None:
-        sq_scores = scores**2 * (var.wre2 / n)
-    scores *= fit.residuals(var.j) / np.sqrt(n)  # numerators: W @ scores.T
-    if _weight_hook is None:
-        # Rademacher squares to one, so the redrawn variance equals omega
-        scores /= np.sqrt(omega)[:, None]
-        _exact_sign_sums(scores)
-        row_sums = scores.sum(axis=1)
-    draws = int(draws)
-    rng = np.random.default_rng(seed)
-    W = np.empty((min(_DRAW_CHUNK, draws), n))
-    sups = np.empty(draws)
-    for start in range(0, draws, _DRAW_CHUNK):
-        w = W[: min(_DRAW_CHUNK, draws - start)]
-        if _weight_hook is None:
-            np.copyto(w, _sign_bits(rng, w.shape))
-            stat = np.abs(2.0 * (w @ scores.T) - row_sums)
-        else:
-            w[...] = _weight_hook(rng, w.shape)
-            om_star = _rowwise(w**2, sq_scores)
-            if np.any(om_star <= 0):
-                raise NonPositiveVariance("bootstrap variance not positive")
-            stat = np.abs(_rowwise(w, scores)) / np.sqrt(om_star)
-        sups[start : start + len(w)] = np.max(stat, axis=1)
-    qhat = _sup_quantile(sups, alpha)
-    return BandResult(
-        grid=grid,
-        estimates=est,
-        half_widths=qhat * np.sqrt(omega / fit.n),
-        quantile=qhat,
-        alpha=alpha,
-        method="bootstrap",
-        draws=draws,
-    )
+    sq_scores = scores**2 * (var.wre2 / n)
+    scores *= fit.residuals(var.j) / np.sqrt(n)
+
+    def stat(c):
+        w = np.asarray(hook(rng, (c, n)), dtype=float)
+        om_star = _rowwise(w**2, sq_scores)
+        if np.any(om_star <= 0):
+            raise NonPositiveVariance("bootstrap variance not positive")
+        return _rowwise(w, scores) / np.sqrt(om_star)
+
+    return omega, stat

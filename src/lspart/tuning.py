@@ -261,17 +261,23 @@ def imse_components(fit, var, grid=None, q=None):
     the points. No (G, K) array of weights is formed. B_hat is the mean
     squared plug-in leading error minus its sample projection. With no
     grid, both average over the sample points (the empirical-density
-    weighting used by the selectors); a grid argument switches to uniform
+    weighting used by the selectors), and at q = 0 they read the fit's own
+    rows and plug-in lead at the sample; a grid argument switches to uniform
     weighting over the given points. ``var`` must be the j = 0 variance.
     """
     if var.j != 0:
         raise ConfigError(f"IMSE components need the j = 0 variance, got j = {var.j}")
-    pts = fit.X if grid is None else np.atleast_2d(np.asarray(grid, dtype=float))
-    rows = fit.kind.main_spec.eval_many(pts, q)
+    if grid is None and (q is None or not np.any(q)):
+        # the sample at q = 0: the fit's own rows and its cached lead
+        pts, rows = fit.X, fit.design_main
+        lead = fit.leading_error_at_data()
+    else:
+        pts = fit.X if grid is None else np.atleast_2d(np.asarray(grid, dtype=float))
+        rows = fit.kind.main_spec.eval_many(pts, q)
+        lead = biascorrect.leading_bias_many(fit, pts, q)
     gram = fit.gram_main
     v_hat = float(
         np.sum(gram.solve(var.sigma_mat) * gram.solve(rows.weighted_cross(rows)).T)
     )
-    bias_pts = biascorrect.leading_bias_many(fit, pts, q)
-    bias_pts -= biascorrect.projected_bias_term_many(fit, pts, q)
+    bias_pts = lead - biascorrect.projected_bias_term_many(fit, pts, q, rows)
     return {"V_hat": v_hat, "B_hat": float(np.mean(bias_pts**2))}

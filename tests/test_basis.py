@@ -168,6 +168,19 @@ class TestCellKernels:
                             atol=1e-13 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
+    def test_left_times_matches_dense(self, family, d, rule):
+        # float weights, and 0/1 bits as uint8 (the bootstrap's sign blocks)
+        X, rows = self._designs(family, d, rule)
+        rng = np.random.default_rng(d + 20)
+        for r in rows.values():
+            D = r.dense()
+            for W in (rng.standard_normal((7, r.n)),
+                      rng.integers(0, 2, size=(7, r.n), dtype=np.uint8)):
+                ref = W @ D
+                assert_allclose(r.left_times(W), ref, rtol=0,
+                                atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
     def test_groups_share_indices(self, family, d, rule):
         X, rows = self._designs(family, d, rule)
         for r in rows.values():

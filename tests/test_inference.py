@@ -1,9 +1,14 @@
 """Sandwich variances, pointwise intervals, and uniform bands."""
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from lspart.basis import BasisFamily, SparseRows
@@ -18,6 +23,8 @@ from lspart.inference import (
     _DRAW_CHUNK,
     HCKind,
     VarianceEstimate,
+    _exact_product,
+    _exact_rows,
     _sign_bits,
     _sup_quantile,
     band_bootstrap,
@@ -250,8 +257,10 @@ class TestBands:
             draws=250,
             _weight_hook=lambda rng, shape: _sign_bits(rng, shape) * 2.0 - 1.0,
         )
-        assert hook.quantile == pytest.approx(base.quantile, rel=1e-12)
-        assert_allclose(hook.half_widths, base.half_widths, rtol=1e-12)
+        # the hook route is the unrounded formula: the gap is the rounding's
+        _, _, bound, _ = _unchunked_sign_sups(fit_1d, var, grid, 7, 250)
+        assert hook.quantile == pytest.approx(base.quantile, rel=0, abs=bound)
+        assert_allclose(hook.half_widths, base.half_widths, rtol=bound / base.quantile)
 
     def test_bootstrap_unit_weights_collapse(self, fit_1d):
         # w = 1 rebuilds the original residuals; LS orthogonality then
@@ -294,6 +303,34 @@ class TestBands:
             band_plugin(fit_1d, var, np.empty((0, 1)), draws=150)
         with pytest.raises(ConfigError):
             band_plugin(fit_1d, var, np.array([[0.5]]), draws=50)
+
+    @pytest.mark.parametrize("band", [band_plugin, band_bootstrap])
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("draws", float("nan")),
+            ("draws", "x"),
+            ("draws", 1000.7),
+            ("draws", None),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", (3, -1)),
+            ("seed", [2, 0.5]),
+            ("seed", "7"),
+        ],
+    )
+    def test_bad_draws_or_seed(self, fit_1d, band, name, value):
+        var = sigma_hat(fit_1d, 0)
+        with pytest.raises(ConfigError):
+            band(fit_1d, var, make_grid([[0.0, 1.0]], 10), **{name: value})
+
+    def test_integral_draws_and_array_seed(self, fit_1d):
+        # an integral float counts its draws; an int array seeds like a tuple
+        var = sigma_hat(fit_1d, 0)
+        grid = make_grid([[0.0, 1.0]], 30)
+        a = band_bootstrap(fit_1d, var, grid, draws=150.0, seed=np.array([3, 1]))
+        b = band_bootstrap(fit_1d, var, grid, draws=150, seed=(3, 1))
+        assert a.draws == 150 and a.quantile == b.quantile
 
     def test_coarse_grid_warns(self):
         rng = np.random.default_rng(5)
@@ -386,40 +423,86 @@ class TestPluginRoute:
         assert peak < dense_bytes / 4
 
 
-def _unchunked_bootstrap_sups(fit, var, grid, seed, draws, hook=None):
-    # the bootstrap statistic with all draws' weights in one (B, n) stream
+def _root(fit, var, gamma):
+    # A = Gamma Sigma^(1/2) with the stacked null directions zeroed; Omega
+    evals, evecs = np.linalg.eigh(var.sigma_mat)
+    if var.j >= 2:
+        evals[: fit.kind.null_dim] = 0.0
+    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    return A, np.sum(A**2, axis=1)
+
+
+def _round_left(L):
+    # the left factor on the grid 2^-23, clipped to |L| <= 63
+    return np.round(np.clip(L, -63.0, 63.0) * 2.0**23) * 2.0**-23
+
+
+def _round_right(R):
+    # each row to 24 significant bits of its L1 norm: unit 2^(e - 24), sum |R_g| < 2^e
+    unit = 2.0 ** (np.frexp(np.sum(np.abs(R), axis=1))[1] - 24)[:, None]
+    return np.round(R / unit) * unit
+
+
+def _rounding_bound(L, R, stat_scale):
+    # |l'r' - lr| <= |l' - l| |r'| + |l| |r' - r|, with |l' - l| <= 2^-24 and
+    # |r' - r| <= 2^-24 ||r||_1 entrywise, so ||r'||_1 <= (1 + K 2^-24) ||r||_1;
+    # 1e-12 of the statistic covers the float64 roundoff of the unrounded route
+    K = R.shape[1]
+    l1 = np.max(np.sum(np.abs(L), axis=1))
+    r1 = np.max(np.sum(np.abs(R), axis=1))
+    return 2.0**-24 * r1 * (1.0 + K * 2.0**-24 + l1) + 1e-12 * stat_scale
+
+
+def _unchunked_sign_sups(fit, var, grid, seed, draws):
+    # the Rademacher statistic with all draws' signs in one (B, n) stream:
+    # (rounded sups, unrounded sups, the rounding's bound on their gap, Omega)
+    n = fit.n
+    gamma = fit.gamma_many(grid, None, var.j)
+    _, omega = _root(fit, var, gamma)
+    M = gamma / np.sqrt(omega)[:, None]
+    # P_i = Pi_j(x_i) eps_i / sqrt(n); column k on the grid 2^(e_k - 52)
+    P = var.design.dense() * (fit.residuals(var.j) / np.sqrt(n))[:, None]
+    e = np.frexp(np.sum(np.abs(P), axis=0))[1]
+    unit = 2.0 ** (e - 52)
+    P = np.round(P / unit) * unit
+    # draw b's signs: the first n bits of its ceil(n / 64) words, LSB first
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**64, size=(draws, -(-n // 64)), dtype=np.uint64)
+    i = np.arange(n)
+    bits = (words[:, i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
+    W = 2.0 * bits - 1.0
+    T = W @ P  # every signed sum of a rounded column is exact
+    L, R = T * 2.0 ** (5 - e), M * 2.0 ** (e - 5)
+    exact = np.max(np.abs(_round_left(L) @ _round_right(R).T), axis=1)
+    # the unrounded formula: scores studentized by their own Omega
+    scores = var.scores(gamma)
+    S = scores * (fit.residuals(var.j) / np.sqrt(n))
+    S /= np.sqrt(var.omega_from_scores(scores))[:, None]
+    plain = np.max(np.abs(W @ S.T), axis=1)
+    return exact, plain, _rounding_bound(L, R, np.max(plain)), omega
+
+
+def _unchunked_hook_sups(fit, var, grid, seed, draws, hook):
+    # the hook route's statistic, all draws' weights in one (B, n) stream
     n = fit.n
     scores = var.scores(fit.gamma_many(grid, None, var.j))
     omega = var.omega_from_scores(scores)
     S = scores * (fit.residuals(var.j) / np.sqrt(n))
-    rng = np.random.default_rng(seed)
-    if hook is None:
-        # Rademacher: studentize, round each row to 2^(e - 52) for
-        # sum |S_g| < 2^e, then every signed sum is exact in any order
-        S = S / np.sqrt(omega)[:, None]
-        unit = 2.0 ** (np.frexp(np.sum(np.abs(S), axis=1))[1] - 52)[:, None]
-        S = np.round(S / unit) * unit
-        # draw b's signs: the first n bits of its ceil(n / 64) words, LSB first
-        words = rng.integers(0, 2**64, size=(draws, -(-n // 64)), dtype=np.uint64)
-        i = np.arange(n)
-        bits = (words[:, i // 64] >> (i % 64).astype(np.uint64)) & np.uint64(1)
-        W = 2.0 * bits - 1.0
-        return np.max(np.abs(W @ S.T), axis=1), omega
-    W = hook(rng, (draws, n))
+    W = hook(np.random.default_rng(seed), (draws, n))
     sq = scores**2 * (var.wre2 / n)
     sups = [np.max(np.abs(S @ w) / np.sqrt(sq @ w**2)) for w in W]
     return np.array(sups), omega
 
 
 def _unchunked_plugin_sups(fit, var, grid, seed, draws):
-    # the plug-in statistic with all draws' normals in one (B, K_j) stream
-    gamma = fit.gamma_many(grid, None, var.j)
-    evals, evecs = np.linalg.eigh(var.sigma_mat)
-    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
-    omega = np.sum(A**2, axis=1)
+    # the plug-in statistic with all draws' normals in one (B, K_j) stream:
+    # (rounded sups, unrounded sups, the rounding's bound on their gap, Omega)
+    A, omega = _root(fit, var, fit.gamma_many(grid, None, var.j))
     M = A / np.sqrt(omega)[:, None]
     Z = np.random.default_rng(seed).standard_normal((draws, M.shape[1]))
-    return np.array([np.max(np.abs(M @ z)) for z in Z]), omega
+    exact = np.max(np.abs(_round_left(Z) @ _round_right(M).T), axis=1)
+    plain = np.array([np.max(np.abs(M @ z)) for z in Z])
+    return exact, plain, _rounding_bound(Z, M, np.max(plain)), omega
 
 
 def _gaussian_hook(rng, shape):
@@ -435,10 +518,14 @@ class TestDrawStream:
         var = sigma_hat(fit_1d, j)
         grid = make_grid([[0.0, 1.0]], 30)
         band = band_plugin(fit_1d, var, grid, seed=(9, 1), draws=draws)
-        sups, omega = _unchunked_plugin_sups(fit_1d, var, grid, (9, 1), draws)
+        sups, plain, bound, omega = _unchunked_plugin_sups(
+            fit_1d, var, grid, (9, 1), draws
+        )
         qhat = _sup_quantile(sups, 0.05)
         assert band.quantile == qhat
         assert np.array_equal(band.half_widths, qhat * np.sqrt(omega / fit_1d.n))
+        # the rounding moves each supremum, so the quantile, by at most the bound
+        assert abs(band.quantile - _sup_quantile(plain, 0.05)) <= bound
 
     @pytest.mark.parametrize("j", [0, 2])
     def test_one_generator_per_call(self, monkeypatch, fit_1d, j):
@@ -493,7 +580,13 @@ class TestBootstrapChunks:
         var = sigma_hat(fit_1d, 0)
         grid = make_grid([[0.0, 1.0]], 30)
         band = band_bootstrap(fit_1d, var, grid, seed=9, draws=draws, _weight_hook=hook)
-        sups, omega = _unchunked_bootstrap_sups(fit_1d, var, grid, 9, draws, hook)
+        if hook is None:
+            sups, plain, bound, omega = _unchunked_sign_sups(
+                fit_1d, var, grid, 9, draws
+            )
+            assert abs(band.quantile - _sup_quantile(plain, 0.05)) <= bound
+        else:
+            sups, omega = _unchunked_hook_sups(fit_1d, var, grid, 9, draws, hook)
         qhat = _sup_quantile(sups, 0.05)
         assert band.quantile == qhat
         assert np.array_equal(band.half_widths, qhat * np.sqrt(omega / fit_1d.n))
@@ -511,6 +604,35 @@ class TestBootstrapChunks:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 2
+
+    def test_default_route_never_builds_scores(self, monkeypatch):
+        fit = _fit_nd(2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("score route called")
+
+        monkeypatch.setattr(VarianceEstimate, "scores", refuse)
+        monkeypatch.setattr(VarianceEstimate, "omega_from_scores", refuse)
+        monkeypatch.setattr(SparseRows, "rows_times", refuse)
+        grid = make_grid([[0.0, 1.0]] * 2, 8)
+        for j in (0, 1, 2, 3):
+            band = band_bootstrap(fit, sigma_hat(fit, j), grid, seed=1, draws=200)
+            assert np.all(band.half_widths > 0)
+
+    def test_memory_stays_below_score_matrix(self):
+        # numerators in coefficient space: no (G, n) array, and signs as bits
+        fit = _fit_nd(1, n=20_000, kappa=10, seed=5)
+        var = sigma_hat(fit, 0)
+        var.sigma_mat  # built outside the measured span
+        grid = make_grid([[0.0, 1.0]], 100)
+        dense_bytes = grid.shape[0] * fit.n * 8
+        tracemalloc.start()
+        try:
+            band_bootstrap(fit, var, grid, seed=0, draws=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
     def test_scores_memory_stays_near_output(self):
         # one reused gather buffer: output plus scratch, no per-column temporaries
@@ -536,3 +658,58 @@ class TestBootstrapChunks:
             ref += design.values[:, a, None] * mat[design.indices[:, a], :]
         # one product per cell sums in another order: equal up to roundoff
         assert_allclose(var.scores(gamma), ref.T, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+
+def _right_rows(G, K):
+    # rows at scales 1e-300 .. 1e300, with zero entries and whole zero rows
+    mag = hnp.arrays(float, (G, K), elements=st.floats(0.5, 1.0))
+    sign = hnp.arrays(float, (G, K), elements=st.sampled_from([-1.0, 0.0, 1.0]))
+    scale = hnp.arrays(
+        float,
+        (G,),
+        elements=st.sampled_from([0.0, 1e-300, 1e300])
+        | st.integers(-300, 300).map(lambda p: 10.0**p),
+    )
+    return st.tuples(mag, sign, scale).map(lambda t: t[0] * t[1] * t[2][:, None])
+
+
+def _left_rows(B, K):
+    # normals-like values, the grid's extremes +-63 and values it clips
+    return hnp.arrays(
+        float,
+        (B, K),
+        elements=st.floats(-70.0, 70.0)
+        | st.sampled_from([-63.0, 63.0, 63.0 - 2.0**-23, -(2.0**-24), 2.0**-23]),
+    )
+
+
+@st.composite
+def _factors(draw):
+    K = draw(st.integers(1, 24))
+    return draw(_left_rows(draw(st.integers(1, 40)), K)), draw(
+        _right_rows(draw(st.integers(1, 8)), K)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factors())
+def test_exact_product_is_exact_and_blocking_invariant(factors):
+    Z, R = factors
+    right = _exact_rows(R)
+    Zr = Z.copy()
+    got = _exact_product(Zr, right)  # rounds Zr in place
+    scaled = Zr * 2.0**23
+    assert np.all(np.abs(Zr) <= 63.0) and np.array_equal(np.round(scaled), scaled)
+    for b in range(Zr.shape[0]):
+        for g in range(right.shape[0]):
+            prods = Zr[b] * right[g]
+            # every product is exact, and the GEMM is their exactly rounded sum
+            assert all(
+                Fraction(p) == Fraction(x) * Fraction(y)
+                for p, x, y in zip(prods, Zr[b], right[g])
+            )
+            assert got[b, g] == math.fsum(prods)
+    blocks = [
+        _exact_product(Z[s : s + 7].copy(), right) for s in range(0, Z.shape[0], 7)
+    ]
+    assert np.array_equal(np.concatenate(blocks), got)

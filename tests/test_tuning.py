@@ -288,8 +288,42 @@ class TestDpi:
         assert got.kappa_dpi == want.kappa_dpi
         assert got.variance_constant == want.variance_constant
 
+    def test_pilot_builds_lead_once(self, monkeypatch):
+        # the pilot's B_hat reads the fit's cached lead at the sample: R_0 is
+        # built once, and the constants match the explicit point-set route
+        from lspart import biascorrect
+
+        X, y = _curve_sample(900, seed=43)
+        want = dpi_select(X, y, BasisFamily.BSPLINE, 2)
+        seen = []
+        lead_design = biascorrect.lead_design
+
+        def counting(fit, pts, q=None):
+            seen.append(pts.shape)
+            return lead_design(fit, pts, q)
+
+        monkeypatch.setattr(biascorrect, "lead_design", counting)
+        got = dpi_select(X, y, BasisFamily.BSPLINE, 2)
+        assert seen == [X.shape]
+        assert got.bias_constant == want.bias_constant
+        assert got.variance_constant == want.variance_constant
+
 
 class TestImseComponents:
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_sample_route_equals_point_set_route(self, family):
+        # grid=None at q = 0 reads the fit's own rows and lead; passing the
+        # sample as a grid evaluates them afresh: the same numbers, bit for bit
+        rng = np.random.default_rng(47)
+        X = rng.random((600, 2))
+        y = np.sin(3 * X.sum(axis=1)) + 0.3 * rng.standard_normal(600)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 3)
+        fit = fit_estimator(EstimatorKind.default(family, 2, part), X, y)
+        var = sigma_hat(fit, 0)
+        cached = imse_components(fit, var)
+        assert imse_components(fit, var, q=(0, 0)) == cached
+        assert imse_components(fit, var, grid=X.copy()) == cached
+
     def test_keys_and_signs(self):
         X, y = _curve_sample(500, seed=23)
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 4)
