@@ -6,7 +6,7 @@ estimator variants, heteroskedasticity-robust pointwise intervals, uniform
 confidence bands, and data-driven partition-size selection.
 """
 
-from .basis import BasisFamily, BasisSpec, OrderingMap, SparseRows, alpha_list
+from .basis import BasisFamily, BasisSpec, SparseRows, alpha_list
 from .biascorrect import (
     LeadingErrorModel,
     bernoulli_poly,
@@ -54,7 +54,7 @@ from .inference import (
     quadratic_form,
     sigma_hat,
 )
-from .partition import CellGeometry, KnotRule, TensorPartition, make_knots
+from .partition import KnotRule, TensorPartition, make_knots
 from .tuning import (
     TuningReport,
     dpi_select,

@@ -274,7 +274,7 @@ class BasisSpec:
             )
         return deriv
 
-    def eval_many(self, X, deriv=None):
+    def eval_many(self, X, deriv=None, cells=None):
         """Evaluate (derivatives of) all active functions at many points.
 
         Parameters
@@ -283,6 +283,9 @@ class BasisSpec:
             Points inside the support.
         deriv : tuple of int, optional
             Per-axis derivative orders; each must be < m. Default zeros.
+        cells : numpy.ndarray, shape (n, d), optional
+            ``self.partition.locate(X)``, when the caller has it: every basis
+            on one partition reads the same cells, so they are located once.
 
         Returns
         -------
@@ -290,7 +293,8 @@ class BasisSpec:
         """
         deriv = self._check_deriv(deriv)
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cells = self.partition.locate(X)
+        if cells is None:
+            cells = self.partition.locate(X)
         flat = np.ravel_multi_index(cells.T, self.partition.kappa)
         if self.family is BasisFamily.BSPLINE:
             indices, values = self._eval_bspline(X, cells, deriv)
@@ -356,82 +360,6 @@ class BasisSpec:
                 col *= zpow[ell, a[ell] - deriv[ell]]
             values[:, rank] = col / scale
         return np.ascontiguousarray(indices), values
-
-    # -- ordering -----------------------------------------------------------
-
-    def ordering_map(self):
-        return OrderingMap(self)
-
-
-class OrderingMap:
-    """Bijection between structured basis labels and flat column indices.
-
-    B-spline labels are per-axis function indices; Haar labels are per-axis
-    cell indices; piecewise-polynomial labels are (cell tuple, exponent
-    tuple) pairs. Flat order is C order (last axis fastest), with the
-    within-cell exponent block innermost for piecewise polynomials.
-    """
-
-    def __init__(self, spec):
-        self.spec = spec
-        kap = spec.partition.kappa
-        if spec.family is BasisFamily.BSPLINE:
-            self.shape = tuple(k + spec.m - 1 for k in kap)
-        else:
-            self.shape = tuple(kap)
-        if spec.family is BasisFamily.PP:
-            self._alphas = alpha_list(spec.dim, spec.m)
-            self._rank = {a: r for r, a in enumerate(self._alphas)}
-
-    def to_flat(self, label):
-        if self.spec.family is BasisFamily.PP:
-            cell, alpha = label
-            cell = tuple(int(i) for i in cell)
-            alpha = tuple(int(i) for i in alpha)
-            if alpha not in self._rank:
-                raise ConfigError(f"exponent {alpha} not in the basis")
-            base = int(np.ravel_multi_index(cell, self.shape))
-            return base * len(self._alphas) + self._rank[alpha]
-        label = tuple(int(i) for i in label)
-        return int(np.ravel_multi_index(label, self.shape))
-
-    def from_flat(self, k):
-        k = int(k)
-        if self.spec.family is BasisFamily.PP:
-            J = len(self._alphas)
-            cell = np.unravel_index(k // J, self.shape)
-            return tuple(int(i) for i in cell), self._alphas[k % J]
-        return tuple(int(i) for i in np.unravel_index(k, self.shape))
-
-
-def polynomial_reproduction_check(spec, degree, points_per_cell=None):
-    """Max residual of LS-projecting monomials of total degree <= ``degree``.
-
-    Uses a deterministic dense grid with several points per cell per axis,
-    so the projection is well posed whenever the basis is. A value at
-    roundoff scale certifies the polynomial sits inside the span.
-    """
-    part = spec.partition
-    d = part.dim
-    ppc = points_per_cell or (spec.m + 2)
-    axes = []
-    for k in part.knots:
-        pts = [
-            np.linspace(k[i], k[i + 1], ppc + 2)[1:-1]
-            for i in range(k.shape[0] - 1)
-        ]
-        axes.append(np.concatenate(pts))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    design = spec.eval_many(X).dense()
-    worst = 0.0
-    for alpha in itertools.product(range(degree + 1), repeat=d):
-        if sum(alpha) > degree:
-            continue
-        y = np.prod(X**np.asarray(alpha, dtype=float), axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        worst = max(worst, float(np.max(np.abs(design @ coef - y))))
-    return worst
 
 
 def _c_strides(sizes):

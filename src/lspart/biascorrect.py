@@ -14,10 +14,11 @@ it is linear in the coefficients:
 
     lead_q(x) = - R_q(x)' beta-tilde,   R_q = sum_u w_{u,q} d^u ptilde,
 
-with w_{u,q} = b^(u-q) * shape(u, q, z). :func:`lead_design` builds R_q as
-one row-sparse design; every use of the lead (the plug-in estimate, the
-fitted values and weights of the j = 3 estimator, the direct-plug-in
-partition-size selector) goes through it.
+with w_{u,q} = b^(u-q) * shape(u, q, z). :func:`build_lead_design` builds R_q as
+one row-sparse design, once per fit, point set and q, inside the fit's row
+bundle; every use of the lead (the plug-in estimate, the fitted values and
+weights of the j = 3 estimator, the direct-plug-in partition-size selector)
+reads it there.
 """
 
 from __future__ import annotations
@@ -145,20 +146,21 @@ class LeadingErrorModel:
         return shape * np.prod(width**expo, axis=1)
 
 
-def lead_design(fit, pts, q=None):
+def build_lead_design(kind, pts, cells, q=None):
     """R_q at many points: sum_u w_{u,q}(x) d^u ptilde(x) as one SparseRows.
 
-    Every d^u ptilde activates the same functions at a point, so the rows of
-    all u share their indices and groups, and their values are summed with
-    the per-point weights w_{u,q}; the cell geometry behind the weights comes
-    from the main partition. A u whose weight is zero at every point is
-    skipped, and when no u is left (no u in Lambda_m has u >= q) the result
-    is the empty sum: rows of width 0 grouped by cell, whose products are 0.
+    ``cells`` are the points located on the main partition, which both bases
+    of ``kind`` share. Every d^u ptilde activates the same functions at a
+    point, so the rows of all u share their indices and groups, and their
+    values are summed with the per-point weights w_{u,q}, whose cell
+    geometry comes from the same cells. A u whose weight is zero at every
+    point is skipped, and when no u is left (no u in Lambda_m has u >= q)
+    the result is the empty sum: rows of width 0 grouped by cell, whose
+    products are 0. The row bundle of a fit (:meth:`FitResult.at`) calls
+    this once per point set and q; everything else reads it there.
     """
-    model = LeadingErrorModel.for_spec(fit.kind.main_spec)
-    part = fit.kind.main_spec.partition
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    cells = part.locate(pts)
+    model = LeadingErrorModel.for_spec(kind.main_spec)
+    part = kind.main_spec.partition
     lower, width = part.geometry(cells)
     z = (pts - lower) / width
     rows, values = None, 0.0
@@ -166,13 +168,18 @@ def lead_design(fit, pts, q=None):
         w_u = model.weight_values(u, q, z, width)
         if not np.any(w_u):
             continue
-        rows = fit.kind.bc_spec.eval_many(pts, u)
+        rows = kind.bc_spec.eval_many(pts, u, cells)
         values = values + w_u[:, None] * rows.values
-    G, K = pts.shape[0], fit.kind.bc_spec.K
+    G, K = pts.shape[0], kind.bc_spec.K
     if rows is None:
         return SparseRows(np.empty((G, 0), dtype=np.intp), np.empty((G, 0)), K,
                           np.ravel_multi_index(cells.T, part.kappa))
     return SparseRows(rows.indices, values, K, rows.groups)
+
+
+def lead_design(fit, pts, q=None):
+    """R_q at many points, from the fit's row bundle (:func:`build_lead_design`)."""
+    return fit.at(pts, q).lead
 
 
 def leading_bias_many(fit, pts, q=None):
@@ -183,11 +190,9 @@ def leading_bias_many(fit, pts, q=None):
     return -lead_design(fit, pts, q).row_dot(fit.beta_bc)
 
 
-def projected_bias_term_many(fit, pts, q=None, rows=None):
+def projected_bias_term_many(fit, pts, q=None):
     """gamma_{q,0}(pts)' E_n[p(x_i) leadhat_{m,0}(x_i)], vectorized (G,).
 
-    ``rows`` are the order-m rows p_q at ``pts`` when the caller has them.
+    The order-m rows p_q at ``pts`` come from the fit's row bundle.
     """
-    if rows is None:
-        rows = fit.kind.main_spec.eval_many(np.atleast_2d(pts), q)
-    return rows.row_dot(fit.proj_coef_bias())
+    return fit.at(pts, q).main.row_dot(fit.proj_coef_bias())

@@ -14,9 +14,21 @@ every j is a different read of the same factored objects:
   with R_q from :func:`~lspart.biascorrect.lead_design` at the sample and
   at evaluation points alike.
 
-``fitted`` and ``estimate_many`` share one j-dispatch over the rows and the
-lead at a point set; ``gamma_many`` reaches the same estimates independently,
-through Gram solves (``estimate == gamma_many @ rhs_for``).
+Every read at a point set goes through one row bundle per (point set, q)
+(:class:`RowBundle`, from :meth:`FitResult.at`). It locates the points once
+on the partition that both bases share and builds, each at most once and
+only when first read, the main rows p_q, the bias-correction rows ptilde_q,
+the plug-in lead rows R_q and gamma_{q,0}. At the sample with q = 0 the
+bundle holds the fit's own designs. ``estimate_many``, ``gamma_many``, the
+plug-in lead and its projection, the selectors' IMSE components and both
+uniform bands all read it, so each basis is evaluated once per point set,
+derivative and fit. A fit keeps :data:`_BUNDLE_CAPACITY` bundles besides the
+sample's and drops the oldest first; a bundle is keyed by the bytes of its
+points, so a point array changed in place gets fresh rows.
+
+``fitted`` and ``estimate_many`` share one j-dispatch over a bundle and the
+lead; ``gamma_many`` reaches the same estimates independently, through Gram
+solves from the same rows (``estimate == gamma_many @ rhs_for``).
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from . import biascorrect
 from .basis import BasisFamily, BasisSpec, SparseRows, shared_groups
 from .errors import (
     ConfigError,
+    DataError,
     NumericalError,
     RankDeficient,
     UnsupportedFamily,
@@ -38,6 +51,7 @@ from .errors import (
 
 _PIVOT_REL_TOL = 1e-10
 _EPS = np.finfo(float).eps
+_BUNDLE_CAPACITY = 4  # point-set bundles a fit keeps besides the sample's
 
 
 def gram_banded(design, row_weights=None):
@@ -144,6 +158,55 @@ class EstimatorKind:
         return j
 
 
+def check_response(y):
+    """DataError naming the first non-finite entry of the response ``y``."""
+    bad = ~np.isfinite(y)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise DataError(f"response row {i}: y = {y[i]!r} is not finite")
+
+
+class RowBundle:
+    """The rows of one fit's bases at one point set and derivative order q.
+
+    Each piece is built on first read and at most once: ``cells`` (the
+    points located on the main partition, which both bases share), ``main``
+    (p_q), ``bc`` (ptilde_q), ``lead`` (R_q, from
+    :func:`~lspart.biascorrect.build_lead_design`) and ``gamma0``
+    (gamma_{q,0}, dense (G, K), set by :meth:`FitResult.gamma_many`). Build
+    one through :meth:`FitResult.at`.
+    """
+
+    def __init__(self, kind, pts, q, cells=None):
+        self.kind = kind
+        self.pts = pts
+        self.q = q
+        self.gamma0 = None
+        if cells is not None:
+            self.cells = cells
+
+    @cached_property
+    def cells(self):
+        return self.kind.main_spec.partition.locate(self.pts)
+
+    @cached_property
+    def main(self):
+        return self.kind.main_spec.eval_many(self.pts, self.q, self.cells)
+
+    @cached_property
+    def bc(self):
+        return self.kind.bc_spec.eval_many(self.pts, self.q, self.cells)
+
+    @cached_property
+    def lead(self):
+        return biascorrect.build_lead_design(self.kind, self.pts, self.cells, self.q)
+
+
+def _bundle_key(pts, q):
+    """(q, shape, bytes): the content of a point set, never its identity."""
+    return q, pts.shape, pts.tobytes()
+
+
 class FitResult:
     """Factored fit serving estimates, weights, and residuals for all j.
 
@@ -158,8 +221,14 @@ class FitResult:
         self.n = self.X.shape[0]
         if self.y.shape != (self.n,):
             raise ConfigError("y must be a vector matching X rows")
+        check_response(self.y)
 
-        self.design_main = kind.main_spec.eval_many(self.X)
+        q0 = (0,) * kind.main_spec.dim
+        self._sample = RowBundle(kind, self.X, q0)
+        self._sample_key = _bundle_key(self.X, q0)
+        self._bundles = {}
+
+        self.design_main = self._sample.main
         self.gram_main = BandedCholesky(gram_banded(self.design_main))
         self.rhs_main = self.design_main.accumulate(self.y) / self.n
         self.beta_main = self.gram_main.solve(self.rhs_main)
@@ -170,7 +239,7 @@ class FitResult:
         self.rhs_bc = None
         self.beta_bc = None
         if kind.bc_spec is not None:
-            self.design_bc = kind.bc_spec.eval_many(self.X)
+            self.design_bc = self._sample.bc
             self.gram_bc = BandedCholesky(gram_banded(self.design_bc))
             self.rhs_bc = self.design_bc.accumulate(self.y) / self.n
             self.beta_bc = self.gram_bc.solve(self.rhs_bc)
@@ -182,6 +251,35 @@ class FitResult:
         self._c2 = None
         self._c3 = None
         self._fitted = {}
+
+    def at(self, pts, q=None):
+        """The :class:`RowBundle` of this fit at ``pts`` and derivative ``q``.
+
+        Keyed by q and the shape and bytes of the points. The sample at
+        q = 0 is always the fit's own bundle; other point sets are kept up
+        to :data:`_BUNDLE_CAPACITY`, the oldest dropped first. A new bundle
+        takes the cells of a kept one at the same points and another q.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if q is None:
+            q = (0,) * self.kind.main_spec.dim
+        q = tuple(int(v) for v in np.atleast_1d(q))
+        key = _bundle_key(pts, q)
+        if key == self._sample_key:
+            return self._sample
+        bundle = self._bundles.get(key)
+        if bundle is None:
+            cells = None
+            for other_key, other in ((self._sample_key, self._sample),
+                                     *self._bundles.items()):
+                if other_key[1:] == key[1:]:
+                    cells = other.cells
+                    break
+            if len(self._bundles) >= _BUNDLE_CAPACITY:
+                del self._bundles[next(iter(self._bundles))]
+            bundle = RowBundle(self.kind, pts.copy(), q, cells)
+            self._bundles[key] = bundle
+        return bundle
 
     # -- shared pieces ------------------------------------------------------
 
@@ -201,19 +299,14 @@ class FitResult:
         return self._c2
 
     @cached_property
-    def _lead_rows(self):
-        # R_0 at the sample (biascorrect.lead_design), evaluated once
-        return biascorrect.lead_design(self, self.X)
-
-    @cached_property
     def _lead(self):
-        return -self._lead_rows.row_dot(self.beta_bc)
+        return -self._sample.lead.row_dot(self.beta_bc)
 
     @cached_property
     def _lead_cross(self):
         # C = E_n[p(x_i) R_0(x_i)'], dense (K, Ktilde): read by the j = 3
         # weights only, so the dpi pilot never forms it
-        return cross_gram(self.design_main, self._lead_rows)
+        return cross_gram(self.design_main, self._sample.lead)
 
     def leading_error_at_data(self):
         """B-hat_{m,0}(x_i): plug-in leading error at the sample, (n,)."""
@@ -251,28 +344,28 @@ class FitResult:
             return self.rhs_bc
         return np.concatenate([self.rhs_main, self.rhs_bc])
 
-    def _mu_hat(self, j, main_rows, bc_rows, lead):
-        """mu-hat_j (or a derivative) from the rows and the lead at a point set.
+    def _mu_hat(self, j, bundle, lead):
+        """mu-hat_j (or a derivative) from a row bundle and the plug-in lead.
 
-        Only the pieces j reads need be given: main rows for j != 1, bias-
-        correction rows for j = 1, 2 and the plug-in lead for j = 3.
+        Only the rows j reads are built: main rows for j != 1, bias-
+        correction rows for j = 1, 2; ``lead`` is read for j = 3 only.
         """
         if j == 0:
-            return main_rows.row_dot(self.beta_main)
+            return bundle.main.row_dot(self.beta_main)
         if j == 1:
-            return bc_rows.row_dot(self.beta_bc)
+            return bundle.bc.row_dot(self.beta_bc)
         if j == 2:
-            return main_rows.row_dot(
+            return bundle.main.row_dot(
                 self.beta_main - self._proj_coef_j2()
-            ) + bc_rows.row_dot(self.beta_bc)
-        return main_rows.row_dot(self.beta_main + self.proj_coef_bias()) - lead
+            ) + bundle.bc.row_dot(self.beta_bc)
+        return bundle.main.row_dot(self.beta_main + self.proj_coef_bias()) - lead
 
     def fitted(self, j):
         """mu-hat_j at the sample points, (n,)."""
         j = self.kind.require_j(j)
         if j not in self._fitted:
             lead = self.leading_error_at_data() if j == 3 else None
-            self._fitted[j] = self._mu_hat(j, self.design_main, self.design_bc, lead)
+            self._fitted[j] = self._mu_hat(j, self._sample, lead)
         return self._fitted[j]
 
     def residuals(self, j):
@@ -282,11 +375,9 @@ class FitResult:
     def estimate_many(self, pts, q=None, j=0):
         """Point estimates of the q-th derivative at many points, (G,)."""
         j = self.kind.require_j(j)
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        main_q = self.kind.main_spec.eval_many(pts, q) if j != 1 else None
-        bc_q = self.kind.bc_spec.eval_many(pts, q) if j in (1, 2) else None
-        lead_q = biascorrect.leading_bias_many(self, pts, q) if j == 3 else None
-        return self._mu_hat(j, main_q, bc_q, lead_q)
+        bundle = self.at(pts, q)
+        lead = biascorrect.leading_bias_many(self, pts, q) if j == 3 else None
+        return self._mu_hat(j, bundle, lead)
 
     def estimate(self, x, q=None, j=0):
         """Single-point version of :meth:`estimate_many`."""
@@ -295,29 +386,28 @@ class FitResult:
     def gamma_many(self, pts, q=None, j=0):
         """Evaluation weights gamma_{q,j} at many points, dense (G, K_j).
 
-        For j >= 2 the bias-correction block is one solve against the
-        order-mtilde Gram: of Ptilde_q(pts)' - C' gamma_0' for j = 2, with C
-        the cross-Gram of the two bases, and of R_q(pts)' - C' gamma_0' for
-        j = 3, with R_q from :func:`~lspart.biascorrect.lead_design` and C
-        the cross-Gram of p and R_0 at the sample. The estimator identity
-        ``estimate == gamma_many @ rhs_for(j)`` holds to roundoff and is
-        exercised in tests.
+        gamma_{q,0} is one solve against the order-m Gram, kept in the row
+        bundle for every j that reads it. For j >= 2 the bias-correction
+        block is one solve against the order-mtilde Gram: of
+        Ptilde_q(pts)' - C' gamma_0' for j = 2, with C the cross-Gram of the
+        two bases, and of R_q(pts)' - C' gamma_0' for j = 3, with R_q from
+        the bundle and C the cross-Gram of p and R_0 at the sample. The
+        estimator identity ``estimate == gamma_many @ rhs_for(j)`` holds to
+        roundoff and is exercised in tests.
         """
         j = self.kind.require_j(j)
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        gamma0 = None
-        if j != 1:
-            main_rows = self.kind.main_spec.eval_many(pts, q)
-            gamma0 = self.gram_main.solve(main_rows.dense().T).T
-        if j == 0:
-            return gamma0
+        bundle = self.at(pts, q)
         if j == 1:
-            bc_rows = self.kind.bc_spec.eval_many(pts, q)
-            return self.gram_bc.solve(bc_rows.dense().T).T
+            return self.gram_bc.solve(bundle.bc.dense().T).T
+        if bundle.gamma0 is None:
+            bundle.gamma0 = self.gram_main.solve(bundle.main.dense().T).T
+        gamma0 = bundle.gamma0
+        if j == 0:
+            return gamma0.copy()
         if j == 2:
-            rows, cross = self.kind.bc_spec.eval_many(pts, q), self.cross_gram
+            rows, cross = bundle.bc, self.cross_gram
         else:
-            rows, cross = biascorrect.lead_design(self, pts, q), self._lead_cross
+            rows, cross = bundle.lead, self._lead_cross
         rhs = rows.dense().T - cross.T @ gamma0.T
         return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
 

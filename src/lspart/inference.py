@@ -272,12 +272,11 @@ def _prep_band(fit, var, grid, q, alpha, draws, seed, j):
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] < 1:
         raise InvalidGrid("empty evaluation grid")
-    part = fit.kind.main_spec.partition
     try:
-        part.locate(grid)
+        fit.at(grid, q).cells  # located once; the weights and estimates reuse them
     except OutOfSupport as exc:
         raise InvalidGrid(str(exc)) from exc
-    _warn_grid_spacing(part, grid)
+    _warn_grid_spacing(fit.kind.main_spec.partition, grid)
     gamma = fit.gamma_many(grid, q, var.j)
     est = fit.estimate_many(grid, q, var.j)
     return grid, gamma, est, draws

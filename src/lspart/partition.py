@@ -98,19 +98,6 @@ def make_knots(rule, bounds, kappa, data=None):
 
 
 @dataclass(frozen=True)
-class CellGeometry:
-    """One cell of a tensor partition."""
-
-    index: tuple
-    lower: np.ndarray
-    width: np.ndarray
-
-    @property
-    def diameter(self):
-        return float(np.sqrt(np.sum(self.width**2)))
-
-
-@dataclass(frozen=True)
 class TensorPartition:
     """Tensor product of per-axis knot sequences.
 
@@ -225,17 +212,6 @@ class TensorPartition:
             lower[:, ell] = k[cells[:, ell]]
             width[:, ell] = k[cells[:, ell] + 1] - k[cells[:, ell]]
         return lower, width
-
-    def cell(self, index):
-        """Geometry of a single cell given its per-axis index tuple."""
-        index = tuple(int(i) for i in np.atleast_1d(index))
-        if len(index) != self.dim:
-            raise OutOfSupport(f"cell index {index} has wrong length")
-        for ell, i in enumerate(index):
-            if not 0 <= i < self.kappa[ell]:
-                raise OutOfSupport(f"cell index {index} outside partition")
-        lower, width = self.geometry(np.array([index]))
-        return CellGeometry(index, lower[0], width[0])
 
     def mesh_stats(self):
         """Summary of cell sizes.

@@ -32,7 +32,7 @@ from .errors import (
     NegativeVarianceEstimate,
     RankDeficient,
 )
-from .fit import EstimatorKind, fit_estimator
+from .fit import EstimatorKind, check_response, fit_estimator
 from .partition import KnotRule, TensorPartition, data_bounds
 
 _QUAD_NODES = 20
@@ -136,10 +136,13 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     levels' derivatives give the bias constant through the eta integrals,
     and the fitted squares minus the squared levels give the average
     conditional variance; the closed-form IMSE minimizer is then rounded
-    up. J counts the within-cell functions of the family.
+    up. J counts the within-cell functions of the family. The sample is
+    located on the one cell once, and on one cell every row activates all K
+    functions in order, so the design's values are its dense form.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
+    check_response(y)
     n, d = X.shape
     family = BasisFamily(family)
     m = int(m)
@@ -154,7 +157,8 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     )
     if n <= spec.K:
         raise ConfigError(f"global degree-{degree} fit needs n > {spec.K}")
-    design = spec.eval_many(X).dense()
+    cells = spec.partition.locate(X)
+    design = spec.eval_many(X, cells=cells).values
     col_scale = np.sqrt(np.mean(design**2, axis=0))
     col_scale[col_scale == 0] = 1.0
     coef, *_ = np.linalg.lstsq(
@@ -167,7 +171,7 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     lam = model.lambda_set
     q0 = (0,) * d
     eta = _eta_table(family, m, d, q0)
-    derivs = {u: spec.eval_many(X, u).row_dot(coef[:, 0]) for u in lam}
+    derivs = {u: spec.eval_many(X, u, cells).row_dot(coef[:, 0]) for u in lam}
     bias_sum = 0.0
     for u1, u2 in itertools.product(lam, lam):
         bias_sum += eta[(u1, u2, q0)] * float(np.mean(derivs[u1] * derivs[u2]))
@@ -207,6 +211,7 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
+    check_response(y)
     n, d = X.shape
     family = BasisFamily(family)
     m = int(m)
@@ -261,23 +266,19 @@ def imse_components(fit, var, grid=None, q=None):
     the points. No (G, K) array of weights is formed. B_hat is the mean
     squared plug-in leading error minus its sample projection. With no
     grid, both average over the sample points (the empirical-density
-    weighting used by the selectors), and at q = 0 they read the fit's own
-    rows and plug-in lead at the sample; a grid argument switches to uniform
-    weighting over the given points. ``var`` must be the j = 0 variance.
+    weighting used by the selectors); a grid argument switches to uniform
+    weighting over the given points. The rows and the lead come from the
+    fit's row bundle at the points, which at the sample with q = 0 holds the
+    fit's own design and lead. ``var`` must be the j = 0 variance.
     """
     if var.j != 0:
         raise ConfigError(f"IMSE components need the j = 0 variance, got j = {var.j}")
-    if grid is None and (q is None or not np.any(q)):
-        # the sample at q = 0: the fit's own rows and its cached lead
-        pts, rows = fit.X, fit.design_main
-        lead = fit.leading_error_at_data()
-    else:
-        pts = fit.X if grid is None else np.atleast_2d(np.asarray(grid, dtype=float))
-        rows = fit.kind.main_spec.eval_many(pts, q)
-        lead = biascorrect.leading_bias_many(fit, pts, q)
+    pts = fit.X if grid is None else grid
+    rows = fit.at(pts, q).main
+    lead = biascorrect.leading_bias_many(fit, pts, q)
     gram = fit.gram_main
     v_hat = float(
         np.sum(gram.solve(var.sigma_mat) * gram.solve(rows.weighted_cross(rows)).T)
     )
-    bias_pts = lead - biascorrect.projected_bias_term_many(fit, pts, q, rows)
+    bias_pts = lead - biascorrect.projected_bias_term_many(fit, pts, q)
     return {"V_hat": v_hat, "B_hat": float(np.mean(bias_pts**2))}

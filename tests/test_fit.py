@@ -17,6 +17,7 @@ from lspart.basis import BasisFamily, BasisSpec, SparseRows
 from lspart.cli import main
 from lspart.errors import (
     ConfigError,
+    DataError,
     NumericalError,
     RankDeficient,
     UnsupportedFamily,
@@ -32,6 +33,7 @@ from lspart.fit import (
 from lspart.harness import RunConfig, run_fit
 from lspart.inference import HCKind, sigma_hat
 from lspart.partition import KnotRule, TensorPartition
+from lspart.tuning import dpi_select, rot_select
 
 
 def _fit_1d(y_fn, n=300, kappa=4, m=2, m_tilde=None, family=BasisFamily.BSPLINE,
@@ -573,3 +575,115 @@ class TestCrossGramFunction:
         other, _, _ = _fit_1d(np.sin, n=60, kappa=2)
         with pytest.raises(ConfigError):
             cross_gram(fit.design_main, other.design_main)
+
+
+class TestRowBundle:
+    """One row bundle per (fit, point set, q): each basis evaluated once."""
+
+    def test_run_locates_and_evaluates_each_set_once(self, monkeypatch, tmp_path):
+        # a d = 2 dpi fit with a plug-in band reads the sample (selector,
+        # pilot, final fit), the evaluation points and the grid: every
+        # (partition, point set) is located once and every (basis, point
+        # set, derivative) evaluated once. The rows live on each fit, so the
+        # data are chosen with a pilot size (4) unlike the final one (5).
+        from lspart.partition import TensorPartition as Part
+
+        locate, eval_many = Part.locate, BasisSpec.eval_many
+        located, evaluated = [], []
+
+        def part_key(part):
+            return tuple(k.tobytes() for k in part.knots)
+
+        def count_locate(self, X):
+            located.append((part_key(self), np.asarray(X, dtype=float).tobytes()))
+            return locate(self, X)
+
+        def count_eval(self, X, deriv=None, cells=None):
+            rows = eval_many(self, X, deriv, cells)
+            evaluated.append((self.family, self.m, part_key(self.partition),
+                              np.atleast_2d(np.asarray(X, dtype=float)).tobytes(),
+                              self._check_deriv(deriv)))
+            return rows
+
+        monkeypatch.setattr(Part, "locate", count_locate)
+        monkeypatch.setattr(BasisSpec, "eval_many", count_eval)
+        rng = np.random.default_rng(61)
+        X = rng.random((1200, 2))
+        y = np.sin(6 * X[:, 0]) * np.cos(4 * X[:, 1]) + 0.3 * rng.standard_normal(1200)
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g",
+                   header="x1,x2,y", comments="")
+        report = run_fit(RunConfig(mode="fit", data_path=str(path), kappa="dpi",
+                                   band_method="plugin", B=200, grid_size=12))
+        assert report["selection"]["kappa"] == 5
+        assert len(located) == len(set(located)) == 5
+        # rot: the sample and 2 derivatives; pilot and final fit: main, bc
+        # and 2 lead derivatives at the sample; the final fit: main, bc and 2
+        # lead derivatives at the points and at the grid
+        assert len(evaluated) == len(set(evaluated)) == 3 + 4 + 4 + 4 + 4
+
+    def test_mutated_points_get_fresh_rows(self):
+        fit = _fit_nd(2)
+        pts = np.random.default_rng(3).random((7, 2))
+        first = fit.estimate_many(pts, j=3)
+        pts[2] = [0.9, 0.1]
+        got = fit.estimate_many(pts, j=3)
+        assert np.array_equal(got, fit.estimate_many(pts.copy(), j=3))
+        fresh = _fit_nd(2)
+        assert np.array_equal(got, fresh.estimate_many(pts, j=3))
+        assert got[2] != first[2]
+        assert np.array_equal(fit.gamma_many(pts, j=2), fresh.gamma_many(pts, j=2))
+
+    def test_cache_is_bounded(self):
+        fit = _fit_nd(1)
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            fit.estimate_many(rng.random((5, 1)), j=2)
+        assert 0 < len(fit._bundles) <= fit_module._BUNDLE_CAPACITY
+
+    def test_sample_bundle_is_the_fit_design(self):
+        fit = _fit_nd(2)
+        bundle = fit.at(fit.X.copy())
+        assert bundle is fit.at(fit.X, q=(0, 0))
+        assert bundle.main is fit.design_main
+        assert bundle.bc is fit.design_bc
+        assert np.array_equal(fit.estimate_many(fit.X, j=3), fit.fitted(3))
+
+    def test_other_q_shares_cells(self, monkeypatch):
+        fit = _fit_nd(2)
+        pts = np.random.default_rng(4).random((6, 2))
+        fit.estimate_many(pts, j=2)
+        calls = []
+        locate = TensorPartition.locate
+        monkeypatch.setattr(TensorPartition, "locate",
+                            lambda self, X: calls.append(1) or locate(self, X))
+        fit.estimate_many(pts, q=(1, 0), j=2)
+        assert calls == []
+        assert fit.at(pts, (1, 0)).cells is fit.at(pts).cells
+
+    def test_gamma_is_a_fresh_array(self):
+        fit = _fit_nd(1)
+        pts = np.random.default_rng(6).random((4, 1))
+        gamma = fit.gamma_many(pts, j=0)
+        gamma[:] = 0.0
+        assert_allclose(fit.gamma_many(pts, j=0) @ fit.rhs_for(0),
+                        fit.estimate_many(pts, j=0), atol=1e-10)
+
+
+class TestNonFiniteResponse:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["fit", "rot", "dpi"])
+    def test_typed_error_names_the_row(self, entry, bad):
+        rng = np.random.default_rng(8)
+        X = rng.random((400, 1))
+        y = np.sin(4 * X[:, 0]) + 0.2 * rng.standard_normal(400)
+        y[[17, 40]] = bad
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 3)
+        call = {
+            "fit": lambda: fit_estimator(
+                EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y),
+            "rot": lambda: rot_select(X, y, BasisFamily.BSPLINE, 2),
+            "dpi": lambda: dpi_select(X, y, BasisFamily.BSPLINE, 2),
+        }[entry]
+        with pytest.raises(DataError, match="row 17"):
+            call()

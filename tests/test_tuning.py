@@ -78,6 +78,18 @@ def _curve_sample(n, seed=0, noise=0.5):
 
 
 class TestRot:
+    def test_never_densifies(self, monkeypatch):
+        # on one cell the design's values are its dense form, bit for bit
+        X, y = _curve_sample(600)
+        want = rot_select(X, y, BasisFamily.PP, 2)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rot_select called SparseRows.dense")
+
+        monkeypatch.setattr(SparseRows, "dense", refuse)
+        got = rot_select(X, y, BasisFamily.PP, 2)
+        assert got == want
+
     def test_report_fields(self):
         X, y = _curve_sample(600)
         rep = rot_select(X, y, BasisFamily.BSPLINE, 2)
