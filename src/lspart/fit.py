@@ -8,11 +8,13 @@ every j is a different read of the same factored objects:
 
 - j = 0: the plain least-squares fit of order m.
 - j = 1: the fit of order mtilde > m used directly.
-- j = 2: j = 0 plus a least-squares correction through the j = 1 fit.
-- j = 3: j = 0 minus an explicit plug-in estimate of the leading error,
-  recentred by its own sample projection. The lead is -R_q' beta-tilde,
-  with R_q from :func:`~lspart.biascorrect.lead_design` at the sample and
-  at evaluation points alike.
+- j = 2 and j = 3: one correction formula,
+  p_q'(beta - c_j) + D_j' beta-tilde, where D_j are the correction rows and
+  c_j = Q^-1 E_n[p (D_{j,0}' beta-tilde)] is their own sample projection.
+  D_2 is the order-mtilde basis ptilde_q (a least-squares correction
+  through the j = 1 fit); D_3 is the plug-in lead rows R_q from
+  :func:`~lspart.biascorrect.build_lead_design`, so D_3' beta-tilde is
+  minus the plug-in estimate of the leading error.
 
 Every read at a point set goes through one row bundle per (point set, q)
 (:class:`RowBundle`, from :meth:`FitResult.at`). It locates the points once
@@ -26,8 +28,8 @@ derivative and fit. A fit keeps :data:`_BUNDLE_CAPACITY` bundles besides the
 sample's and drops the oldest first; a bundle is keyed by the bytes of its
 points, so a point array changed in place gets fresh rows.
 
-``fitted`` and ``estimate_many`` share one j-dispatch over a bundle and the
-lead; ``gamma_many`` reaches the same estimates independently, through Gram
+``fitted`` and ``estimate_many`` share one j-dispatch over a bundle;
+``gamma_many`` reaches the same estimates independently, through Gram
 solves from the same rows (``estimate == gamma_many @ rhs_for``).
 """
 
@@ -210,14 +212,18 @@ def _bundle_key(pts, q):
 class FitResult:
     """Factored fit serving estimates, weights, and residuals for all j.
 
-    Immutable after construction in effect: caches only add derived arrays.
-    Use :func:`fit_estimator` to build one.
+    Immutable after construction in effect: caches only add derived arrays,
+    and ``X`` and ``y`` are read-only copies of the caller's arrays. Use
+    :func:`fit_estimator` to build one.
     """
 
     def __init__(self, kind, X, y):
         self.kind = kind
-        self.X = np.atleast_2d(np.asarray(X, dtype=float))
-        self.y = np.asarray(y, dtype=float)
+        # own read-only copies: the caches below read the sample lazily
+        self.X = np.array(np.atleast_2d(X), dtype=float)
+        self.y = np.array(y, dtype=float)
+        self.X.flags.writeable = False
+        self.y.flags.writeable = False
         self.n = self.X.shape[0]
         if self.y.shape != (self.n,):
             raise ConfigError("y must be a vector matching X rows")
@@ -245,11 +251,10 @@ class FitResult:
             self.beta_bc = self.gram_bc.solve(self.rhs_bc)
             _check_normal_equations(self.gram_bc, self.beta_bc, self.rhs_bc)
 
-        self._cross = None
+        self._cross = {}
+        self._coef = {}
         self._stacked = None
         self._leverage = {}
-        self._c2 = None
-        self._c3 = None
         self._fitted = {}
 
     def at(self, pts, q=None):
@@ -283,41 +288,41 @@ class FitResult:
 
     # -- shared pieces ------------------------------------------------------
 
+    @staticmethod
+    def _correction(j, bundle):
+        """D_j: the correction rows of j >= 2 in a bundle, ptilde_q for j = 2
+        and the plug-in lead rows R_q for j = 3."""
+        return bundle.bc if j == 2 else bundle.lead
+
+    def _cross_for(self, j):
+        # C_j = E_n[p(x_i) D_{j,0}(x_i)'], dense (K, Ktilde); the j = 3 one is
+        # read by the j = 3 weights only, so the dpi pilot never forms it
+        if j not in self._cross:
+            rows = self._correction(j, self._sample)
+            self._cross[j] = cross_gram(self.design_main, rows)
+        return self._cross[j]
+
+    def _proj_coef(self, j):
+        # c_j with p(x)'c_j = gamma_0(x)' E_n[p D_{j,0}' beta-tilde]: the
+        # correction's own sample projection
+        if j not in self._coef:
+            corr = self._correction(j, self._sample).row_dot(self.beta_bc)
+            t = self.design_main.accumulate(corr) / self.n
+            self._coef[j] = self.gram_main.solve(t)
+        return self._coef[j]
+
     @property
     def cross_gram(self):
         """Q between the main and bias bases, dense (K, Ktilde)."""
-        if self._cross is None:
-            self._cross = cross_gram(self.design_main, self.design_bc)
-        return self._cross
-
-    def _proj_coef_j2(self):
-        # c with p(x)'c = gamma_0(x)' E_n[p mu1]: the correction's projection
-        if self._c2 is None:
-            mu1 = self.design_bc.row_dot(self.beta_bc)
-            t = self.design_main.accumulate(mu1) / self.n
-            self._c2 = self.gram_main.solve(t)
-        return self._c2
-
-    @cached_property
-    def _lead(self):
-        return -self._sample.lead.row_dot(self.beta_bc)
-
-    @cached_property
-    def _lead_cross(self):
-        # C = E_n[p(x_i) R_0(x_i)'], dense (K, Ktilde): read by the j = 3
-        # weights only, so the dpi pilot never forms it
-        return cross_gram(self.design_main, self._sample.lead)
+        return self._cross_for(2)
 
     def leading_error_at_data(self):
         """B-hat_{m,0}(x_i): plug-in leading error at the sample, (n,)."""
-        return self._lead
+        return -self._sample.lead.row_dot(self.beta_bc)
 
     def proj_coef_bias(self):
         """Coefficients c with p(x)'c = gamma_0(x)' E_n[p leadhat_{m,0}]."""
-        if self._c3 is None:
-            t = self.design_main.accumulate(self.leading_error_at_data()) / self.n
-            self._c3 = self.gram_main.solve(t)
-        return self._c3
+        return -self._proj_coef(3)
 
     # -- per-kind reads -----------------------------------------------------
 
@@ -344,28 +349,23 @@ class FitResult:
             return self.rhs_bc
         return np.concatenate([self.rhs_main, self.rhs_bc])
 
-    def _mu_hat(self, j, bundle, lead):
-        """mu-hat_j (or a derivative) from a row bundle and the plug-in lead.
-
-        Only the rows j reads are built: main rows for j != 1, bias-
-        correction rows for j = 1, 2; ``lead`` is read for j = 3 only.
+    def _mu_hat(self, j, bundle):
+        """mu-hat_j (or a derivative) from a row bundle; for j >= 2,
+        p_q'(beta - c_j) + D_j' beta-tilde. Only the rows j reads are built.
         """
         if j == 0:
             return bundle.main.row_dot(self.beta_main)
         if j == 1:
             return bundle.bc.row_dot(self.beta_bc)
-        if j == 2:
-            return bundle.main.row_dot(
-                self.beta_main - self._proj_coef_j2()
-            ) + bundle.bc.row_dot(self.beta_bc)
-        return bundle.main.row_dot(self.beta_main + self.proj_coef_bias()) - lead
+        return bundle.main.row_dot(
+            self.beta_main - self._proj_coef(j)
+        ) + self._correction(j, bundle).row_dot(self.beta_bc)
 
     def fitted(self, j):
         """mu-hat_j at the sample points, (n,)."""
         j = self.kind.require_j(j)
         if j not in self._fitted:
-            lead = self.leading_error_at_data() if j == 3 else None
-            self._fitted[j] = self._mu_hat(j, self._sample, lead)
+            self._fitted[j] = self._mu_hat(j, self._sample)
         return self._fitted[j]
 
     def residuals(self, j):
@@ -375,9 +375,7 @@ class FitResult:
     def estimate_many(self, pts, q=None, j=0):
         """Point estimates of the q-th derivative at many points, (G,)."""
         j = self.kind.require_j(j)
-        bundle = self.at(pts, q)
-        lead = biascorrect.leading_bias_many(self, pts, q) if j == 3 else None
-        return self._mu_hat(j, bundle, lead)
+        return self._mu_hat(j, self.at(pts, q))
 
     def estimate(self, x, q=None, j=0):
         """Single-point version of :meth:`estimate_many`."""
@@ -388,12 +386,12 @@ class FitResult:
 
         gamma_{q,0} is one solve against the order-m Gram, kept in the row
         bundle for every j that reads it. For j >= 2 the bias-correction
-        block is one solve against the order-mtilde Gram: of
-        Ptilde_q(pts)' - C' gamma_0' for j = 2, with C the cross-Gram of the
-        two bases, and of R_q(pts)' - C' gamma_0' for j = 3, with R_q from
-        the bundle and C the cross-Gram of p and R_0 at the sample. The
-        estimator identity ``estimate == gamma_many @ rhs_for(j)`` holds to
-        roundoff and is exercised in tests.
+        block is one solve against the order-mtilde Gram of
+        D_j(pts)' - C_j' gamma_0', with D_j the correction rows from the
+        bundle (ptilde_q for j = 2, R_q for j = 3) and C_j the cross-Gram of
+        p and D_{j,0} at the sample. The estimator identity
+        ``estimate == gamma_many @ rhs_for(j)`` holds to roundoff and is
+        exercised in tests.
         """
         j = self.kind.require_j(j)
         bundle = self.at(pts, q)
@@ -404,11 +402,7 @@ class FitResult:
         gamma0 = bundle.gamma0
         if j == 0:
             return gamma0.copy()
-        if j == 2:
-            rows, cross = bundle.bc, self.cross_gram
-        else:
-            rows, cross = bundle.lead, self._lead_cross
-        rhs = rows.dense().T - cross.T @ gamma0.T
+        rhs = self._correction(j, bundle).dense().T - self._cross_for(j).T @ gamma0.T
         return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
 
     def leverage(self, j):

@@ -47,9 +47,6 @@ from .tuning import dpi_select, rot_select
 
 SCHEMA = "lspart/1"
 
-# swapped in by tests to force degenerate intervals through the aggregator
-_CI_HOOK = None
-
 _EVAL_FRACTIONS = (0.25, 0.5, 0.75)
 
 
@@ -420,11 +417,10 @@ def _simulate_rep(args):
         fit = _build_fit(cfg, X, y, bounds, kappa)
         grid = make_grid(bounds, cfg.grid_size) if cfg.band_method else None
 
-        ci_fn = _CI_HOOK or pointwise_ci
         per_j = {}
         for j in cfg.j_set:
             var = sigma_hat(fit, j, cfg.hc_kind)
-            pw = ci_fn(fit, var, pts, q, cfg.alpha)
+            pw = pointwise_ci(fit, var, pts, q, cfg.alpha)
             entry = {
                 "est": np.asarray(pw.estimates, dtype=float),
                 "cover": (pw.ci_lo <= truth_pts) & (truth_pts <= pw.ci_hi),

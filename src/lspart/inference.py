@@ -20,10 +20,14 @@ per cell from the sign bits. Each block of draws is then one exact GEMM
 (``_exact_product``): the left factor is rounded to the grid 2^-23 and each
 row of M to 24 significant bits of its L1 norm, so every partial sum is
 exact in float64. The rounding moves a supremum by a few 1e-6 relative at
-most, far inside the Monte Carlo error of the band quantile.
-Only pointwise Omega at a few points, and the test-only bootstrap weight
-hook, take the per-observation route through the score matrix
+most, far inside the Monte Carlo error of the band quantile. The bootstrap
+draws Rademacher signs only; it has no other weight route.
+Only pointwise Omega at a few points (:meth:`VarianceEstimate.omega_many`)
+takes the per-observation route through the scores
 s[g, i] = gamma_g' Pi_j(x_i).
+
+A variance estimate belongs to one fit: every function that takes both
+checks that ``var.fit is fit`` (:func:`check_variance`).
 
 Each band call makes one generator, ``np.random.default_rng(seed)``, where
 ``seed`` is a non-negative int or a sequence of them, such as
@@ -84,7 +88,7 @@ class VarianceEstimate:
     The dense Sigma matrix is formed lazily by the Gram accumulator
     :meth:`SparseRows.weighted_cross`; both bands take Omega from its
     square root. :meth:`omega_many` needs no Sigma: at a few points the
-    per-observation route through :meth:`scores` is cheaper than forming it.
+    per-observation route through the scores is cheaper than forming it.
     """
 
     def __init__(self, fit, j, hc=HCKind.HC0):
@@ -124,19 +128,13 @@ class VarianceEstimate:
             self._sigma = 0.5 * (sig + sig.T)  # kill roundoff asymmetry
         return self._sigma
 
-    def scores(self, gamma):
-        """s[g, i] = gamma_g' Pi_j(x_i): the per-observation scores, (G, n)."""
-        return self.design.rows_times(np.asarray(gamma).T).T
-
-    def omega_from_scores(self, scores):
-        """Omega for precomputed scores: (1/n) sum_i wre2_i s_{gi}^2."""
-        return (scores**2) @ self.wre2 / self.fit.n
-
-    def omega_many(self, pts, q=None, check=True):
-        """Omega_j at many points via the per-observation sparse route."""
+    def omega_many(self, pts, q=None):
+        """Omega_j at many points, (1/n) sum_i wre2_i s_gi^2, through the
+        per-observation scores s[g, i] = gamma_g' Pi_j(x_i)."""
         gamma = self.fit.gamma_many(pts, q, self.j)
-        omega = self.omega_from_scores(self.scores(gamma))
-        if check and np.any(omega <= 0):
+        scores = self.design.rows_times(gamma.T).T
+        omega = (scores**2) @ self.wre2 / self.fit.n
+        if np.any(omega <= 0):
             raise NonPositiveVariance(
                 "variance estimate is not positive at an evaluation point"
             )
@@ -149,6 +147,12 @@ class VarianceEstimate:
 def sigma_hat(fit, j, hc=HCKind.HC0):
     """Build the variance pieces for kind ``j``; see VarianceEstimate."""
     return VarianceEstimate(fit, j, hc)
+
+
+def check_variance(fit, var):
+    """ConfigError unless ``var`` was estimated from ``fit`` itself."""
+    if var.fit is not fit:
+        raise ConfigError("the variance estimate belongs to another fit")
 
 
 def quadratic_form(gamma, sigma):
@@ -173,14 +177,13 @@ class PointwiseResult:
         return (self.estimates - reference) / self.se
 
 
-def pointwise_ci(fit, var, pts, q=None, alpha=0.05, j=None):
+def pointwise_ci(fit, var, pts, q=None, alpha=0.05):
     """Normal-quantile pointwise confidence intervals at ``pts``.
 
-    ``j`` defaults to the kind bound into ``var``; passing a different one
-    is an error. Raises NonPositiveVariance if any Omega is nonpositive.
+    The estimator kind is the one bound into ``var``, which must come from
+    ``fit``. Raises NonPositiveVariance if any Omega is nonpositive.
     """
-    if j is not None and int(j) != var.j:
-        raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
+    check_variance(fit, var)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -262,9 +265,8 @@ def _check_seed(seed):
         )
 
 
-def _prep_band(fit, var, grid, q, alpha, draws, seed, j):
-    if j is not None and int(j) != var.j:
-        raise ConfigError(f"variance estimate is for j = {var.j}, got j = {j}")
+def _prep_band(fit, var, grid, q, alpha, draws, seed):
+    check_variance(fit, var)
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     draws = _check_draws(draws)
@@ -280,11 +282,6 @@ def _prep_band(fit, var, grid, q, alpha, draws, seed, j):
     gamma = fit.gamma_many(grid, q, var.j)
     est = fit.estimate_many(grid, q, var.j)
     return grid, gamma, est, draws
-
-
-def _check_grid_omega(omega):
-    if np.any(omega <= 0):
-        raise NonPositiveVariance("variance not positive somewhere on the grid")
 
 
 def _warn_grid_spacing(part, grid):
@@ -355,7 +352,8 @@ def _band_root(fit, var, gamma):
         evals[: fit.kind.null_dim] = 0.0
     A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
     omega = np.sum(A**2, axis=1)
-    _check_grid_omega(omega)
+    if np.any(omega <= 0):
+        raise NonPositiveVariance("variance not positive somewhere on the grid")
     return A, omega
 
 
@@ -390,18 +388,6 @@ def _exact_product(Z, R):
     np.round(Z, out=Z)
     Z *= 2.0**-23
     return Z @ R.T
-
-
-def _rowwise(rows, mat):
-    """``rows @ mat.T`` as one matrix-vector product per row, (c, G).
-
-    The ``_weight_hook`` test route of :func:`band_bootstrap` takes its
-    products this way. A BLAS GEMM rounds a row by the block's shape and the
-    thread count; one matrix-vector product per row has the same shape, and
-    so the same rounding, whatever the block. The default routes of both
-    bands use the exact block product (:func:`_exact_product`) instead.
-    """
-    return np.matmul(rows[:, None, :], mat.T)[:, 0, :]
 
 
 def _exact_sign_sums(rows):
@@ -441,7 +427,7 @@ def _sign_bits(rng, shape):
     return np.unpackbits(octets, axis=1, count=n, bitorder="little")
 
 
-def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
+def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     """Uniform band via simulated Gaussian suprema through Sigma^(1/2).
 
     One square root serves the whole band (:func:`_band_root`): with
@@ -458,7 +444,7 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
     depends only on the seed and the number of draws, not on the block
     size.
     """
-    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed, j)
+    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
     A, omega = _band_root(fit, var, gamma)
     right = _exact_rows(A / np.sqrt(omega)[:, None])
     rng = np.random.default_rng(seed)
@@ -470,18 +456,11 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0, j=None):
     return _band_result(grid, est, omega, fit.n, sups, alpha, "plugin")
 
 
-def band_bootstrap(
-    fit,
-    var,
-    grid,
-    q=None,
-    alpha=0.05,
-    draws=1000,
-    seed=0,
-    j=None,
-    _weight_hook=None,
-):
+def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     """Uniform band via the wild bootstrap with Rademacher weights.
+
+    The signs are its only weights, and it forms no per-observation scores;
+    those serve pointwise Omega only (:meth:`VarianceEstimate.omega_many`).
 
     Each draw reweights the residuals by independent signs w_i and records
     the grid supremum of the restudentized process. The redrawn variance
@@ -505,20 +484,11 @@ def band_bootstrap(
     (chunk, n) arrays of one-byte bits plus O(n width + G K_j) floats. The
     band depends only on the seed and the number of draws, not on the block
     size.
-
-    ``_weight_hook(rng, shape)`` replaces the weight sampler in tests (e.g.
-    all-ones reduces the statistic to a deterministic direct evaluation).
-    That route keeps the per-observation oracle: the (G, n) scores, Omega
-    from them, and each draw restudentized one row at a time
-    (:func:`_rowwise`).
     """
-    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed, j)
+    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
     rng = np.random.default_rng(seed)
-    if _weight_hook is None:
-        _, omega = _band_root(fit, var, gamma)
-        stat = _sign_stat(fit, var, gamma / np.sqrt(omega)[:, None], rng)
-    else:
-        omega, stat = _hook_stat(fit, var, gamma, rng, _weight_hook)
+    _, omega = _band_root(fit, var, gamma)
+    stat = _sign_stat(fit, var, gamma / np.sqrt(omega)[:, None], rng)
     sups = _draw_sups(draws, stat)
     return _band_result(grid, est, omega, fit.n, sups, alpha, "bootstrap")
 
@@ -543,21 +513,3 @@ def _sign_stat(fit, var, M, rng):
 
     return stat
 
-
-def _hook_stat(fit, var, gamma, rng, hook):
-    # the per-observation route for test weights; see band_bootstrap
-    n = fit.n
-    scores = var.scores(gamma)
-    omega = var.omega_from_scores(scores)
-    _check_grid_omega(omega)
-    sq_scores = scores**2 * (var.wre2 / n)
-    scores *= fit.residuals(var.j) / np.sqrt(n)
-
-    def stat(c):
-        w = np.asarray(hook(rng, (c, n)), dtype=float)
-        om_star = _rowwise(w**2, sq_scores)
-        if np.any(om_star <= 0):
-            raise NonPositiveVariance("bootstrap variance not positive")
-        return _rowwise(w, scores) / np.sqrt(om_star)
-
-    return omega, stat

@@ -269,8 +269,9 @@ def imse_components(fit, var, grid=None, q=None):
     weighting used by the selectors); a grid argument switches to uniform
     weighting over the given points. The rows and the lead come from the
     fit's row bundle at the points, which at the sample with q = 0 holds the
-    fit's own design and lead. ``var`` must be the j = 0 variance.
+    fit's own design and lead. ``var`` must be the j = 0 variance of ``fit``.
     """
+    inference.check_variance(fit, var)
     if var.j != 0:
         raise ConfigError(f"IMSE components need the j = 0 variance, got j = {var.j}")
     pts = fit.X if grid is None else grid

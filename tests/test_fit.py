@@ -31,7 +31,7 @@ from lspart.fit import (
     stack_designs,
 )
 from lspart.harness import RunConfig, run_fit
-from lspart.inference import HCKind, sigma_hat
+from lspart.inference import HCKind, pointwise_ci, sigma_hat
 from lspart.partition import KnotRule, TensorPartition
 from lspart.tuning import dpi_select, rot_select
 
@@ -668,6 +668,31 @@ class TestRowBundle:
         gamma[:] = 0.0
         assert_allclose(fit.gamma_many(pts, j=0) @ fit.rhs_for(0),
                         fit.estimate_many(pts, j=0), atol=1e-10)
+
+
+class TestOwnSample:
+    def test_caller_arrays_changed_after_the_fit(self):
+        # the fit keeps read-only copies: changing X and y in place moves
+        # neither its residuals nor anything built from them later
+        rng = np.random.default_rng(12)
+        X = rng.random((400, 2))
+        y = np.sin(3 * X[:, 0]) * X[:, 1] + 0.3 * rng.standard_normal(400)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 3)
+        kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
+        fit = fit_estimator(kind, X, y)
+        ref = fit_estimator(kind, X.copy(), y.copy())
+        X[:] = X[::-1]
+        y += 1.0
+        pts = np.array([[0.3, 0.6], [0.7, 0.2]])
+        for j in (0, 2, 3):
+            var, var_ref = sigma_hat(fit, j), sigma_hat(ref, j)
+            assert np.array_equal(fit.residuals(j), ref.residuals(j))
+            assert np.array_equal(var.sigma_mat, var_ref.sigma_mat)
+            assert np.array_equal(fit.estimate_many(pts, j=j), ref.estimate_many(pts, j=j))
+            got, want = pointwise_ci(fit, var, pts), pointwise_ci(ref, var_ref, pts)
+            assert np.array_equal(got.estimates, want.estimates)
+            assert np.array_equal(got.se, want.se)
+        assert not (fit.X.flags.writeable or fit.y.flags.writeable)
 
 
 class TestNonFiniteResponse:

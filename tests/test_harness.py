@@ -426,7 +426,7 @@ class TestRunSimulation:
                 ci_hi=np.full_like(real.estimates, np.inf),
             )
 
-        monkeypatch.setattr(harness, "_CI_HOOK", infinite_ci)
+        monkeypatch.setattr(harness, "pointwise_ci", infinite_ci)
         rows, _ = run_simulation(_sim_cfg(replications=3))
         for r in rows:
             assert_allclose(r["cr"], 1.0)

@@ -22,10 +22,8 @@ from lspart.fit import EstimatorKind, fit_estimator
 from lspart.inference import (
     _DRAW_CHUNK,
     HCKind,
-    VarianceEstimate,
     _exact_product,
     _exact_rows,
-    _sign_bits,
     _sup_quantile,
     band_bootstrap,
     band_plugin,
@@ -36,6 +34,7 @@ from lspart.inference import (
     sigma_hat,
 )
 from lspart.partition import KnotRule, TensorPartition
+from lspart.tuning import imse_components
 
 
 @pytest.fixture(scope="module")
@@ -156,16 +155,33 @@ class TestPointwise:
             with pytest.raises(ConfigError):
                 pointwise_ci(fit_1d, var, [[0.5]], alpha=bad)
 
-    def test_j_mismatch(self, fit_1d):
-        var = sigma_hat(fit_1d, 0)
-        for j in (1, 2):
-            with pytest.raises(ConfigError):
-                pointwise_ci(fit_1d, var, [[0.5]], j=j)
-
     def test_t_stat(self, fit_1d):
         var = sigma_hat(fit_1d, 0)
         res = pointwise_ci(fit_1d, var, [[0.5]])
         assert res.t_stat(res.estimates[0]) == pytest.approx(0.0)
+
+
+class TestForeignVariance:
+    """A variance estimate is read only with the fit it was estimated from."""
+
+    @pytest.mark.parametrize("call", ["pointwise", "plugin", "bootstrap", "imse"])
+    @pytest.mark.parametrize("kappa", [5, 8], ids=["same-K", "other-K"])
+    def test_rejected(self, fit_1d, kappa, call):
+        rng = np.random.default_rng(43)
+        X = rng.random((300, 1))
+        y = np.cos(2 * X[:, 0]) + 0.3 * rng.standard_normal(300)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], kappa)
+        other = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
+        var = sigma_hat(other, 0)
+        grid = make_grid([[0.0, 1.0]], 20)
+        run = {
+            "pointwise": lambda: pointwise_ci(fit_1d, var, [[0.5]]),
+            "plugin": lambda: band_plugin(fit_1d, var, grid, draws=150),
+            "bootstrap": lambda: band_bootstrap(fit_1d, var, grid, draws=150),
+            "imse": lambda: imse_components(fit_1d, var),
+        }[call]
+        with pytest.raises(ConfigError, match="another fit"):
+            run()
 
 
 class TestMakeGrid:
@@ -243,38 +259,16 @@ class TestBands:
         assert a.quantile == b.quantile
         assert a.method == "bootstrap"
 
-    def test_bootstrap_hook_reproduces_default(self, fit_1d):
-        # an explicit Rademacher hook consumes the same stream, and its
-        # recomputed bootstrap variance collapses to omega since w^2 = 1
-        var = sigma_hat(fit_1d, 0)
-        grid = make_grid([[0.0, 1.0]], 30)
-        base = band_bootstrap(fit_1d, var, grid, seed=7, draws=250)
-        hook = band_bootstrap(
-            fit_1d,
-            var,
-            grid,
-            seed=7,
-            draws=250,
-            _weight_hook=lambda rng, shape: _sign_bits(rng, shape) * 2.0 - 1.0,
-        )
-        # the hook route is the unrounded formula: the gap is the rounding's
-        _, _, bound, _ = _unchunked_sign_sups(fit_1d, var, grid, 7, 250)
-        assert hook.quantile == pytest.approx(base.quantile, rel=0, abs=bound)
-        assert_allclose(hook.half_widths, base.half_widths, rtol=bound / base.quantile)
-
-    def test_bootstrap_unit_weights_collapse(self, fit_1d):
-        # w = 1 rebuilds the original residuals; LS orthogonality then
+    def test_bootstrap_unit_weights_collapse(self, monkeypatch, fit_1d):
+        # all signs +1 rebuild the original residuals; LS orthogonality then
         # zeroes every numerator and the band degenerates
         var = sigma_hat(fit_1d, 0)
         grid = make_grid([[0.0, 1.0]], 30)
-        band = band_bootstrap(
-            fit_1d,
-            var,
-            grid,
-            seed=0,
-            draws=150,
-            _weight_hook=lambda rng, shape: np.ones(shape),
+        monkeypatch.setattr(
+            "lspart.inference._sign_bits",
+            lambda rng, shape: np.ones(shape, dtype=np.uint8),
         )
+        band = band_bootstrap(fit_1d, var, grid, seed=0, draws=150)
         assert band.quantile < 1e-8
 
     def test_plugin_vs_bootstrap_agree_roughly(self, fit_1d):
@@ -343,14 +337,6 @@ class TestBands:
         with pytest.warns(RuntimeWarning, match="spacing"):
             band_plugin(fit, var, make_grid([[0.0, 1.0]], 5), draws=150)
 
-    def test_j_mismatch(self, fit_1d):
-        var = sigma_hat(fit_1d, 0)
-        grid = make_grid([[0.0, 1.0]], 10)
-        with pytest.raises(ConfigError):
-            band_plugin(fit_1d, var, grid, j=2, draws=150)
-        with pytest.raises(ConfigError):
-            band_bootstrap(fit_1d, var, grid, j=2, draws=150)
-
 
 def _fit_nd(d, family=BasisFamily.BSPLINE, n=None, kappa=None, seed=0):
     n = n or {1: 300, 2: 800}[d]
@@ -371,22 +357,23 @@ class TestPluginRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("score route called")
 
-        monkeypatch.setattr(VarianceEstimate, "scores", refuse)
-        monkeypatch.setattr(VarianceEstimate, "omega_from_scores", refuse)
         monkeypatch.setattr(SparseRows, "rows_times", refuse)
         grid = make_grid([[0.0, 1.0]] * 2, 8)
         for j in (0, 1, 2, 3):
             band = band_plugin(fit, sigma_hat(fit, j), grid, seed=1, draws=200)
             assert np.all(band.half_widths > 0)
 
+    @pytest.mark.parametrize("band_fn", [band_plugin, band_bootstrap],
+                             ids=["plugin", "bootstrap"])
     @pytest.mark.parametrize("j", [0, 1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
-    def test_half_widths_match_dense_omega(self, family, d, j):
+    def test_half_widths_match_dense_omega(self, family, d, j, band_fn):
+        # both bands take Omega from the one root of Sigma (_band_root)
         fit = _fit_nd(d, family)
         var = sigma_hat(fit, j)
         grid = make_grid([[0.0, 1.0]] * d, 30 if d == 1 else 8)
-        band = band_plugin(fit, var, grid, seed=2, draws=200)
+        band = band_fn(fit, var, grid, seed=2, draws=200)
         gamma = fit.gamma_many(grid, None, j)
         ref = band.quantile * np.sqrt(quadratic_form(gamma, var.sigma_mat) / fit.n)
         assert_allclose(band.half_widths, ref, rtol=1e-10)
@@ -475,23 +462,11 @@ def _unchunked_sign_sups(fit, var, grid, seed, draws):
     L, R = T * 2.0 ** (5 - e), M * 2.0 ** (e - 5)
     exact = np.max(np.abs(_round_left(L) @ _round_right(R).T), axis=1)
     # the unrounded formula: scores studentized by their own Omega
-    scores = var.scores(gamma)
+    scores = gamma @ var.design.dense().T
     S = scores * (fit.residuals(var.j) / np.sqrt(n))
-    S /= np.sqrt(var.omega_from_scores(scores))[:, None]
+    S /= np.sqrt((scores**2) @ var.wre2 / n)[:, None]
     plain = np.max(np.abs(W @ S.T), axis=1)
     return exact, plain, _rounding_bound(L, R, np.max(plain)), omega
-
-
-def _unchunked_hook_sups(fit, var, grid, seed, draws, hook):
-    # the hook route's statistic, all draws' weights in one (B, n) stream
-    n = fit.n
-    scores = var.scores(fit.gamma_many(grid, None, var.j))
-    omega = var.omega_from_scores(scores)
-    S = scores * (fit.residuals(var.j) / np.sqrt(n))
-    W = hook(np.random.default_rng(seed), (draws, n))
-    sq = scores**2 * (var.wre2 / n)
-    sups = [np.max(np.abs(S @ w) / np.sqrt(sq @ w**2)) for w in W]
-    return np.array(sups), omega
 
 
 def _unchunked_plugin_sups(fit, var, grid, seed, draws):
@@ -503,10 +478,6 @@ def _unchunked_plugin_sups(fit, var, grid, seed, draws):
     exact = np.max(np.abs(_round_left(Z) @ _round_right(M).T), axis=1)
     plain = np.array([np.max(np.abs(M @ z)) for z in Z])
     return exact, plain, _rounding_bound(Z, M, np.max(plain)), omega
-
-
-def _gaussian_hook(rng, shape):
-    return rng.standard_normal(shape)
 
 
 class TestDrawStream:
@@ -545,12 +516,8 @@ class TestDrawStream:
         assert made == [((4, j),), (5,)]
 
     @pytest.mark.parametrize("chunk", [7, 10_000])
-    @pytest.mark.parametrize(
-        "method, hook",
-        [("bootstrap", None), ("bootstrap", _gaussian_hook), ("plugin", None)],
-        ids=["rademacher", "gaussian", "plugin"],
-    )
-    def test_band_does_not_depend_on_block_size(self, monkeypatch, method, hook, chunk):
+    @pytest.mark.parametrize("method", ["rademacher", "plugin"])
+    def test_band_does_not_depend_on_block_size(self, monkeypatch, method, chunk):
         # n odd puts the rows of a block at every alignment; at this size a
         # plain GEMM rounds a 7-row block's rows unlike a full block's
         fit = _fit_nd(2, n=801, kappa=4, seed=3)
@@ -561,9 +528,7 @@ class TestDrawStream:
         def band():
             if method == "plugin":
                 return band_plugin(fit, var, grid, seed=(2, 8), draws=draws)
-            return band_bootstrap(
-                fit, var, grid, seed=(2, 8), draws=draws, _weight_hook=hook
-            )
+            return band_bootstrap(fit, var, grid, seed=(2, 8), draws=draws)
 
         base = band()
         monkeypatch.setattr("lspart.inference._DRAW_CHUNK", chunk)
@@ -573,20 +538,15 @@ class TestDrawStream:
 
 
 class TestBootstrapChunks:
-    @pytest.mark.parametrize("hook", [None, _gaussian_hook], ids=["rademacher", "gaussian"])
-    def test_matches_unchunked_formula(self, fit_1d, hook):
+    @pytest.mark.parametrize("weights", ["rademacher"])  # the only weights
+    def test_matches_unchunked_formula(self, fit_1d, weights):
         draws = 300
         assert draws % _DRAW_CHUNK != 0
         var = sigma_hat(fit_1d, 0)
         grid = make_grid([[0.0, 1.0]], 30)
-        band = band_bootstrap(fit_1d, var, grid, seed=9, draws=draws, _weight_hook=hook)
-        if hook is None:
-            sups, plain, bound, omega = _unchunked_sign_sups(
-                fit_1d, var, grid, 9, draws
-            )
-            assert abs(band.quantile - _sup_quantile(plain, 0.05)) <= bound
-        else:
-            sups, omega = _unchunked_hook_sups(fit_1d, var, grid, 9, draws, hook)
+        band = band_bootstrap(fit_1d, var, grid, seed=9, draws=draws)
+        sups, plain, bound, omega = _unchunked_sign_sups(fit_1d, var, grid, 9, draws)
+        assert abs(band.quantile - _sup_quantile(plain, 0.05)) <= bound
         qhat = _sup_quantile(sups, 0.05)
         assert band.quantile == qhat
         assert np.array_equal(band.half_widths, qhat * np.sqrt(omega / fit_1d.n))
@@ -611,8 +571,6 @@ class TestBootstrapChunks:
         def refuse(*args, **kwargs):
             raise AssertionError("score route called")
 
-        monkeypatch.setattr(VarianceEstimate, "scores", refuse)
-        monkeypatch.setattr(VarianceEstimate, "omega_from_scores", refuse)
         monkeypatch.setattr(SparseRows, "rows_times", refuse)
         grid = make_grid([[0.0, 1.0]] * 2, 8)
         for j in (0, 1, 2, 3):
@@ -642,7 +600,7 @@ class TestBootstrapChunks:
         dense_bytes = gamma.shape[0] * fit.n * 8
         tracemalloc.start()
         try:
-            var.scores(gamma)
+            var.design.rows_times(gamma.T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -657,7 +615,8 @@ class TestBootstrapChunks:
         for a in range(design.width):
             ref += design.values[:, a, None] * mat[design.indices[:, a], :]
         # one product per cell sums in another order: equal up to roundoff
-        assert_allclose(var.scores(gamma), ref.T, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+        assert_allclose(var.design.rows_times(gamma.T), ref, rtol=0,
+                        atol=1e-13 * np.max(np.abs(ref)))
 
 
 def _right_rows(G, K):
