@@ -11,7 +11,22 @@ Families
   support endpoint takes its left limit.
 - Piecewise polynomials of order m: all monomials of total degree < m in
   the cell-local coordinates, discontinuous across cells.
-- Haar: cell indicators (the order-1 case of either family above).
+- Haar: cell indicators, evaluated as the order-1 piecewise polynomial.
+
+Evaluation
+----------
+Both evaluated families are tensor products: column r of a row is
+coef_r * prod_ell table_ell[a_ell] for per-axis tables of per-point factors.
+For piecewise polynomials the tables hold the powers of the cell-local
+coordinate, and coef_r is the falling factorial of the derivative; the row
+is then divided by the cell widths to the derivative orders. For B-splines
+coef_r = 1, and each axis' table holds the m active B-splines (or one
+derivative of them) from one order-raising recursion. It starts from the
+indicator of the point's knot span and raises the order m - 1 times; every
+step spreads each active function over the two functions of the next order
+that it meets, through the knot width w of its support: the first steps with
+the Cox-de Boor weights, the last nu steps (for the nu-th derivative) with
+-1/w and +1/w, and the table is scaled once by (m - 1)!/(m - 1 - nu)!.
 
 Groups
 ------
@@ -61,6 +76,22 @@ def alpha_list(d, m):
     ]
     alphas.sort(key=lambda a: (sum(a), a))
     return alphas
+
+
+def check_deriv(q, d):
+    """Derivative multi-index q for d axes as a tuple of ints; None means zeros.
+
+    A length other than d, or an entry that is negative or not a whole
+    number, is ``UnsupportedDerivative``.
+    """
+    if q is None:
+        return (0,) * d
+    q = tuple(np.atleast_1d(q).tolist())
+    if len(q) != d:
+        raise UnsupportedDerivative(f"derivative tuple has length {len(q)}, expected {d}")
+    if any(v < 0 or v != int(v) for v in q):
+        raise UnsupportedDerivative(f"derivative orders must be whole numbers >= 0, got {q}")
+    return tuple(int(v) for v in q)
 
 
 @dataclass(frozen=True)
@@ -166,6 +197,7 @@ class SparseRows:
             np.matmul(va[s:e].T, vb.take(order[s:e], axis=0), out=blocks[g])
         flat = self.indices[lead][:, :, None] * other.K + other.indices[lead][:, None, :]
         out = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=self.K * other.K)
+        out = out.astype(float, copy=False)  # an empty bincount is integer
         out /= self.n
         return out.reshape(self.K, other.K)
 
@@ -188,7 +220,12 @@ class SparseRows:
         return out
 
     def dense(self):
-        """Materialize the (n, K) design; test and diagnostic use only."""
+        """Materialize the dense (n, K) design.
+
+        At the sample this is a test oracle only: no production route forms
+        an (n, K) array. :meth:`FitResult.gamma_many` densifies its rows at
+        G evaluation points, a (G, K) array the size of the gamma it returns.
+        """
         out = np.zeros((self.n, self.K))
         np.add.at(out, (np.arange(self.n)[:, None], self.indices), self.values)
         return out
@@ -241,34 +278,20 @@ class BasisSpec:
     @property
     def K(self):
         """Total number of basis functions."""
-        kap = self.partition.kappa
         if self.family is BasisFamily.BSPLINE:
-            return int(np.prod([k + self.m - 1 for k in kap]))
-        if self.family is BasisFamily.PP:
-            return self.partition.num_cells * len(alpha_list(self.dim, self.m))
-        return self.partition.num_cells
+            return int(np.prod([k + self.m - 1 for k in self.partition.kappa]))
+        return self.partition.num_cells * len(alpha_list(self.dim, self.m))
 
     @property
     def active_width(self):
         """Functions active at any single point."""
         if self.family is BasisFamily.BSPLINE:
             return self.m**self.dim
-        if self.family is BasisFamily.PP:
-            return len(alpha_list(self.dim, self.m))
-        return 1
+        return len(alpha_list(self.dim, self.m))
 
     def _check_deriv(self, deriv):
-        d = self.dim
-        if deriv is None:
-            return (0,) * d
-        deriv = tuple(int(v) for v in np.atleast_1d(deriv))
-        if len(deriv) != d:
-            raise UnsupportedDerivative(
-                f"derivative tuple has length {len(deriv)}, expected {d}"
-            )
-        if any(v < 0 for v in deriv):
-            raise UnsupportedDerivative("derivative orders must be >= 0")
-        if any(v >= self.m for v in deriv):
+        deriv = check_deriv(deriv, self.dim)
+        if max(deriv) >= self.m:
             raise UnsupportedDerivative(
                 f"derivative {deriv} needs order > {max(deriv)}, basis has m = {self.m}"
             )
@@ -298,140 +321,101 @@ class BasisSpec:
         flat = np.ravel_multi_index(cells.T, self.partition.kappa)
         if self.family is BasisFamily.BSPLINE:
             indices, values = self._eval_bspline(X, cells, deriv)
-        elif self.family is BasisFamily.PP:
-            indices, values = self._eval_pp(X, cells, flat, deriv)
         else:
-            indices, values = flat[:, None], np.ones((X.shape[0], 1))
+            indices, values = self._eval_pp(X, cells, flat, deriv)
         return SparseRows(indices, values, self.K, flat)
 
     # -- family internals ---------------------------------------------------
 
     def _eval_bspline(self, X, cells, deriv):
-        d, m = self.dim, self.m
-        n = X.shape[0]
-        kap = self.partition.kappa
-        sizes = [k + m - 1 for k in kap]
-        vals_per_dim = []
-        for ell in range(d):
-            ext = _extended_knots(self.partition.knots[ell], m)
-            spans = cells[:, ell] + (m - 1)
-            vals_per_dim.append(
-                _bspline_derivs_1d(ext, m, spans, X[:, ell], deriv[ell])
-            )
-        # first active flat index along axis ell is the cell index itself
-        strides = _c_strides(sizes)
-        A = m**d
-        indices = np.empty((n, A), dtype=np.intp)
-        values = np.empty((n, A))
-        for a, offs in enumerate(itertools.product(range(m), repeat=d)):
-            idx = np.zeros(n, dtype=np.intp)
-            val = np.ones(n)
-            for ell in range(d):
-                idx += (cells[:, ell] + offs[ell]) * strides[ell]
-                val *= vals_per_dim[ell][:, offs[ell]]
-            indices[:, a] = idx
-            values[:, a] = val
-        return indices, values
+        # the first active function along axis ell is the cell index itself,
+        # and the flat index is linear in the per-axis ones
+        m = self.m
+        tables = [
+            _bspline_derivs_1d(_extended_knots(k, m), m, cells[:, ell] + (m - 1),
+                               X[:, ell], deriv[ell])
+            for ell, k in enumerate(self.partition.knots)
+        ]
+        offs = np.array(list(itertools.product(range(m), repeat=self.dim)))
+        sizes = [k + m - 1 for k in self.partition.kappa]
+        indices = (np.ravel_multi_index(cells.T, sizes)[:, None]
+                   + np.ravel_multi_index(offs.T, sizes))
+        return indices, _tensor_columns(tables, offs.tolist(), [1] * len(offs))
 
     def _eval_pp(self, X, cells, flat, deriv):
+        # column a is c_a z^(a - deriv) / width^deriv, with the falling
+        # factorial c_a = prod_ell a_ell! / (a_ell - deriv_ell)!; c_a = 0 when
+        # the derivative kills the monomial, whose table row is then moot
         d, m = self.dim, self.m
-        n = X.shape[0]
-        alphas = alpha_list(d, m)
-        J = len(alphas)
+        alphas = np.array(alpha_list(d, m))
         lower, width = self.partition.geometry(cells)
         z = (X - lower) / width
-        indices = flat[:, None] * J + np.arange(J, dtype=np.intp)[None, :]
+        indices = flat[:, None] * len(alphas) + np.arange(len(alphas), dtype=np.intp)
         # power table: zpow[ell, k] = z_ell ** k as running products
-        zpow = np.empty((d, m, n))
+        zpow = np.empty((d, m, X.shape[0]))
         zpow[:, 0] = 1.0
         for k in range(1, m):
             zpow[:, k] = zpow[:, k - 1] * z.T
+        coefs = [math.prod(map(math.perm, a.tolist(), deriv)) for a in alphas]
         scale = np.prod(width ** np.asarray(deriv), axis=1)
-        values = np.zeros((n, J))
-        for rank, a in enumerate(alphas):
-            if any(a[ell] < deriv[ell] for ell in range(d)):
-                continue  # derivative kills this monomial
-            c = math.prod(
-                math.factorial(a[ell]) // math.factorial(a[ell] - deriv[ell])
-                for ell in range(d)
-            )
-            col = np.full(n, float(c))
-            for ell in range(d):
-                col *= zpow[ell, a[ell] - deriv[ell]]
-            values[:, rank] = col / scale
-        return np.ascontiguousarray(indices), values
+        values = _tensor_columns(zpow, np.maximum(alphas - deriv, 0).tolist(), coefs)
+        values /= scale[:, None]
+        return indices, values
 
 
-def _c_strides(sizes):
-    strides = [1] * len(sizes)
-    for ell in range(len(sizes) - 2, -1, -1):
-        strides[ell] = strides[ell + 1] * sizes[ell + 1]
-    return strides
+def _tensor_columns(tables, exps, coefs):
+    """(n, r) array whose column r is coefs[r] * prod_ell tables[ell][exps[r][ell]].
+
+    ``tables[ell]`` holds one row of n per-point factors for each index
+    along axis ell; each product runs left to right, from the coefficient.
+    """
+    n = tables[0].shape[1]
+    out = np.empty((n, len(exps)))
+    for r, (a, c) in enumerate(zip(exps, coefs)):
+        col = np.full(n, float(c))
+        for table, i in zip(tables, a):
+            col *= table[i]
+        out[:, r] = col
+    return out
 
 
 def _extended_knots(knots, m):
     """Open knot vector: boundary knots with multiplicity m."""
-    if m == 1:
-        return knots
     return np.concatenate(
         [np.full(m - 1, knots[0]), knots, np.full(m - 1, knots[-1])]
     )
 
 
 def _bspline_derivs_1d(ext, m, spans, x, nu):
-    """Order-``nu`` derivatives of the m active B-splines at each point.
+    """Order-``nu`` derivatives of the m active B-splines, as an (m, n) table.
 
-    Vectorized knot-triangle recursion (the classical Cox-de Boor derivative
-    algorithm) over all points at once. ``spans`` are indices into ``ext``
-    with ext[s] <= x < ext[s+1] nonempty, which keeps every denominator
-    strictly positive.
+    One order-raising recursion over all points at once. ``spans`` index
+    ``ext`` with ext[s] <= x < ext[s+1] nonempty, and the recursion starts
+    from that span's indicator. Step k raises the order from k to k + 1:
+    each active order-k function i, of knot width
+    w = (t_{i+k} - x) + (x - t_i) > 0, feeds the functions i - 1 and i of
+    order k + 1 with the Cox-de Boor weights (t_{i+k} - x)/w and (x - t_i)/w
+    in the first m - 1 - nu steps, and with -1/w and +1/w in the last nu
+    steps. Those drop the factor k of d/dx B^(k+1) = k (B_i^k/w - ...), so
+    the table is scaled once by (m - 1)!/(m - 1 - nu)!.
 
-    Returns an (n, m) array; column r is basis function ``spans - (m-1) + r``.
+    Row r is basis function ``spans - (m-1) + r``.
     """
-    p = m - 1
     n = x.shape[0]
-    if nu > p:
-        return np.zeros((n, m))
-    left = np.zeros((p + 1, n))
-    right = np.zeros((p + 1, n))
-    ndu = np.zeros((p + 1, p + 1, n))
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = x - ext[spans + 1 - j]
-        right[j] = ext[spans + j] - x
-        saved = np.zeros(n)
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]  # knot difference, > 0
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
-    if nu == 0:
-        return ndu[:, p].T.copy()
-
-    ders = np.zeros((p + 1, n))
-    a = np.zeros((2, p + 1, n))
-    for r in range(p + 1):
-        a.fill(0.0)
-        a[0, 0] = 1.0
-        s1, s2 = 0, 1
-        d = None
-        for k in range(1, nu + 1):
-            d = np.zeros(n)
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d += a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            s1, s2 = s2, s1
-        ders[r] = d
-    factor = float(math.factorial(p) // math.factorial(p - nu))
-    return (ders * factor).T.copy()
+    right = ext[spans + np.arange(1, m)[:, None]] - x  # row j: t_{s+1+j} - x
+    left = x - ext[spans - np.arange(m - 1)[:, None]]  # row j: x - t_{s-j}
+    vals = np.ones((1, n))
+    for k in range(1, m):
+        rk, lk = right[:k], left[k - 1::-1]
+        w = rk + lk
+        new = np.zeros((k + 1, n))
+        if k < m - nu:
+            temp = vals / w
+            new[:-1] += rk * temp
+            new[1:] += lk * temp
+        else:
+            temp = (1.0 / w) * vals
+            new[:-1] -= temp
+            new[1:] += temp
+        vals = new
+    return vals * float(math.perm(m - 1, nu))

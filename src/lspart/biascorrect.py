@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import BasisFamily, SparseRows
+from .basis import BasisFamily, SparseRows, check_deriv
 from .errors import ConfigError, UnsupportedFamily
 
 _MAX_ORDER = 12
@@ -112,8 +112,8 @@ class LeadingErrorModel:
 
     def shape_values(self, u, q, z):
         """shape(u, q, z) for unit-cell points ``z`` of shape (n, d)."""
-        u = tuple(int(v) for v in u)
-        q = (0,) * self.dim if q is None else tuple(int(v) for v in np.atleast_1d(q))
+        u = check_deriv(u, self.dim)
+        q = check_deriv(q, self.dim)
         if sum(u) != self.m:
             raise ConfigError(f"index {u} has total order {sum(u)}, expected {self.m}")
         if self.family is BasisFamily.HAAR and sum(q) > 0:
@@ -136,8 +136,8 @@ class LeadingErrorModel:
 
     def weight_values(self, u, q, z, width):
         """b^(u-q) * shape(u, q, z) with per-point cell widths (n, d)."""
-        u = tuple(int(v) for v in u)
-        q = (0,) * self.dim if q is None else tuple(int(v) for v in np.atleast_1d(q))
+        u = check_deriv(u, self.dim)
+        q = check_deriv(q, self.dim)
         shape = self.shape_values(u, q, z)
         if not np.any(shape):
             return shape

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.linalg
 
 from . import biascorrect
-from .basis import BasisFamily, BasisSpec, SparseRows, shared_groups
+from .basis import BasisFamily, BasisSpec, SparseRows, check_deriv, shared_groups
 from .errors import (
     ConfigError,
     DataError,
@@ -50,6 +50,7 @@ from .errors import (
     RankDeficient,
     UnsupportedFamily,
 )
+from .partition import data_bounds
 
 _PIVOT_REL_TOL = 1e-10
 _EPS = np.finfo(float).eps
@@ -235,7 +236,7 @@ class FitResult:
         self._bundles = {}
 
         self.design_main = self._sample.main
-        self.gram_main = BandedCholesky(gram_banded(self.design_main))
+        self.gram_main = self._factor(self.design_main)
         self.rhs_main = self.design_main.accumulate(self.y) / self.n
         self.beta_main = self.gram_main.solve(self.rhs_main)
         _check_normal_equations(self.gram_main, self.beta_main, self.rhs_main)
@@ -246,7 +247,7 @@ class FitResult:
         self.beta_bc = None
         if kind.bc_spec is not None:
             self.design_bc = self._sample.bc
-            self.gram_bc = BandedCholesky(gram_banded(self.design_bc))
+            self.gram_bc = self._factor(self.design_bc)
             self.rhs_bc = self.design_bc.accumulate(self.y) / self.n
             self.beta_bc = self.gram_bc.solve(self.rhs_bc)
             _check_normal_equations(self.gram_bc, self.beta_bc, self.rhs_bc)
@@ -257,6 +258,15 @@ class FitResult:
         self._leverage = {}
         self._fitted = {}
 
+    def _factor(self, design):
+        """Factor of the Gram of a sample design. When it is singular and a
+        covariate is constant, ``DegenerateData`` names that covariate."""
+        try:
+            return BandedCholesky(gram_banded(design))
+        except RankDeficient:
+            data_bounds(self.X)
+            raise
+
     def at(self, pts, q=None):
         """The :class:`RowBundle` of this fit at ``pts`` and derivative ``q``.
 
@@ -266,9 +276,7 @@ class FitResult:
         takes the cells of a kept one at the same points and another q.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if q is None:
-            q = (0,) * self.kind.main_spec.dim
-        q = tuple(int(v) for v in np.atleast_1d(q))
+        q = check_deriv(q, self.kind.main_spec.dim)
         key = _bundle_key(pts, q)
         if key == self._sample_key:
             return self._sample
@@ -384,12 +392,13 @@ class FitResult:
     def gamma_many(self, pts, q=None, j=0):
         """Evaluation weights gamma_{q,j} at many points, dense (G, K_j).
 
-        gamma_{q,0} is one solve against the order-m Gram, kept in the row
-        bundle for every j that reads it. For j >= 2 the bias-correction
-        block is one solve against the order-mtilde Gram of
-        D_j(pts)' - C_j' gamma_0', with D_j the correction rows from the
-        bundle (ptilde_q for j = 2, R_q for j = 3) and C_j the cross-Gram of
-        p and D_{j,0} at the sample. The estimator identity
+        The right-hand sides are the bundle's rows at the points made dense,
+        (G, K) arrays the size of gamma itself. gamma_{q,0} is one solve
+        against the order-m Gram, kept in the row bundle for every j that
+        reads it. For j >= 2 the bias-correction block is one solve against
+        the order-mtilde Gram of D_j(pts)' - C_j' gamma_0', with D_j the
+        correction rows from the bundle (ptilde_q for j = 2, R_q for j = 3)
+        and C_j the cross-Gram of p and D_{j,0} at the sample. The estimator identity
         ``estimate == gamma_many @ rhs_for(j)`` holds to roundoff and is
         exercised in tests.
         """

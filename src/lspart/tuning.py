@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import biascorrect, inference
-from .basis import BasisFamily, BasisSpec
+from .basis import BasisFamily, BasisSpec, check_deriv
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -82,7 +82,7 @@ def eta_constant(family, m, u1, u2, q=None):
     d = len(u1)
     if len(u2) != d:
         raise ConfigError("index tuples disagree in length")
-    q = (0,) * d if q is None else tuple(int(v) for v in np.atleast_1d(q))
+    q = check_deriv(q, d)
     model = biascorrect.LeadingErrorModel(BasisFamily(family), int(m), d)
     pts, wts = _gauss_nodes(d)
     vals = model.shape_values(u1, q, pts) * model.shape_values(u2, q, pts)
@@ -146,7 +146,7 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     n, d = X.shape
     family = BasisFamily(family)
     m = int(m)
-    q = (0,) * d if q is None else tuple(int(v) for v in np.atleast_1d(q))
+    q = check_deriv(q, d)
     if sum(q) > m - 1:
         raise ConfigError(f"derivative {q} too high for order {m}")
     bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
@@ -215,7 +215,7 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
     n, d = X.shape
     family = BasisFamily(family)
     m = int(m)
-    q = (0,) * d if q is None else tuple(int(v) for v in np.atleast_1d(q))
+    q = check_deriv(q, d)
     bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
     if rot is None:
         rot = rot_select(X, y, family, m, q, bounds=bounds)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import BSpline
 
-from lspart.basis import BasisFamily, BasisSpec, SparseRows, alpha_list
+from lspart.basis import BasisFamily, BasisSpec, SparseRows, alpha_list, check_deriv
 from lspart.errors import ConfigError, UnsupportedDerivative
 from lspart.fit import stack_designs
 from lspart.partition import KnotRule, TensorPartition
@@ -190,29 +190,50 @@ class TestCellKernels:
         assert np.unique(spec.eval_many(X).groups).size == n_cells
 
 
+# uneven by hand, and quantile-rule knots of a skewed sample
+_KNOTS_1D = {
+    "uneven": np.array([0.0, 0.2, 0.55, 0.7, 1.0]),
+    "quantile": TensorPartition.build(
+        KnotRule.QUANTILE, [[0.0, 1.0]], 6,
+        data=np.random.default_rng(0).beta(2.0, 5.0, (400, 1)),
+    ).knots[0],
+}
+
+
 class TestBSpline1d:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_values_match_scipy(self, m):
-        part = _part([[0.0, 0.3, 0.45, 0.8, 1.0]])
-        spec = BasisSpec(BasisFamily.BSPLINE, m, part)
-        rng = np.random.default_rng(m)
-        x = rng.uniform(0.0, 1.0, 300)
+    @pytest.mark.parametrize("knots", sorted(_KNOTS_1D))
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_values_match_scipy(self, m, knots):
+        spec = BasisSpec(BasisFamily.BSPLINE, m, _part([_KNOTS_1D[knots]]))
+        x = np.random.default_rng(m).uniform(0.0, 1.0, 300)
         mine = spec.eval_many(x[:, None]).dense()
         ref = _scipy_design(spec, x)
         assert mine.shape == ref.shape
-        assert_allclose(mine, ref, atol=1e-12)
+        assert_allclose(mine, ref, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("m,nu", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
-    def test_derivatives_match_scipy(self, m, nu):
-        part = _part([[0.0, 0.2, 0.55, 0.7, 1.0]])
-        spec = BasisSpec(BasisFamily.BSPLINE, m, part)
+    @pytest.mark.parametrize("knots", sorted(_KNOTS_1D))
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_values_on_knots_match_scipy(self, m, knots):
+        # interior knots take the right limit, the right endpoint the left one
+        t = _KNOTS_1D[knots]
+        spec = BasisSpec(BasisFamily.BSPLINE, m, _part([t]))
+        mine = spec.eval_many(t[1:, None]).dense()
+        ref = _scipy_design(spec, t[1:])
+        assert_allclose(mine, ref, rtol=0, atol=1e-12)
+        assert_allclose(mine[-1], np.eye(spec.K)[-1], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("knots", sorted(_KNOTS_1D))
+    @pytest.mark.parametrize("m,nu", [(m, nu) for m in range(2, 8) for nu in range(1, m)])
+    def test_derivatives_match_scipy(self, m, nu, knots):
+        t = _KNOTS_1D[knots]
+        spec = BasisSpec(BasisFamily.BSPLINE, m, _part([t]))
         rng = np.random.default_rng(10 * m + nu)
         # keep strictly interior: scipy derivatives are ambiguous at knots
         x = rng.uniform(0.01, 0.99, 200)
-        x = x[np.all(np.abs(x[:, None] - np.array([0.2, 0.55, 0.7])) > 1e-3, axis=1)]
+        x = x[np.all(np.abs(x[:, None] - t[1:-1]) > 1e-3, axis=1)]
         mine = spec.eval_many(x[:, None], deriv=(nu,)).dense()
         ref = _scipy_design(spec, x, nu)
-        assert_allclose(mine, ref, atol=1e-9)
+        assert_allclose(mine, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
     def test_partition_of_unity(self):
         for m in (1, 2, 3, 4):
@@ -348,6 +369,18 @@ class TestHaar:
         with pytest.raises(UnsupportedDerivative):
             spec.eval_many([[0.3]], deriv=(1,))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_rows_are_order1_pp_rows(self, d):
+        part, X = _cell_sample(KnotRule.QUANTILE, d, 3, 100 * d, seed=d)
+        haar = BasisSpec(BasisFamily.HAAR, 1, part)
+        pp = BasisSpec(BasisFamily.PP, 1, part)
+        assert (haar.K, haar.active_width) == (pp.K, pp.active_width)
+        a, b = haar.eval_many(X), pp.eval_many(X)
+        assert a.K == b.K
+        for name in ("indices", "values", "groups"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert getattr(a, name).dtype == getattr(b, name).dtype, name
+
 
 class TestDerivChecks:
     def test_order_too_high(self):
@@ -361,6 +394,21 @@ class TestDerivChecks:
         spec = BasisSpec(BasisFamily.BSPLINE, 2, part)
         with pytest.raises(UnsupportedDerivative):
             spec.eval_many([[0.3, 0.3]], deriv=(1,))
+
+    def test_negative_entry(self):
+        part = TensorPartition.build(KnotRule.EVEN, [[0, 1], [0, 1]], 2)
+        spec = BasisSpec(BasisFamily.PP, 2, part)
+        with pytest.raises(UnsupportedDerivative):
+            spec.eval_many([[0.3, 0.3]], deriv=(-1, 0))
+
+    def test_check_deriv(self):
+        assert check_deriv(None, 3) == (0, 0, 0)
+        assert check_deriv(np.array([2, 0]), 2) == (2, 0)
+        assert check_deriv(1, 1) == (1,)
+        assert check_deriv((1.0, 0), 2) == (1, 0)
+        for bad in ((1,), (0, 0, 0), (0, -1), (0.5, 0)):
+            with pytest.raises(UnsupportedDerivative):
+                check_deriv(bad, 2)
 
 
 class TestOrderingMap:

@@ -21,7 +21,7 @@ from lspart.biascorrect import (
     projected_bias_term_many,
     shifted_legendre,
 )
-from lspart.errors import ConfigError, UnsupportedFamily
+from lspart.errors import ConfigError, UnsupportedDerivative, UnsupportedFamily
 from lspart.fit import EstimatorKind, fit_estimator
 from lspart.partition import KnotRule, TensorPartition
 
@@ -323,3 +323,15 @@ class TestLeadDesign:
                         fit.estimate_many(pts, q, j=3), atol=1e-10)
         assert_allclose(fit.gamma_many(pts, q, j=3), _per_u_gamma3(fit, pts, q),
                         rtol=1e-9, atol=1e-9)
+
+
+class TestDerivativeIndex:
+    @pytest.mark.parametrize("u,q", [((1, 1), (0,)), ((1, 1), (0, 0, 0)),
+                                     ((1, 1), (-1, 0)), ((2,), (0, 0))])
+    def test_shapes_and_weights_reject(self, u, q):
+        model = LeadingErrorModel(BasisFamily.PP, 2, 2)
+        z = np.full((3, 2), 0.25)
+        with pytest.raises(UnsupportedDerivative):
+            model.shape_values(u, q, z)
+        with pytest.raises(UnsupportedDerivative):
+            model.weight_values(u, q, z, np.ones((3, 2)))

@@ -18,8 +18,10 @@ from lspart.cli import main
 from lspart.errors import (
     ConfigError,
     DataError,
+    DegenerateData,
     NumericalError,
     RankDeficient,
+    UnsupportedDerivative,
     UnsupportedFamily,
 )
 from lspart.fit import (
@@ -712,3 +714,52 @@ class TestNonFiniteResponse:
         }[entry]
         with pytest.raises(DataError, match="row 17"):
             call()
+
+
+class TestConstantCovariate:
+    """A covariate constant inside explicit bounds is named, not blamed on kappa."""
+
+    @pytest.mark.parametrize("kappa", [1, 2, 4])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_named(self, family, m, kappa):
+        rng = np.random.default_rng(11)
+        X = np.column_stack([rng.random(300), np.full(300, 0.4)])
+        y = np.sin(3 * X[:, 0]) + 0.3 * rng.standard_normal(300)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, kappa)
+        main = EstimatorKind(BasisSpec(family, m, part))
+        if m == 1 and kappa == 1:
+            # one constant function along the axis: the fit is well posed
+            fit_estimator(main, X, y)
+        else:
+            with pytest.raises(DegenerateData, match="covariate 2 is constant"):
+                fit_estimator(main, X, y)
+        # the order-(m + 1) companion always varies along the axis
+        with pytest.raises(DegenerateData, match="covariate 2 is constant"):
+            fit_estimator(EstimatorKind.default(family, m, part), X, y)
+
+
+class TestDerivativeIndexAt:
+    @pytest.mark.parametrize("q", [(1, 0), (-1,)])
+    def test_rejected(self, q):
+        fit, _, _ = _fit_1d(lambda x: x, m=2)
+        with pytest.raises(UnsupportedDerivative):
+            fit.at([[0.5]], q)
+        with pytest.raises(UnsupportedDerivative):
+            fit.estimate_many([[0.5]], q=q)
+
+
+class TestEmptySampleLead:
+    def test_j3_at_zero_sample_weights(self):
+        # every sample point sits where B_3 vanishes (z = 0, 1/2, 1), so the
+        # sample's lead rows are empty; the j = 3 pieces still come out finite
+        rng = np.random.default_rng(1)
+        X = rng.integers(0, 5, size=(10, 1)) / 4
+        y = np.sin(3 * X[:, 0]) + 0.3 * rng.standard_normal(10)
+        part = TensorPartition.build(KnotRule.QUANTILE, [[0.0, 1.0]], 2, data=X)
+        fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 3, part), X, y)
+        assert fit._sample.lead.width == 0
+        cross = cross_gram(fit.design_main, fit._sample.lead)
+        assert cross.dtype == float and not np.any(cross)
+        res = pointwise_ci(fit, sigma_hat(fit, 3, HCKind.HC0), [[0.25], [0.5], [0.9]])
+        assert np.all(np.isfinite(res.estimates)) and np.all(res.se > 0)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from lspart import dgp
 from lspart.basis import BasisFamily, SparseRows
 from lspart.biascorrect import LeadingErrorModel
-from lspart.errors import ConfigError, DegenerateData
+from lspart.errors import ConfigError, DegenerateData, UnsupportedDerivative
 from lspart.fit import EstimatorKind, FitResult, fit_estimator
 from lspart.inference import make_grid, quadratic_form, sigma_hat
 from lspart.partition import KnotRule, TensorPartition
@@ -384,3 +384,24 @@ class TestImseComponents:
         ref = np.mean(quadratic_form(gamma, var.sigma_mat))
         got = imse_components(fit, var, grid=grid, q=q)["V_hat"]
         assert got == pytest.approx(ref, rel=1e-10)
+
+
+class TestDerivativeIndex:
+    """A derivative index of the wrong length or with a negative entry is
+    ``UnsupportedDerivative`` (exit 2) from every selector entry point."""
+
+    def _sample(self):
+        rng = np.random.default_rng(7)
+        X = rng.random((400, 2))
+        return X, np.sin(3 * X[:, 0]) + X[:, 1] + 0.1 * rng.standard_normal(400)
+
+    @pytest.mark.parametrize("q", [(1,), (0, 0, 0), (-1, 0), (0, -1)])
+    @pytest.mark.parametrize("select", [rot_select, dpi_select])
+    def test_selectors_reject(self, select, q):
+        X, y = self._sample()
+        with pytest.raises(UnsupportedDerivative):
+            select(X, y, BasisFamily.BSPLINE, 2, q=q)
+
+    def test_eta_constant_rejects_short_q(self):
+        with pytest.raises(UnsupportedDerivative):
+            eta_constant("pp", 2, (1, 1), (2, 0), (0,))
