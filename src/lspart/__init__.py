@@ -51,7 +51,6 @@ from .inference import (
     make_grid,
     normal_quantile,
     pointwise_ci,
-    quadratic_form,
     sigma_hat,
 )
 from .partition import KnotRule, TensorPartition, make_knots

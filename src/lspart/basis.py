@@ -282,13 +282,6 @@ class BasisSpec:
             return int(np.prod([k + self.m - 1 for k in self.partition.kappa]))
         return self.partition.num_cells * len(alpha_list(self.dim, self.m))
 
-    @property
-    def active_width(self):
-        """Functions active at any single point."""
-        if self.family is BasisFamily.BSPLINE:
-            return self.m**self.dim
-        return len(alpha_list(self.dim, self.m))
-
     def _check_deriv(self, deriv):
         deriv = check_deriv(deriv, self.dim)
         if max(deriv) >= self.m:

@@ -14,11 +14,11 @@ it is linear in the coefficients:
 
     lead_q(x) = - R_q(x)' beta-tilde,   R_q = sum_u w_{u,q} d^u ptilde,
 
-with w_{u,q} = b^(u-q) * shape(u, q, z). :func:`build_lead_design` builds R_q as
+with w_{u,q} = b^(u-q) * shape(u, q, z). :func:`lead_rows` builds R_q as
 one row-sparse design, once per fit, point set and q, inside the fit's row
 bundle; every use of the lead (the plug-in estimate, the fitted values and
 weights of the j = 3 estimator, the direct-plug-in partition-size selector)
-reads it there.
+reads it there, as ``fit.at(pts, q).lead``.
 """
 
 from __future__ import annotations
@@ -91,10 +91,6 @@ class LeadingErrorModel:
     m: int
     dim: int
 
-    @classmethod
-    def for_spec(cls, spec):
-        return cls(spec.family, spec.m, spec.dim)
-
     @property
     def lambda_set(self):
         if self.family is BasisFamily.BSPLINE:
@@ -146,7 +142,7 @@ class LeadingErrorModel:
         return shape * np.prod(width**expo, axis=1)
 
 
-def build_lead_design(kind, pts, cells, q=None):
+def lead_rows(kind, pts, cells, q=None):
     """R_q at many points: sum_u w_{u,q}(x) d^u ptilde(x) as one SparseRows.
 
     ``cells`` are the points located on the main partition, which both bases
@@ -159,8 +155,9 @@ def build_lead_design(kind, pts, cells, q=None):
     products are 0. The row bundle of a fit (:meth:`FitResult.at`) calls
     this once per point set and q; everything else reads it there.
     """
-    model = LeadingErrorModel.for_spec(kind.main_spec)
-    part = kind.main_spec.partition
+    main = kind.main_spec
+    model = LeadingErrorModel(main.family, main.m, main.dim)
+    part = main.partition
     lower, width = part.geometry(cells)
     z = (pts - lower) / width
     rows, values = None, 0.0
@@ -177,22 +174,19 @@ def build_lead_design(kind, pts, cells, q=None):
     return SparseRows(rows.indices, values, K, rows.groups)
 
 
-def lead_design(fit, pts, q=None):
-    """R_q at many points, from the fit's row bundle (:func:`build_lead_design`)."""
-    return fit.at(pts, q).lead
-
-
 def leading_bias_many(fit, pts, q=None):
     """Plug-in leading error of the order-m fit at many points, (G,).
 
-    -R_q(pts)' beta-tilde through :func:`lead_design`.
+    -R_q(pts)' beta-tilde, with R_q the lead rows of the fit's row bundle
+    (:func:`lead_rows`).
     """
-    return -lead_design(fit, pts, q).row_dot(fit.beta_bc)
+    return -fit.at(pts, q).lead.row_dot(fit.beta_bc)
 
 
 def projected_bias_term_many(fit, pts, q=None):
     """gamma_{q,0}(pts)' E_n[p(x_i) leadhat_{m,0}(x_i)], vectorized (G,).
 
-    The order-m rows p_q at ``pts`` come from the fit's row bundle.
+    The order-m rows p_q at ``pts`` come from the fit's row bundle, and the
+    coefficients of the projection are -c_3 (:meth:`FitResult.proj_coef`).
     """
-    return fit.at(pts, q).main.row_dot(fit.proj_coef_bias())
+    return fit.at(pts, q).main.row_dot(-fit.proj_coef(3))

@@ -13,13 +13,13 @@ every j is a different read of the same factored objects:
   c_j = Q^-1 E_n[p (D_{j,0}' beta-tilde)] is their own sample projection.
   D_2 is the order-mtilde basis ptilde_q (a least-squares correction
   through the j = 1 fit); D_3 is the plug-in lead rows R_q from
-  :func:`~lspart.biascorrect.build_lead_design`, so D_3' beta-tilde is
-  minus the plug-in estimate of the leading error.
+  :func:`~lspart.biascorrect.lead_rows`, so D_3' beta-tilde is minus the
+  plug-in estimate of the leading error.
 
 Every read at a point set goes through one row bundle per (point set, q)
-(:class:`RowBundle`, from :meth:`FitResult.at`). It locates the points once
-on the partition that both bases share and builds, each at most once and
-only when first read, the main rows p_q, the bias-correction rows ptilde_q,
+(:class:`RowBundle`, from :meth:`FitResult.at`). It locates its points on
+the partition that both bases share and builds, each at most once and only
+when first read, the main rows p_q, the bias-correction rows ptilde_q,
 the plug-in lead rows R_q and gamma_{q,0}. At the sample with q = 0 the
 bundle holds the fit's own designs. ``estimate_many``, ``gamma_many``, the
 plug-in lead and its projection, the selectors' IMSE components and both
@@ -175,18 +175,16 @@ class RowBundle:
     Each piece is built on first read and at most once: ``cells`` (the
     points located on the main partition, which both bases share), ``main``
     (p_q), ``bc`` (ptilde_q), ``lead`` (R_q, from
-    :func:`~lspart.biascorrect.build_lead_design`) and ``gamma0``
+    :func:`~lspart.biascorrect.lead_rows`) and ``gamma0``
     (gamma_{q,0}, dense (G, K), set by :meth:`FitResult.gamma_many`). Build
     one through :meth:`FitResult.at`.
     """
 
-    def __init__(self, kind, pts, q, cells=None):
+    def __init__(self, kind, pts, q):
         self.kind = kind
         self.pts = pts
         self.q = q
         self.gamma0 = None
-        if cells is not None:
-            self.cells = cells
 
     @cached_property
     def cells(self):
@@ -202,7 +200,7 @@ class RowBundle:
 
     @cached_property
     def lead(self):
-        return biascorrect.build_lead_design(self.kind, self.pts, self.cells, self.q)
+        return biascorrect.lead_rows(self.kind, self.pts, self.cells, self.q)
 
 
 def _bundle_key(pts, q):
@@ -272,8 +270,7 @@ class FitResult:
 
         Keyed by q and the shape and bytes of the points. The sample at
         q = 0 is always the fit's own bundle; other point sets are kept up
-        to :data:`_BUNDLE_CAPACITY`, the oldest dropped first. A new bundle
-        takes the cells of a kept one at the same points and another q.
+        to :data:`_BUNDLE_CAPACITY`, the oldest dropped first.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         q = check_deriv(q, self.kind.main_spec.dim)
@@ -282,15 +279,9 @@ class FitResult:
             return self._sample
         bundle = self._bundles.get(key)
         if bundle is None:
-            cells = None
-            for other_key, other in ((self._sample_key, self._sample),
-                                     *self._bundles.items()):
-                if other_key[1:] == key[1:]:
-                    cells = other.cells
-                    break
             if len(self._bundles) >= _BUNDLE_CAPACITY:
                 del self._bundles[next(iter(self._bundles))]
-            bundle = RowBundle(self.kind, pts.copy(), q, cells)
+            bundle = RowBundle(self.kind, pts.copy(), q)
             self._bundles[key] = bundle
         return bundle
 
@@ -310,27 +301,15 @@ class FitResult:
             self._cross[j] = cross_gram(self.design_main, rows)
         return self._cross[j]
 
-    def _proj_coef(self, j):
-        # c_j with p(x)'c_j = gamma_0(x)' E_n[p D_{j,0}' beta-tilde]: the
-        # correction's own sample projection
+    def proj_coef(self, j):
+        """c_j, (K,): the main-basis coefficients of the correction's own
+        sample projection, p(x)'c_j = gamma_0(x)' E_n[p D_{j,0}' beta-tilde].
+        -c_3 projects the plug-in leading error."""
         if j not in self._coef:
             corr = self._correction(j, self._sample).row_dot(self.beta_bc)
             t = self.design_main.accumulate(corr) / self.n
             self._coef[j] = self.gram_main.solve(t)
         return self._coef[j]
-
-    @property
-    def cross_gram(self):
-        """Q between the main and bias bases, dense (K, Ktilde)."""
-        return self._cross_for(2)
-
-    def leading_error_at_data(self):
-        """B-hat_{m,0}(x_i): plug-in leading error at the sample, (n,)."""
-        return -self._sample.lead.row_dot(self.beta_bc)
-
-    def proj_coef_bias(self):
-        """Coefficients c with p(x)'c = gamma_0(x)' E_n[p leadhat_{m,0}]."""
-        return -self._proj_coef(3)
 
     # -- per-kind reads -----------------------------------------------------
 
@@ -366,7 +345,7 @@ class FitResult:
         if j == 1:
             return bundle.bc.row_dot(self.beta_bc)
         return bundle.main.row_dot(
-            self.beta_main - self._proj_coef(j)
+            self.beta_main - self.proj_coef(j)
         ) + self._correction(j, bundle).row_dot(self.beta_bc)
 
     def fitted(self, j):
@@ -433,9 +412,8 @@ class FitResult:
                 factor = self.gram_main if key == 0 else self.gram_bc
                 ginv = factor.solve(np.eye(factor.K))
             else:
-                ginv = _stacked_ginv(
-                    self.gram_main, self.gram_bc, self.cross_gram, self.kind.null_dim
-                )
+                ginv = _stacked_ginv(self.gram_main, self.gram_bc,
+                                     self._cross_for(2), self.kind.null_dim)
             self._leverage[key] = self.design_for(key).quadratic_forms(ginv) / self.n
         return self._leverage[key]
 

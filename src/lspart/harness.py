@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import dgp
-from .basis import BasisFamily, BasisSpec
+from .basis import BasisFamily, BasisSpec, check_deriv
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -142,9 +142,7 @@ class RunConfig:
                 raise InvalidGrid(f"grid needs >= 2 points per axis, got {cfg.grid_size}")
 
         if cfg.q is not None:
-            cfg.q = tuple(int(v) for v in np.atleast_1d(cfg.q))
-            if any(v < 0 for v in cfg.q):
-                raise ConfigError(f"derivative orders must be >= 0, got {cfg.q}")
+            cfg.q = check_deriv(cfg.q, len(np.atleast_1d(cfg.q)))
         if cfg.eval_points is not None:
             pts = np.atleast_2d(np.asarray(cfg.eval_points, dtype=float))
             cfg.eval_points = tuple(tuple(float(v) for v in row) for row in pts)
@@ -175,14 +173,6 @@ def _m_tilde(cfg):
     if max(cfg.j_set) < 1:
         return None
     return cfg.m + 1 if cfg.m_tilde is None else cfg.m_tilde
-
-
-def _resolve_q(cfg, d):
-    """The derivative order of a run: ``cfg.q``, zeros by default, of length d."""
-    q = cfg.q if cfg.q is not None else (0,) * d
-    if len(q) != d:
-        raise ConfigError(f"q has {len(q)} entries for {d} covariates")
-    return q
 
 
 def read_data(path):
@@ -250,7 +240,7 @@ def _effective_cap(cfg, d):
 
 
 def _select_kappa(cfg, X, y, d, bounds):
-    q = _resolve_q(cfg, d)
+    q = check_deriv(cfg.q, d)
     info = {"rule": None, "requested": cfg.kappa, "kappa": None,
             "kappa_rot": None, "kappa_dpi": None, "rot_fallback": False,
             "cap": None, "capped": False}
@@ -330,7 +320,7 @@ def run_fit(config):
         raise ConfigError("run_fit needs a fit-mode config")
     X, y = read_data(cfg.data_path)
     n, d = X.shape
-    q = _resolve_q(cfg, d)
+    q = check_deriv(cfg.q, d)
     bounds = data_bounds(X)
 
     kappa, selection = _select_kappa(cfg, X, y, d, bounds)
@@ -538,7 +528,7 @@ def run_simulation(config):
     if cfg.mode != "simulate":
         raise ConfigError("run_simulation needs a simulate-mode config")
     d = dgp.dgp_dim(cfg.model_id)
-    q = _resolve_q(cfg, d)
+    q = check_deriv(cfg.q, d)
 
     pts = (
         np.asarray(cfg.eval_points, dtype=float)

@@ -140,9 +140,6 @@ class VarianceEstimate:
             )
         return omega
 
-    def omega(self, x, q=None):
-        return float(self.omega_many(np.atleast_2d(x), q)[0])
-
 
 def sigma_hat(fit, j, hc=HCKind.HC0):
     """Build the variance pieces for kind ``j``; see VarianceEstimate."""
@@ -171,10 +168,6 @@ class PointwiseResult:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     alpha: float
-
-    def t_stat(self, reference=0.0):
-        """Studentized distance from a reference value (array-broadcast)."""
-        return (self.estimates - reference) / self.se
 
 
 def pointwise_ci(fit, var, pts, q=None, alpha=0.05):

@@ -158,10 +158,6 @@ class TensorPartition:
     def num_cells(self):
         return int(np.prod(self.kappa))
 
-    @property
-    def bounds(self):
-        return np.array([[k[0], k[-1]] for k in self.knots])
-
     def locate(self, X):
         """Map points to per-axis cell indices.
 

@@ -41,15 +41,13 @@ _VAR_FLOOR = 1e-8
 
 @dataclass(frozen=True)
 class TuningReport:
-    """Outcome of a selector run."""
+    """Outcome of a selector run: both sizes and the kappa-free constants of
+    the closed form that chose the selected one."""
 
     kappa_rot: int
     kappa_dpi: int | None
     bias_constant: float
     variance_constant: float
-    eta_table: dict
-    prelim_degree: int
-    n: int
     rot_fallback: bool = False
 
     def selected(self):
@@ -77,25 +75,14 @@ def eta_constant(family, m, u1, u2, q=None):
     degree at most 2m per axis, so the value is exact for every admissible
     order.
     """
-    u1 = tuple(int(v) for v in np.atleast_1d(u1))
-    u2 = tuple(int(v) for v in np.atleast_1d(u2))
-    d = len(u1)
-    if len(u2) != d:
-        raise ConfigError("index tuples disagree in length")
+    d = len(np.atleast_1d(u1))
+    u1 = check_deriv(u1, d)
+    u2 = check_deriv(u2, d)
     q = check_deriv(q, d)
     model = biascorrect.LeadingErrorModel(BasisFamily(family), int(m), d)
     pts, wts = _gauss_nodes(d)
     vals = model.shape_values(u1, q, pts) * model.shape_values(u2, q, pts)
     return float(np.sum(wts * vals))
-
-
-def _eta_table(family, m, d, q):
-    model = biascorrect.LeadingErrorModel(BasisFamily(family), int(m), d)
-    lam = model.lambda_set
-    table = {}
-    for u1, u2 in itertools.product(lam, lam):
-        table[(u1, u2, tuple(q))] = eta_constant(family, m, u1, u2, q)
-    return table
 
 
 def _kappa_ceil(base):
@@ -169,12 +156,11 @@ def rot_select(X, y, family, m, q=None, bounds=None):
 
     model = biascorrect.LeadingErrorModel(family, m, d)
     lam = model.lambda_set
-    q0 = (0,) * d
-    eta = _eta_table(family, m, d, q0)
     derivs = {u: spec.eval_many(X, u, cells).row_dot(coef[:, 0]) for u in lam}
     bias_sum = 0.0
     for u1, u2 in itertools.product(lam, lam):
-        bias_sum += eta[(u1, u2, q0)] * float(np.mean(derivs[u1] * derivs[u2]))
+        eta = eta_constant(family, m, u1, u2)
+        bias_sum += eta * float(np.mean(derivs[u1] * derivs[u2]))
 
     sig2 = np.clip(y2 - mu**2, _VAR_FLOOR, None)
     J = 1 if family is BasisFamily.BSPLINE else math.comb(d + m - 1, m - 1)
@@ -188,9 +174,6 @@ def rot_select(X, y, family, m, q=None, bounds=None):
         kappa_dpi=None,
         bias_constant=float(bias_sum),
         variance_constant=v_hat,
-        eta_table=eta,
-        prelim_degree=degree,
-        n=n,
     )
 
 
@@ -232,9 +215,6 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
             kappa_dpi=kr,
             bias_constant=rot.bias_constant,
             variance_constant=rot.variance_constant,
-            eta_table=rot.eta_table,
-            prelim_degree=m + 1,
-            n=n,
             rot_fallback=True,
         )
 
@@ -251,9 +231,6 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
         kappa_dpi=_imse_kappa(bias_constant, variance_constant, m, d, qo, n),
         bias_constant=bias_constant,
         variance_constant=variance_constant,
-        eta_table=rot.eta_table,
-        prelim_degree=m + 1,
-        n=n,
     )
 
 

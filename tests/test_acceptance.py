@@ -280,7 +280,7 @@ def test_criterion_6_variance_consistency():
             EstimatorKind(BasisSpec(BasisFamily.BSPLINE, 2, part)), X, y
         )
         mu[rep] = fit.estimate([0.5], j=0)
-        om[rep] = sigma_hat(fit, 0, HCKind.HC0).omega([0.5])
+        om[rep] = sigma_hat(fit, 0, HCKind.HC0).omega_many([[0.5]])[0]
     mc_var = float(np.var(mu, ddof=1))
     mean_pred = float(np.mean(om)) / n
     ratio = mean_pred / mc_var

@@ -290,7 +290,7 @@ class TestBSplineTensor:
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1], [0, 1]], [3, 5])
         spec = BasisSpec(BasisFamily.BSPLINE, 4, part)
         assert spec.K == (3 + 3) * (5 + 3)
-        assert spec.active_width == 16
+        assert spec.eval_many([[0.3, 0.6]]).width == 4**2 == 16
 
 
 class TestPiecewisePoly:
@@ -320,7 +320,7 @@ class TestPiecewisePoly:
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1], [0, 1]], 3)
         spec = BasisSpec(BasisFamily.PP, 2, part)
         assert spec.K == 9 * 3
-        assert spec.active_width == 3
+        assert spec.eval_many([[0.3, 0.6]]).width == len(alpha_list(2, 2)) == 3
 
     @pytest.mark.parametrize("m", range(1, 8))
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -374,8 +374,8 @@ class TestHaar:
         part, X = _cell_sample(KnotRule.QUANTILE, d, 3, 100 * d, seed=d)
         haar = BasisSpec(BasisFamily.HAAR, 1, part)
         pp = BasisSpec(BasisFamily.PP, 1, part)
-        assert (haar.K, haar.active_width) == (pp.K, pp.active_width)
         a, b = haar.eval_many(X), pp.eval_many(X)
+        assert (haar.K, a.width) == (pp.K, b.width) == (3**d, len(alpha_list(d, 1)))
         assert a.K == b.K
         for name in ("indices", "values", "groups"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name

@@ -16,7 +16,7 @@ from lspart.basis import BasisFamily, BasisSpec
 from lspart.biascorrect import (
     LeadingErrorModel,
     bernoulli_poly,
-    lead_design,
+    lead_rows,
     leading_bias_many,
     projected_bias_term_many,
     shifted_legendre,
@@ -249,8 +249,10 @@ class TestLeadingBias:
 
     def test_plugin_matches_sample_cache(self):
         fit = _quadratic_fit(3)
+        cells = fit.kind.main_spec.partition.locate(fit.X)
+        fresh = lead_rows(fit.kind, fit.X, cells)
         assert_allclose(
-            fit.leading_error_at_data(),
+            -fresh.row_dot(fit.beta_bc),
             leading_bias_many(fit, fit.X),
             atol=1e-12,
         )
@@ -267,8 +269,9 @@ def _lead_fit(family, d, m=2, seed=0):
 
 def _per_u_terms(fit, pts, q):
     """[(w_u, dense d^u ptilde rows)] for u in Lambda_m, one loop per u."""
-    model = LeadingErrorModel.for_spec(fit.kind.main_spec)
-    part = fit.kind.main_spec.partition
+    main = fit.kind.main_spec
+    model = LeadingErrorModel(main.family, main.m, main.dim)
+    part = main.partition
     lower, width = part.geometry(part.locate(pts))
     z = (pts - lower) / width
     return [
@@ -302,12 +305,12 @@ class TestLeadDesign:
         terms = _per_u_terms(fit, pts, q)
         lead = -sum(w_u * (Du @ fit.beta_bc) for w_u, Du in terms)
         R = sum(w_u[:, None] * Du for w_u, Du in terms)
-        assert_allclose(lead_design(fit, pts, q).dense(), R, atol=1e-12)
+        assert_allclose(fit.at(pts, q).lead.dense(), R, atol=1e-12)
         assert_allclose(leading_bias_many(fit, pts, q), lead, rtol=1e-12, atol=1e-13)
         assert_allclose(fit.gamma_many(pts, q, j=3), _per_u_gamma3(fit, pts, q),
                         rtol=1e-9, atol=1e-9)
         sample = _per_u_terms(fit, fit.X, (0,) * d)
-        assert_allclose(fit.leading_error_at_data(),
+        assert_allclose(leading_bias_many(fit, fit.X),
                         -sum(w * (Du @ fit.beta_bc) for w, Du in sample),
                         rtol=1e-12, atol=1e-13)
 
@@ -317,7 +320,7 @@ class TestLeadDesign:
         fit = _lead_fit(BasisFamily.BSPLINE, 2, m=3)
         q = (1, 1)
         pts = np.random.default_rng(5).random((9, 2))
-        assert lead_design(fit, pts, q).width == 0
+        assert fit.at(pts, q).lead.width == 0
         assert np.array_equal(leading_bias_many(fit, pts, q), np.zeros(9))
         assert_allclose(fit.gamma_many(pts, q, j=3) @ fit.rhs_for(3),
                         fit.estimate_many(pts, q, j=3), atol=1e-10)

@@ -58,7 +58,7 @@ class TestGram:
         fit, X, y = _fit_1d(np.sin, kappa=5, m=2)
         Da = fit.design_main.dense()
         Db = fit.design_bc.dense()
-        assert_allclose(fit.cross_gram, Da.T @ Db / fit.n, atol=1e-13)
+        assert_allclose(fit._cross_for(2), Da.T @ Db / fit.n, atol=1e-13)
 
     def test_weighted_gram(self):
         fit, X, y = _fit_1d(np.cos, kappa=3, m=2)
@@ -454,7 +454,7 @@ class TestLeverageRoute:
         # one too few leaves a roundoff eigenvalue kept; one too many drops
         # a real one, which at coarse kappa is far above sqrt(eps)
         fit = _fit_nd(1, m=3)
-        args = (fit.gram_main, fit.gram_bc, fit.cross_gram)
+        args = (fit.gram_main, fit.gram_bc, fit._cross_for(2))
         _stacked_ginv(*args, fit.kind.null_dim)
         with pytest.raises(NumericalError):
             _stacked_ginv(*args, fit.kind.null_dim + shift)
@@ -650,18 +650,6 @@ class TestRowBundle:
         assert bundle.main is fit.design_main
         assert bundle.bc is fit.design_bc
         assert np.array_equal(fit.estimate_many(fit.X, j=3), fit.fitted(3))
-
-    def test_other_q_shares_cells(self, monkeypatch):
-        fit = _fit_nd(2)
-        pts = np.random.default_rng(4).random((6, 2))
-        fit.estimate_many(pts, j=2)
-        calls = []
-        locate = TensorPartition.locate
-        monkeypatch.setattr(TensorPartition, "locate",
-                            lambda self, X: calls.append(1) or locate(self, X))
-        fit.estimate_many(pts, q=(1, 0), j=2)
-        assert calls == []
-        assert fit.at(pts, (1, 0)).cells is fit.at(pts).cells
 
     def test_gamma_is_a_fresh_array(self):
         fit = _fit_nd(1)

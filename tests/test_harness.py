@@ -17,6 +17,7 @@ from lspart.errors import (
     InvalidKappa,
     NumericalError,
     ParseError,
+    UnsupportedDerivative,
     UnsupportedFamily,
 )
 from lspart.harness import (
@@ -114,6 +115,14 @@ class TestRunConfig:
     def test_negative_q(self):
         with pytest.raises(ConfigError):
             RunConfig(mode="fit", data_path="x.csv", q=(-1,)).validated()
+
+    @pytest.mark.parametrize("run", [run_fit, run_simulation])
+    def test_fractional_q(self, data_file, run):
+        # not truncated to q = (0,)
+        cfg = RunConfig(mode="fit" if run is run_fit else "simulate",
+                        data_path=str(data_file), model_id=1, n=100, kappa=3, q=(0.5,))
+        with pytest.raises(UnsupportedDerivative):
+            run(cfg)
 
     def test_jobs(self):
         with pytest.raises(ConfigError):

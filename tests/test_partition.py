@@ -64,7 +64,7 @@ class TestTensorPartition:
         assert part.dim == 2
         assert part.kappa == (2, 4)
         assert part.num_cells == 8
-        assert_allclose(part.bounds, [[0, 1], [0, 2]])
+        assert_allclose([[k[0], k[-1]] for k in part.knots], [[0, 1], [0, 2]])
 
     def test_locate_interior(self):
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1]], 4)

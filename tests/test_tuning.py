@@ -1,5 +1,6 @@
 """Selector constants and the two partition-size rules."""
 
+import dataclasses
 import itertools
 import math
 
@@ -97,10 +98,11 @@ class TestRot:
         assert rep.kappa_rot >= 1
         assert rep.kappa_dpi is None
         assert rep.selected() == rep.kappa_rot
-        assert rep.prelim_degree == 6
-        assert rep.n == 600
+        assert rep.bias_constant >= 0
         assert rep.variance_constant > 0
-        assert ((2,), (2,), (0,)) in rep.eta_table
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "kappa_rot", "kappa_dpi", "bias_constant", "variance_constant",
+            "rot_fallback"]
 
     def test_linear_truth_gives_one_cell(self):
         rng = np.random.default_rng(2)
@@ -209,7 +211,7 @@ class TestRotOracle:
 
         q0 = (0,) * d
         bias = sum(
-            rep.eta_table[(u1, u2, q0)] * np.mean(ref[u1] * ref[u2])
+            eta_constant(family, m, u1, u2) * np.mean(ref[u1] * ref[u2])
             for u1, u2 in itertools.product(lam, lam)
         )
         sig2 = _monomial_fit(X, y**2, m + 4, bounds)(q0) - mu(q0) ** 2
@@ -258,9 +260,6 @@ class TestDpi:
             kappa_dpi=None,
             bias_constant=1.0,
             variance_constant=1.0,
-            eta_table={},
-            prelim_degree=6,
-            n=30,
         )
         rep = dpi_select(X, y, BasisFamily.BSPLINE, 2, rot=fake)
         assert rep.rot_fallback is True
@@ -308,13 +307,13 @@ class TestDpi:
         X, y = _curve_sample(900, seed=43)
         want = dpi_select(X, y, BasisFamily.BSPLINE, 2)
         seen = []
-        lead_design = biascorrect.lead_design
+        build = biascorrect.lead_rows
 
-        def counting(fit, pts, q=None):
+        def counting(kind, pts, cells, q=None):
             seen.append(pts.shape)
-            return lead_design(fit, pts, q)
+            return build(kind, pts, cells, q)
 
-        monkeypatch.setattr(biascorrect, "lead_design", counting)
+        monkeypatch.setattr(biascorrect, "lead_rows", counting)
         got = dpi_select(X, y, BasisFamily.BSPLINE, 2)
         assert seen == [X.shape]
         assert got.bias_constant == want.bias_constant
@@ -405,3 +404,9 @@ class TestDerivativeIndex:
     def test_eta_constant_rejects_short_q(self):
         with pytest.raises(UnsupportedDerivative):
             eta_constant("pp", 2, (1, 1), (2, 0), (0,))
+
+    @pytest.mark.parametrize("u1,u2", [((2.5,), (2,)), ((2,), (2.5,))])
+    def test_eta_constant_rejects_fractional_index(self, u1, u2):
+        # not truncated to the value for (2,)
+        with pytest.raises(UnsupportedDerivative):
+            eta_constant("bspline", 2, u1, u2)
