@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedDerivative
+from .errors import ConfigError, UnsupportedDerivative, check_choice, check_whole
 from .partition import TensorPartition
 
 
@@ -86,12 +86,10 @@ def check_deriv(q, d):
     """
     if q is None:
         return (0,) * d
-    q = tuple(np.atleast_1d(q).tolist())
+    q = np.atleast_1d(q).tolist()
     if len(q) != d:
         raise UnsupportedDerivative(f"derivative tuple has length {len(q)}, expected {d}")
-    if any(v < 0 or v != int(v) for v in q):
-        raise UnsupportedDerivative(f"derivative orders must be whole numbers >= 0, got {q}")
-    return tuple(int(v) for v in q)
+    return tuple(check_whole(v, "derivative order", 0, UnsupportedDerivative) for v in q)
 
 
 @dataclass(frozen=True)
@@ -265,9 +263,8 @@ class BasisSpec:
     partition: TensorPartition
 
     def __post_init__(self):
-        if int(self.m) < 1:
-            raise ConfigError(f"order must be >= 1, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "family", check_choice(BasisFamily, self.family))
+        object.__setattr__(self, "m", check_whole(self.m, "order", 1))
         if self.family is BasisFamily.HAAR and self.m != 1:
             raise ConfigError("Haar basis is order 1 only")
 

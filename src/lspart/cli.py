@@ -6,15 +6,12 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, check_whole
 from .harness import RunConfig, metrics_csv, run_fit, run_simulation
 
 
 def _ints_csv(text, what):
-    try:
-        return tuple(int(t) for t in text.split(",") if t.strip() != "")
-    except ValueError as exc:
-        raise ConfigError(f"could not parse {what} {text!r}: {exc}") from exc
+    return tuple(check_whole(t, what, 0) for t in text.split(",") if t.strip() != "")
 
 
 def _points(text):
@@ -32,28 +29,27 @@ def _points(text):
 
 def _add_common(p):
     p.add_argument("--family", default="bspline", choices=["bspline", "pp", "haar"])
-    p.add_argument("--m", type=int, default=2, help="basis order")
-    p.add_argument("--m-tilde", type=int, default=None, dest="m_tilde",
+    p.add_argument("--m", default=2, help="basis order")
+    p.add_argument("--m-tilde", default=None, dest="m_tilde",
                    help="bias-correction order (default m+1)")
     p.add_argument("--kappa", default="rot",
                    help="cells per axis: a positive integer, 'rot', or 'dpi'")
-    p.add_argument("--kappa-max", type=int, default=None, dest="kappa_max",
+    p.add_argument("--kappa-max", default=None, dest="kappa_max",
                    help="cap on selected kappa (default 5 when d=3)")
     p.add_argument("--q", default=None,
                    help="derivative orders, comma separated, one per covariate")
     p.add_argument("--j", default="0,1,2,3",
                    help="estimators to report, comma separated subset of 0,1,2,3")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", default=0.05)
     p.add_argument("--band", default=None, choices=["plugin", "bootstrap"])
-    p.add_argument("--B", type=int, default=1000, help="band draws")
-    p.add_argument("--grid", type=int, default=None, help="band grid points per axis")
+    p.add_argument("--B", default=1000, help="band draws")
+    p.add_argument("--grid", default=None, help="band grid points per axis")
     p.add_argument("--hc", default="hc0", choices=["hc0", "hc1", "hc2", "hc3"])
     p.add_argument("--knots", default="even", choices=["even", "quantile"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.add_argument("--eval-points", default=None, dest="eval_points",
                    help="points like '0.25;0.5;0.75' (coordinates comma separated)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel replication workers")
+    p.add_argument("--jobs", default=1, help="parallel replication workers")
     p.add_argument("--out", default=None, help="output file path")
 
 
@@ -68,9 +64,9 @@ def build_parser():
     fit.add_argument("--data", required=True, help="CSV file with header x1,...,xd,y")
     _add_common(fit)
     sim = sub.add_parser("simulate", help="Monte Carlo study over built-in models")
-    sim.add_argument("--model", type=int, required=True, help="model id 1..7")
-    sim.add_argument("--n", type=int, required=True, help="sample size")
-    sim.add_argument("--reps", type=int, default=1, help="replications")
+    sim.add_argument("--model", required=True, help="model id 1..7")
+    sim.add_argument("--n", required=True, help="sample size")
+    sim.add_argument("--reps", default=1, help="replications")
     _add_common(sim)
     return ap
 

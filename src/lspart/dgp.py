@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidModel
+from .errors import InvalidModel, check_whole
 
 
 def _phi(t):
@@ -66,21 +66,22 @@ _MODELS = {
 }
 
 
+def _model(model_id):
+    """(covariate dimension, regression function) of a model id."""
+    mid = check_whole(model_id, "model id", 1, InvalidModel)
+    if mid not in _MODELS:
+        raise InvalidModel(f"model id must be 1..7, got {model_id!r}")
+    return _MODELS[mid]
+
+
 def dgp_dim(model_id):
     """Covariate dimension of a model."""
-    try:
-        mid = int(model_id)
-        if mid != float(model_id):  # no silent truncation of 2.5 to 2
-            raise ValueError
-        return _MODELS[mid][0]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidModel(f"model id must be 1..7, got {model_id!r}") from exc
+    return _model(model_id)[0]
 
 
 def dgp_eval(model_id, x):
     """Regression function of ``model_id`` at points ``x`` ((n, d) or (d,))."""
-    d = dgp_dim(model_id)
-    fn = _MODELS[int(model_id)][1]
+    d, fn = _model(model_id)
     X = np.atleast_2d(np.asarray(x, dtype=float))
     if X.shape[1] != d:
         raise InvalidModel(
@@ -96,9 +97,7 @@ def dgp_sample(model_id, n, seed):
     replications pass (master_seed, rep_index) so streams never collide.
     """
     d = dgp_dim(model_id)
-    n = int(n)
-    if n < 1:
-        raise InvalidModel(f"need n >= 1, got {n}")
+    n = check_whole(n, "n", 1, InvalidModel)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     X = rng.random((n, d))
     y = dgp_eval(model_id, X) + rng.standard_normal(n)

@@ -1,8 +1,13 @@
-"""Exception hierarchy.
+"""Exception hierarchy and the one check of each kind of scalar input.
 
 Three branches matter for the CLI exit-code mapping: configuration problems
-(exit 2), data problems (exit 3), and numerical failures (exit 4).
+(exit 2), data problems (exit 3), and numerical failures (exit 4). Every
+integer, choice and level from outside goes through :func:`check_whole`,
+:func:`check_choice` or :func:`check_level`, which raise a typed error.
 """
+
+import math
+import numbers
 
 
 class LspartError(Exception):
@@ -67,3 +72,47 @@ class NonPositiveVariance(NumericalError):
 
 class NegativeVarianceEstimate(NumericalError):
     """Tuning variance constant came out nonpositive."""
+
+
+def check_whole(value, what, minimum, error=ConfigError):
+    """``value`` as an int of at least ``minimum``, else ``error``: an int, a
+    whole-valued float or a string of either (digits parse as an int, so large
+    integers stay exact). A fraction, a bool or a non-number is an error."""
+    v = value
+    if isinstance(v, str):
+        try:
+            v = int(v) if v.strip().lstrip("+-").isdigit() else float(v)
+        except ValueError:
+            pass
+    whole = isinstance(v, numbers.Integral) or (
+        isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer()
+    )
+    if isinstance(v, bool) or not whole:
+        raise error(f"{what} must be a whole number, got {value!r}")
+    v = int(v)
+    if v < minimum:
+        raise error(f"{what} must be >= {minimum}, got {v}")
+    return v
+
+
+def check_choice(enum_cls, value):
+    """The member of ``enum_cls`` that is ``value`` or has it as its value
+    string (in any case), else ``ConfigError`` naming the choices."""
+    if isinstance(value, enum_cls):
+        return value
+    try:
+        return enum_cls(str(value).lower())
+    except ValueError as exc:
+        names = ", ".join(e.value for e in enum_cls)
+        raise ConfigError(f"expected one of {names}, got {value!r}") from exc
+
+
+def check_level(alpha):
+    """``alpha`` as a float in the open interval (0, 1), else ``ConfigError``."""
+    try:
+        a = float(alpha)
+    except (TypeError, ValueError):
+        a = math.nan
+    if not 0.0 < a < 1.0:
+        raise ConfigError(f"alpha must be in (0, 1), got {alpha!r}")
+    return a

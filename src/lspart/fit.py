@@ -49,6 +49,7 @@ from .errors import (
     NumericalError,
     RankDeficient,
     UnsupportedFamily,
+    check_whole,
 )
 from .partition import data_bounds
 
@@ -148,8 +149,8 @@ class EstimatorKind:
         return main.m**main.dim if main.family is BasisFamily.BSPLINE else main.K
 
     def require_j(self, j):
-        j = int(j)
-        if j not in (0, 1, 2, 3):
+        j = check_whole(j, "estimator kind j", 0)
+        if j > 3:
             raise ConfigError(f"estimator kind j must be 0..3, got {j}")
         if j >= 1 and self.bc_spec is None:
             raise ConfigError(f"j = {j} needs a bias-correction basis")
@@ -234,21 +235,11 @@ class FitResult:
         self._bundles = {}
 
         self.design_main = self._sample.main
-        self.gram_main = self._factor(self.design_main)
-        self.rhs_main = self.design_main.accumulate(self.y) / self.n
-        self.beta_main = self.gram_main.solve(self.rhs_main)
-        _check_normal_equations(self.gram_main, self.beta_main, self.rhs_main)
-
-        self.design_bc = None
-        self.gram_bc = None
-        self.rhs_bc = None
-        self.beta_bc = None
+        self.gram_main, self.rhs_main, self.beta_main = self._solve(self.design_main)
+        self.design_bc = self.gram_bc = self.rhs_bc = self.beta_bc = None
         if kind.bc_spec is not None:
             self.design_bc = self._sample.bc
-            self.gram_bc = self._factor(self.design_bc)
-            self.rhs_bc = self.design_bc.accumulate(self.y) / self.n
-            self.beta_bc = self.gram_bc.solve(self.rhs_bc)
-            _check_normal_equations(self.gram_bc, self.beta_bc, self.rhs_bc)
+            self.gram_bc, self.rhs_bc, self.beta_bc = self._solve(self.design_bc)
 
         self._cross = {}
         self._coef = {}
@@ -256,14 +247,18 @@ class FitResult:
         self._leverage = {}
         self._fitted = {}
 
-    def _factor(self, design):
-        """Factor of the Gram of a sample design. When it is singular and a
-        covariate is constant, ``DegenerateData`` names that covariate."""
+    def _solve(self, design):
+        """(Gram factor, E_n[p y], coefficients) of a sample design. A singular
+        Gram with a constant covariate is ``DegenerateData`` naming it."""
         try:
-            return BandedCholesky(gram_banded(design))
+            gram = BandedCholesky(gram_banded(design))
         except RankDeficient:
             data_bounds(self.X)
             raise
+        rhs = design.accumulate(self.y) / self.n
+        beta = gram.solve(rhs)
+        _check_normal_equations(gram, beta, rhs)
+        return gram, rhs, beta
 
     def at(self, pts, q=None):
         """The :class:`RowBundle` of this fit at ``pts`` and derivative ``q``.

@@ -1,5 +1,10 @@
 """Run drivers: configuration, CSV ingestion, single fits, Monte Carlo loops.
 
+``RunConfig.validated`` checks each option once. A fit and a simulation
+replication share one pass, :func:`_fit_and_infer`: select kappa, fit, then
+per j the variance, pointwise intervals and band, at the q resolved once per
+run. A ``ConfigError`` in a replication ends the study, as it ends a fit.
+
 JSON reports nest all wall-clock information under the single volatile
 "timestamp" key, so dropping that key leaves a byte-comparable document.
 Simulation replications draw their data from streams keyed (master_seed, rep)
@@ -26,12 +31,16 @@ from . import dgp
 from .basis import BasisFamily, BasisSpec, check_deriv
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateData,
     InvalidGrid,
     InvalidKappa,
-    LspartError,
+    InvalidModel,
     NumericalError,
     ParseError,
+    check_choice,
+    check_level,
+    check_whole,
 )
 from .fit import EstimatorKind, fit_estimator
 from .inference import (
@@ -48,16 +57,6 @@ from .tuning import dpi_select, rot_select
 SCHEMA = "lspart/1"
 
 _EVAL_FRACTIONS = (0.25, 0.5, 0.75)
-
-
-def _coerce(enum_cls, value):
-    if isinstance(value, enum_cls):
-        return value
-    try:
-        return enum_cls(str(value).lower())
-    except ValueError as exc:
-        names = ", ".join(e.value for e in enum_cls)
-        raise ConfigError(f"expected one of {names}, got {value!r}") from exc
 
 
 @dataclass
@@ -91,43 +90,28 @@ class RunConfig:
         cfg = replace(self)
         if cfg.mode not in ("fit", "simulate"):
             raise ConfigError(f"mode must be fit or simulate, got {cfg.mode!r}")
-        cfg.family = _coerce(BasisFamily, cfg.family)
-        cfg.knot_rule = _coerce(KnotRule, cfg.knot_rule)
-        cfg.hc_kind = _coerce(HCKind, cfg.hc_kind)
+        cfg.family = check_choice(BasisFamily, cfg.family)
+        cfg.knot_rule = check_choice(KnotRule, cfg.knot_rule)
+        cfg.hc_kind = check_choice(HCKind, cfg.hc_kind)
 
-        cfg.m = int(cfg.m)
-        if cfg.m < 1:
-            raise ConfigError(f"m must be >= 1, got {cfg.m}")
+        cfg.m = check_whole(cfg.m, "m", 1)
         if cfg.m_tilde is not None:
-            cfg.m_tilde = int(cfg.m_tilde)
+            cfg.m_tilde = check_whole(cfg.m_tilde, "m_tilde", 1)
 
-        cfg.j_set = tuple(sorted({int(j) for j in cfg.j_set}))
-        if not cfg.j_set or any(j not in (0, 1, 2, 3) for j in cfg.j_set):
+        js = cfg.j_set if np.iterable(cfg.j_set) else (cfg.j_set,)
+        cfg.j_set = tuple(sorted({check_whole(j, "estimator kind j", 0) for j in js}))
+        if not cfg.j_set or max(cfg.j_set) > 3:
             raise ConfigError(f"j_set must be a nonempty subset of 0..3, got {cfg.j_set}")
         mt = _m_tilde(cfg)
         if mt is not None and mt <= cfg.m:
             raise ConfigError(f"m_tilde {mt} must exceed m {cfg.m}")
 
-        if isinstance(cfg.kappa, str):
-            if cfg.kappa not in ("rot", "dpi"):
-                try:
-                    cfg.kappa = int(cfg.kappa)
-                except ValueError as exc:
-                    raise InvalidKappa(
-                        f"kappa must be a positive integer, 'rot', or 'dpi'; got {cfg.kappa!r}"
-                    ) from exc
-        if isinstance(cfg.kappa, (int, np.integer)):
-            cfg.kappa = int(cfg.kappa)
-            if cfg.kappa < 1:
-                raise InvalidKappa(f"kappa must be >= 1, got {cfg.kappa}")
+        if cfg.kappa not in ("rot", "dpi"):
+            cfg.kappa = check_whole(cfg.kappa, "kappa", 1, InvalidKappa)
         if cfg.kappa_max is not None:
-            cfg.kappa_max = int(cfg.kappa_max)
-            if cfg.kappa_max < 1:
-                raise InvalidKappa(f"kappa cap must be >= 1, got {cfg.kappa_max}")
+            cfg.kappa_max = check_whole(cfg.kappa_max, "kappa cap", 1, InvalidKappa)
 
-        if not 0.0 < float(cfg.alpha) < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {cfg.alpha}")
-        cfg.alpha = float(cfg.alpha)
+        cfg.alpha = check_level(cfg.alpha)
 
         if cfg.band_method is not None:
             cfg.band_method = str(cfg.band_method).lower()
@@ -135,11 +119,9 @@ class RunConfig:
                 raise ConfigError(
                     f"band method must be plugin or bootstrap, got {cfg.band_method!r}"
                 )
-            cfg.B = int(cfg.B)
+            cfg.B = check_whole(cfg.B, "B", 100)  # the bands' minimum of draws
         if cfg.grid_size is not None:
-            cfg.grid_size = int(cfg.grid_size)
-            if cfg.grid_size < 2:
-                raise InvalidGrid(f"grid needs >= 2 points per axis, got {cfg.grid_size}")
+            cfg.grid_size = check_whole(cfg.grid_size, "grid size", 2, InvalidGrid)
 
         if cfg.q is not None:
             cfg.q = check_deriv(cfg.q, len(np.atleast_1d(cfg.q)))
@@ -147,24 +129,17 @@ class RunConfig:
             pts = np.atleast_2d(np.asarray(cfg.eval_points, dtype=float))
             cfg.eval_points = tuple(tuple(float(v) for v in row) for row in pts)
 
-        cfg.seed = int(cfg.seed)
-        if cfg.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-        cfg.jobs = int(cfg.jobs)
-        if cfg.jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
+        cfg.seed = check_whole(cfg.seed, "seed", 0)
+        cfg.jobs = check_whole(cfg.jobs, "jobs", 1)
 
         if cfg.mode == "fit":
             if not cfg.data_path:
                 raise ConfigError("fit mode needs a data file")
         else:
+            cfg.model_id = check_whole(cfg.model_id, "model id", 1, InvalidModel)
             dgp.dgp_dim(cfg.model_id)
-            if cfg.n is None or int(cfg.n) < 1:
-                raise ConfigError(f"simulate mode needs n >= 1, got {cfg.n}")
-            cfg.n = int(cfg.n)
-            cfg.replications = int(cfg.replications)
-            if cfg.replications < 1:
-                raise ConfigError(f"need at least 1 replication, got {cfg.replications}")
+            cfg.n = check_whole(cfg.n, "n", 1)
+            cfg.replications = check_whole(cfg.replications, "replications", 1)
         return cfg
 
 
@@ -239,8 +214,7 @@ def _effective_cap(cfg, d):
     return 5 if d == 3 else None
 
 
-def _select_kappa(cfg, X, y, d, bounds):
-    q = check_deriv(cfg.q, d)
+def _select_kappa(cfg, X, y, q, bounds):
     info = {"rule": None, "requested": cfg.kappa, "kappa": None,
             "kappa_rot": None, "kappa_dpi": None, "rot_fallback": False,
             "cap": None, "capped": False}
@@ -263,31 +237,49 @@ def _select_kappa(cfg, X, y, d, bounds):
             rot_fallback=rep.rot_fallback,
         )
         selected = rep.selected()
-    cap = _effective_cap(cfg, d)
+    cap = _effective_cap(cfg, len(q))
     if cap is not None:
         info["cap"] = cap
         if selected > cap:
             info["capped"] = True
             selected = cap
-    info["kappa"] = int(selected)
-    return int(selected), info
+    info["kappa"] = selected
+    return selected, info
 
 
-def _default_eval_points(bounds):
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    return np.stack([lo + f * (hi - lo) for f in _EVAL_FRACTIONS], axis=0)
+def _eval_points(cfg, bounds):
+    """The configured evaluation points, else the quartiles of each axis."""
+    if cfg.eval_points is None:
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        return np.stack([lo + f * (hi - lo) for f in _EVAL_FRACTIONS], axis=0)
+    pts = np.asarray(cfg.eval_points, dtype=float)
+    d = bounds.shape[0]
+    if pts.shape[1] != d:
+        raise ConfigError(f"eval points have {pts.shape[1]} coordinates, need {d}")
+    return pts
 
 
-def _build_fit(cfg, X, y, bounds, kappa):
+def _fit_and_infer(cfg, X, y, bounds, q, pts, band_seed):
+    """Select kappa and fit; per j, ``sigma_hat``, ``pointwise_ci`` at ``pts``
+    and the requested band, seeded ``band_seed(j)``, on the grid. Returns
+    (fit, selection, grid, per_j), per_j[j] = (pointwise, band or None)."""
+    kappa, selection = _select_kappa(cfg, X, y, q, bounds)
     part = TensorPartition.build(cfg.knot_rule, bounds, kappa, data=X)
     kind = EstimatorKind(BasisSpec(cfg.family, cfg.m, part), _m_tilde(cfg))
     for j in cfg.j_set:
         kind.require_j(j)
-    return fit_estimator(kind, X, y)
-
-
-def _band_fn(cfg):
-    return band_plugin if cfg.band_method == "plugin" else band_bootstrap
+    fit = fit_estimator(kind, X, y)
+    grid = make_grid(bounds, cfg.grid_size) if cfg.band_method else None
+    band_fn = band_plugin if cfg.band_method == "plugin" else band_bootstrap
+    per_j = {}
+    for j in cfg.j_set:
+        var = sigma_hat(fit, j, cfg.hc_kind)
+        pw = pointwise_ci(fit, var, pts, q, cfg.alpha)
+        band = None
+        if cfg.band_method:
+            band = band_fn(fit, var, grid, q, cfg.alpha, cfg.B, seed=band_seed(j))
+        per_j[j] = (pw, band)
+    return fit, selection, grid, per_j
 
 
 def _pyify(obj):
@@ -322,34 +314,21 @@ def run_fit(config):
     n, d = X.shape
     q = check_deriv(cfg.q, d)
     bounds = data_bounds(X)
-
-    kappa, selection = _select_kappa(cfg, X, y, d, bounds)
-    fit = _build_fit(cfg, X, y, bounds, kappa)
+    pts = _eval_points(cfg, bounds)
+    fit, selection, grid, per_j = _fit_and_infer(
+        cfg, X, y, bounds, q, pts, lambda j: (cfg.seed, j)
+    )
     part = fit.kind.main_spec.partition
-
-    if cfg.eval_points is not None:
-        pts = np.asarray(cfg.eval_points, dtype=float)
-        if pts.shape[1] != d:
-            raise ConfigError(f"eval points have {pts.shape[1]} coordinates, need {d}")
-    else:
-        pts = _default_eval_points(bounds)
-
     estimates = {}
     bands = {}
-    grid = make_grid(bounds, cfg.grid_size) if cfg.band_method else None
-    for j in cfg.j_set:
-        var = sigma_hat(fit, j, cfg.hc_kind)
-        pw = pointwise_ci(fit, var, pts, q, cfg.alpha)
+    for j, (pw, band) in per_j.items():
         estimates[f"j{j}"] = {
             "estimate": pw.estimates,
             "se": pw.se,
             "ci_lo": pw.ci_lo,
             "ci_hi": pw.ci_hi,
         }
-        if cfg.band_method:
-            band = _band_fn(cfg)(
-                fit, var, grid, q, cfg.alpha, cfg.B, seed=(cfg.seed, j)
-            )
+        if band is not None:
             bands[f"j{j}"] = {
                 "method": band.method,
                 "draws": band.draws,
@@ -396,37 +375,32 @@ def _simulate_rep(args):
     """One replication; returns (rep, error message or None, metrics or None).
 
     ``args`` is ``(cfg, rep, q, pts, truth_pts)``: the derivative order, the
-    evaluation points and the truth there are resolved once per study.
+    evaluation points and the truth there are resolved once per study. Only
+    a data or numerical failure fails the replication alone.
     """
     cfg, rep, q, pts, truth_pts = args
     try:
         rng = np.random.default_rng([cfg.seed, rep])
         X, y = dgp.dgp_sample(cfg.model_id, cfg.n, rng)
-        bounds = data_bounds(X)
-        kappa, _ = _select_kappa(cfg, X, y, X.shape[1], bounds)
-        fit = _build_fit(cfg, X, y, bounds, kappa)
-        grid = make_grid(bounds, cfg.grid_size) if cfg.band_method else None
-
-        per_j = {}
-        for j in cfg.j_set:
-            var = sigma_hat(fit, j, cfg.hc_kind)
-            pw = pointwise_ci(fit, var, pts, q, cfg.alpha)
+        _, selection, grid, per_j = _fit_and_infer(
+            cfg, X, y, data_bounds(X), q, pts, lambda j: (cfg.seed, rep, 1 + j)
+        )
+        truth_grid = dgp.dgp_eval(cfg.model_id, grid) if grid is not None else None
+        metrics = {}
+        for j, (pw, band) in per_j.items():
             entry = {
                 "est": np.asarray(pw.estimates, dtype=float),
                 "cover": (pw.ci_lo <= truth_pts) & (truth_pts <= pw.ci_hi),
                 "il": np.asarray(pw.ci_hi - pw.ci_lo, dtype=float),
             }
-            if cfg.band_method:
-                band = _band_fn(cfg)(
-                    fit, var, grid, q, cfg.alpha, cfg.B, seed=(cfg.seed, rep, 1 + j)
-                )
-                cover = band.covers(dgp.dgp_eval(cfg.model_id, grid))
+            if band is not None:
+                cover = band.covers(truth_grid)
                 entry["band_cover"] = cover
                 entry["aw"] = float(np.mean(2.0 * band.half_widths))
                 entry["ucr"] = bool(cover.all())
-            per_j[j] = entry
-        return rep, None, {"kappa": kappa, "per_j": per_j}
-    except (LspartError, np.linalg.LinAlgError) as exc:
+            metrics[j] = entry
+        return rep, None, {"kappa": selection["kappa"], "per_j": metrics}
+    except (DataError, NumericalError, np.linalg.LinAlgError) as exc:
         return rep, f"{type(exc).__name__}: {exc}", None
 
 
@@ -530,13 +504,7 @@ def run_simulation(config):
     d = dgp.dgp_dim(cfg.model_id)
     q = check_deriv(cfg.q, d)
 
-    pts = (
-        np.asarray(cfg.eval_points, dtype=float)
-        if cfg.eval_points is not None
-        else _default_eval_points(np.array([[0.0, 1.0]] * d))
-    )
-    if pts.shape[1] != d:
-        raise ConfigError(f"eval points have {pts.shape[1]} coordinates, need {d}")
+    pts = _eval_points(cfg, np.array([[0.0, 1.0]] * d))
     truth_pts = dgp.dgp_eval(cfg.model_id, pts)
 
     args = [(cfg, rep, q, pts, truth_pts) for rep in range(cfg.replications)]

@@ -58,6 +58,9 @@ from .errors import (
     LeverageOverflow,
     NonPositiveVariance,
     OutOfSupport,
+    check_choice,
+    check_level,
+    check_whole,
 )
 
 _LEVERAGE_TOL = 1e-8
@@ -94,7 +97,7 @@ class VarianceEstimate:
     def __init__(self, fit, j, hc=HCKind.HC0):
         self.fit = fit
         self.j = fit.kind.require_j(j)
-        self.hc = HCKind(hc)
+        self.hc = check_choice(HCKind, hc)
         self.design = fit.design_for(self.j)
         resid = fit.residuals(self.j)
         n = fit.n
@@ -177,8 +180,7 @@ def pointwise_ci(fit, var, pts, q=None, alpha=0.05):
     ``fit``. Raises NonPositiveVariance if any Omega is nonpositive.
     """
     check_variance(fit, var)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    alpha = check_level(alpha)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     est = fit.estimate_many(pts, q, var.j)
     omega = var.omega_many(pts, q)
@@ -229,24 +231,10 @@ def make_grid(bounds, points_per_dim=None):
     d = bounds.shape[0]
     if points_per_dim is None:
         points_per_dim = 100 if d == 1 else 20
-    g = int(points_per_dim)
-    if g < 2:
-        raise InvalidGrid(f"need at least 2 grid points per axis, got {g}")
+    g = check_whole(points_per_dim, "grid points per axis", 2, InvalidGrid)
     axes = [np.linspace(bounds[ell, 0], bounds[ell, 1], g) for ell in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _check_draws(draws):
-    if isinstance(draws, numbers.Integral) or (
-        isinstance(draws, numbers.Real) and float(draws).is_integer()
-    ):
-        draws = int(draws)
-    else:
-        raise ConfigError(f"draws must be an integer, got {draws!r}")
-    if draws < 100:
-        raise ConfigError(f"need at least 100 draws, got {draws}")
-    return draws
 
 
 def _check_seed(seed):
@@ -260,9 +248,8 @@ def _check_seed(seed):
 
 def _prep_band(fit, var, grid, q, alpha, draws, seed):
     check_variance(fit, var)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
-    draws = _check_draws(draws)
+    alpha = check_level(alpha)
+    draws = check_whole(draws, "draws", 100)
     _check_seed(seed)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] < 1:
@@ -274,7 +261,7 @@ def _prep_band(fit, var, grid, q, alpha, draws, seed):
     _warn_grid_spacing(fit.kind.main_spec.partition, grid)
     gamma = fit.gamma_many(grid, q, var.j)
     est = fit.estimate_many(grid, q, var.j)
-    return grid, gamma, est, draws
+    return grid, gamma, est, alpha, draws
 
 
 def _warn_grid_spacing(part, grid):
@@ -437,7 +424,7 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     depends only on the seed and the number of draws, not on the block
     size.
     """
-    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
+    grid, gamma, est, alpha, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
     A, omega = _band_root(fit, var, gamma)
     right = _exact_rows(A / np.sqrt(omega)[:, None])
     rng = np.random.default_rng(seed)
@@ -478,7 +465,7 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     band depends only on the seed and the number of draws, not on the block
     size.
     """
-    grid, gamma, est, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
+    grid, gamma, est, alpha, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
     rng = np.random.default_rng(seed)
     _, omega = _band_root(fit, var, gamma)
     stat = _sign_stat(fit, var, gamma / np.sqrt(omega)[:, None], rng)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateData, InvalidKappa, OutOfSupport
+from .errors import DegenerateData, InvalidKappa, OutOfSupport, check_choice, check_whole
 
 
 class KnotRule(enum.Enum):
@@ -38,8 +38,8 @@ def make_knots(rule, bounds, kappa, data=None):
 
     Parameters
     ----------
-    rule : KnotRule
-        Placement rule. ``QUANTILE`` requires ``data``.
+    rule : KnotRule or str
+        Placement rule or its value string. ``QUANTILE`` requires ``data``.
     bounds : (float, float)
         Support endpoints ``lo < hi``; always the first and last knot.
     kappa : int
@@ -54,15 +54,16 @@ def make_knots(rule, bounds, kappa, data=None):
 
     Raises
     ------
+    ConfigError
+        If ``rule`` names no knot rule.
     InvalidKappa
-        If ``kappa < 1``.
+        If ``kappa`` is not a whole number >= 1.
     DegenerateData
         If quantile placement produces duplicate knots, or a quantile knot
         falls outside the open support interval.
     """
-    kappa = int(kappa)
-    if kappa < 1:
-        raise InvalidKappa(f"kappa must be >= 1, got {kappa}")
+    rule = check_choice(KnotRule, rule)
+    kappa = check_whole(kappa, "kappa", 1, InvalidKappa)
     lo, hi = float(bounds[0]), float(bounds[1])
     if not lo < hi:
         raise DegenerateData(f"empty support [{lo}, {hi}]")
@@ -74,27 +75,24 @@ def make_knots(rule, bounds, kappa, data=None):
         knots[0], knots[-1] = lo, hi
         return knots
 
-    if rule is KnotRule.QUANTILE:
-        if data is None:
-            raise DegenerateData("quantile knots need a data column")
-        col = np.sort(np.asarray(data, dtype=float))
-        n = col.shape[0]
-        if n == 0:
-            raise DegenerateData("quantile knots need a nonempty data column")
-        knots = np.empty(kappa + 1)
-        knots[0], knots[-1] = lo, hi
-        for l in range(1, kappa):
-            # 1-based order statistic at rank ceil(l*n/kappa)
-            rank = math.ceil(l * n / kappa)
-            knots[l] = col[min(max(rank, 1), n) - 1]
-        if np.any(np.diff(knots) <= 0):
-            raise DegenerateData(
-                "duplicate or out-of-order quantile knots; "
-                "reduce kappa or jitter the data"
-            )
-        return knots
-
-    raise TypeError(f"unknown knot rule {rule!r}")
+    if data is None:
+        raise DegenerateData("quantile knots need a data column")
+    col = np.sort(np.asarray(data, dtype=float))
+    n = col.shape[0]
+    if n == 0:
+        raise DegenerateData("quantile knots need a nonempty data column")
+    knots = np.empty(kappa + 1)
+    knots[0], knots[-1] = lo, hi
+    for l in range(1, kappa):
+        # 1-based order statistic at rank ceil(l*n/kappa)
+        rank = math.ceil(l * n / kappa)
+        knots[l] = col[min(max(rank, 1), n) - 1]
+    if np.any(np.diff(knots) <= 0):
+        raise DegenerateData(
+            "duplicate or out-of-order quantile knots; "
+            "reduce kappa or jitter the data"
+        )
+    return knots
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,10 @@ class TensorPartition:
         """
         bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
         d = bounds.shape[0]
-        kap = np.broadcast_to(np.asarray(kappa, dtype=int), (d,))
+        kap = np.atleast_1d(kappa).tolist()
+        kap = kap * d if len(kap) == 1 else kap
+        if len(kap) != d:
+            raise InvalidKappa(f"kappa has {len(kap)} entries, bounds describe {d} axes")
         cols = [None] * d
         if data is not None:
             X = np.atleast_2d(np.asarray(data, dtype=float))

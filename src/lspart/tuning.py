@@ -31,6 +31,8 @@ from .errors import (
     DegenerateData,
     NegativeVarianceEstimate,
     RankDeficient,
+    check_choice,
+    check_whole,
 )
 from .fit import EstimatorKind, check_response, fit_estimator
 from .partition import KnotRule, TensorPartition, data_bounds
@@ -79,10 +81,23 @@ def eta_constant(family, m, u1, u2, q=None):
     u1 = check_deriv(u1, d)
     u2 = check_deriv(u2, d)
     q = check_deriv(q, d)
-    model = biascorrect.LeadingErrorModel(BasisFamily(family), int(m), d)
+    family, m = check_choice(BasisFamily, family), check_whole(m, "order", 1)
+    model = biascorrect.LeadingErrorModel(family, m, d)
     pts, wts = _gauss_nodes(d)
     vals = model.shape_values(u1, q, pts) * model.shape_values(u2, q, pts)
     return float(np.sum(wts * vals))
+
+
+def _selector_inputs(X, y, family, m, q, bounds):
+    """The checked inputs both selectors share: (X, y, family, m, q, bounds)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    check_response(y)
+    family = check_choice(BasisFamily, family)
+    m = check_whole(m, "order", 1)
+    q = check_deriv(q, X.shape[1])
+    bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
+    return X, y, family, m, q, bounds
 
 
 def _kappa_ceil(base):
@@ -127,16 +142,10 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     located on the one cell once, and on one cell every row activates all K
     functions in order, so the design's values are its dense form.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    check_response(y)
+    X, y, family, m, q, bounds = _selector_inputs(X, y, family, m, q, bounds)
     n, d = X.shape
-    family = BasisFamily(family)
-    m = int(m)
-    q = check_deriv(q, d)
     if sum(q) > m - 1:
         raise ConfigError(f"derivative {q} too high for order {m}")
-    bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
 
     degree = m + 4
     spec = BasisSpec(
@@ -192,17 +201,11 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
     kappa_p^(2(m-[q])) B_hat and kappa_p^(-(d+2[q])) V_hat. Falls back to
     kappa_rot, flagged, if the pilot fit is rank deficient.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    check_response(y)
+    X, y, family, m, q, bounds = _selector_inputs(X, y, family, m, q, bounds)
     n, d = X.shape
-    family = BasisFamily(family)
-    m = int(m)
-    q = check_deriv(q, d)
-    bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
     if rot is None:
         rot = rot_select(X, y, family, m, q, bounds=bounds)
-    kr = int(rot.kappa_rot)
+    kr = rot.kappa_rot
     kp = _pilot_kappa(kr, m, d)
 
     try:

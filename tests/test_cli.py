@@ -146,6 +146,31 @@ class TestSimulateCommand:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--family", "haar", "--m", "1", "--j", "3"],
+        ["--q", "2", "--m", "2"],
+        ["--band", "bootstrap", "--B", "50"],
+    ])
+    def test_config_error_in_a_replication_exit_2(self, flags, data_file, capsys):
+        # a ConfigError ends the study as it ends a fit; it is not counted as
+        # a failed replication (exit 4)
+        sim = ["simulate", "--model", "1", "--n", "300", "--reps", "2", "--kappa", "4"]
+        assert main(sim + flags) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "replications failed" not in err
+        assert main(["fit", "--data", str(data_file), "--kappa", "4"] + flags) == 2
+
+    def test_large_seed_is_exact(self, tmp_path):
+        out = tmp_path / "m.csv"
+        seed = str(2**60 + 1)
+        code = main([
+            "simulate", "--model", "1", "--n", "120", "--reps", "1",
+            "--kappa", "3", "--j", "0", "--seed", seed, "--out", str(out),
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "m.csv.json").read_text("utf-8"))
+        assert summary["seed"] == 2**60 + 1
+
     def test_invalid_model_exit_2(self, capsys):
         code = main(["simulate", "--model", "9", "--n", "100", "--kappa", "3"])
         assert code == 2

@@ -249,7 +249,7 @@ class TestSelectKappa:
             mode="fit", data_path=str(data_file), kappa=9, kappa_max=3
         ).validated()
         X, y = read_data(data_file)
-        kappa, info = harness._select_kappa(cfg, X, y, 1, data_bounds(X))
+        kappa, info = harness._select_kappa(cfg, X, y, (0,), data_bounds(X))
         assert kappa == 9
         assert info["rule"] == "fixed"
         assert info["capped"] is False
@@ -259,7 +259,7 @@ class TestSelectKappa:
             mode="fit", data_path=str(data_file), kappa="rot", kappa_max=2
         ).validated()
         X, y = read_data(data_file)
-        kappa, info = harness._select_kappa(cfg, X, y, 1, data_bounds(X))
+        kappa, info = harness._select_kappa(cfg, X, y, (0,), data_bounds(X))
         assert kappa <= 2
         assert info["cap"] == 2
         assert info["kappa_rot"] >= 1
