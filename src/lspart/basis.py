@@ -243,9 +243,15 @@ def _runs(groups):
 
     ``order`` is the stable sort order of ``groups``. Group g is rows
     ``order[s:e]`` for ``(s, e) = spans[g]``, and ``lead[g]`` is its first
-    row, whose ``indices`` row all of the group shares.
+    row, whose ``indices`` row all of the group shares. Ids in [0, 2^16),
+    such as the flat cells of any partition of fewer than 65536 cells, are
+    sorted as ``uint16``, for which numpy's stable sort is an O(n) radix
+    sort with the same order; larger ids keep the comparison sort.
     """
-    order = np.argsort(groups, kind="stable")
+    keys = groups
+    if groups.size and 0 <= groups.min() and groups.max() < 1 << 16:
+        keys = groups.astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
     k = groups[order]
     new = np.ones(k.size, dtype=bool)
     new[1:] = k[1:] != k[:-1]

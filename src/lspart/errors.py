@@ -3,11 +3,15 @@
 Three branches matter for the CLI exit-code mapping: configuration problems
 (exit 2), data problems (exit 3), and numerical failures (exit 4). Every
 integer, choice and level from outside goes through :func:`check_whole`,
-:func:`check_choice` or :func:`check_level`, which raise a typed error.
+:func:`check_choice` or :func:`check_level`, and every array of floats
+(evaluation points, support bounds) through :func:`check_floats`; each raises
+a typed error.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class LspartError(Exception):
@@ -93,6 +97,22 @@ def check_whole(value, what, minimum, error=ConfigError):
     if v < minimum:
         raise error(f"{what} must be >= {minimum}, got {v}")
     return v
+
+
+def check_floats(value, what, width=None):
+    """``value`` as a nonempty 2-d array of finite floats with ``width``
+    columns (any number when None), else ``ConfigError``. A 1-d value is one
+    row. A ragged or non-numeric value, a NaN or an infinity is an error."""
+    try:
+        a = np.atleast_2d(np.asarray(value, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an array of numbers, got {value!r}") from exc
+    if a.ndim != 2 or a.size == 0 or (width is not None and a.shape[1] != width):
+        rows = "rows of numbers" if width is None else f"rows of {width} numbers"
+        raise ConfigError(f"{what} must be one or more {rows}, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return a
 
 
 def check_choice(enum_cls, value):

@@ -39,6 +39,7 @@ from .errors import (
     NumericalError,
     ParseError,
     check_choice,
+    check_floats,
     check_level,
     check_whole,
 )
@@ -126,7 +127,7 @@ class RunConfig:
         if cfg.q is not None:
             cfg.q = check_deriv(cfg.q, len(np.atleast_1d(cfg.q)))
         if cfg.eval_points is not None:
-            pts = np.atleast_2d(np.asarray(cfg.eval_points, dtype=float))
+            pts = check_floats(cfg.eval_points, "eval points")
             cfg.eval_points = tuple(tuple(float(v) for v in row) for row in pts)
 
         cfg.seed = check_whole(cfg.seed, "seed", 0)

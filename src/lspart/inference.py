@@ -59,6 +59,7 @@ from .errors import (
     NonPositiveVariance,
     OutOfSupport,
     check_choice,
+    check_floats,
     check_level,
     check_whole,
 )
@@ -227,7 +228,7 @@ def make_grid(bounds, points_per_dim=None):
 
     Default 100 points for d = 1, 20 per axis for d >= 2.
     """
-    bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+    bounds = check_floats(bounds, "bounds", 2)
     d = bounds.shape[0]
     if points_per_dim is None:
         points_per_dim = 100 if d == 1 else 20

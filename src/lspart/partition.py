@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateData, InvalidKappa, OutOfSupport, check_choice, check_whole
+from .errors import (
+    DegenerateData,
+    InvalidKappa,
+    OutOfSupport,
+    check_choice,
+    check_floats,
+    check_whole,
+)
 
 
 class KnotRule(enum.Enum):
@@ -125,7 +132,7 @@ class TensorPartition:
         ``bounds`` is a (d, 2) array, ``kappa`` an int or length-d sequence,
         ``data`` an optional (n, d) sample for the quantile rule.
         """
-        bounds = np.atleast_2d(np.asarray(bounds, dtype=float))
+        bounds = check_floats(bounds, "bounds", 2)
         d = bounds.shape[0]
         kap = np.atleast_1d(kappa).tolist()
         kap = kap * d if len(kap) == 1 else kap

@@ -13,6 +13,10 @@ minus its projection. The pilot grows like n^(1/(2m+d+2)), the rate at which
 its bias constant is consistent; the paper fixes that rate but leaves the
 pilot's constant open. Both selectors report their constants free of kappa
 and share one closed form.
+
+The rule of thumb evaluates its design once: the derivatives of its global
+fit are a coefficient map on that design, and its eta integrals a read-only
+table cached per (family, m, d, q).
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import biascorrect, inference
-from .basis import BasisFamily, BasisSpec, check_deriv
+from .basis import BasisFamily, BasisSpec, alpha_list, check_deriv
 from .errors import (
     ConfigError,
     DegenerateData,
     NegativeVarianceEstimate,
     RankDeficient,
     check_choice,
+    check_floats,
     check_whole,
 )
 from .fit import EstimatorKind, check_response, fit_estimator
@@ -88,6 +93,37 @@ def eta_constant(family, m, u1, u2, q=None):
     return float(np.sum(wts * vals))
 
 
+@lru_cache(maxsize=None)
+def _eta_table(family, m, d, q):
+    """Read-only (|Lambda_m|, |Lambda_m|) table of :func:`eta_constant` over
+    the lambda set in its order, computed once per (family, m, d, q)."""
+    lam = biascorrect.LeadingErrorModel(family, m, d).lambda_set
+    table = np.array([[eta_constant(family, m, u1, u2, q) for u2 in lam] for u1 in lam])
+    table.flags.writeable = False
+    return table
+
+
+def _one_cell_derivs(spec, design, coef, lam):
+    """Derivatives of the one-cell fit ``design @ coef`` for every u in ``lam``,
+    as an (n, |lam|) array: one product ``design @ dcoef``.
+
+    On one cell of widths w, column a of the piecewise-polynomial design is
+    z^a, and d^u z^a = perm(a, u) z^(a-u) / w^u is column a - u of the same
+    design, so column k of ``dcoef`` maps each coefficient there.
+    """
+    alphas = alpha_list(spec.dim, spec.m)
+    col = {a: r for r, a in enumerate(alphas)}
+    width = [k[1] - k[0] for k in spec.partition.knots]
+    dcoef = np.zeros((len(alphas), len(lam)))
+    for k, u in enumerate(lam):
+        scale = math.prod(w**e for w, e in zip(width, u))
+        for r, a in enumerate(alphas):
+            c = math.prod(map(math.perm, a, u))
+            if c:
+                dcoef[col[tuple(x - y for x, y in zip(a, u))], k] = c * coef[r] / scale
+    return design @ dcoef
+
+
 def _selector_inputs(X, y, family, m, q, bounds):
     """The checked inputs both selectors share: (X, y, family, m, q, bounds)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -96,7 +132,7 @@ def _selector_inputs(X, y, family, m, q, bounds):
     family = check_choice(BasisFamily, family)
     m = check_whole(m, "order", 1)
     q = check_deriv(q, X.shape[1])
-    bounds = data_bounds(X) if bounds is None else np.asarray(bounds, dtype=float)
+    bounds = data_bounds(X) if bounds is None else check_floats(bounds, "bounds", 2)
     return X, y, family, m, q, bounds
 
 
@@ -138,9 +174,13 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     levels' derivatives give the bias constant through the eta integrals,
     and the fitted squares minus the squared levels give the average
     conditional variance; the closed-form IMSE minimizer is then rounded
-    up. J counts the within-cell functions of the family. The sample is
-    located on the one cell once, and on one cell every row activates all K
-    functions in order, so the design's values are its dense form.
+    up. J counts the within-cell functions of the family. The design is
+    evaluated once: on one cell every row activates all K functions in
+    order, so its values are its dense form, and the derivative of each
+    column is again a column of it, so the derivatives for all u in
+    Lambda_m are one product with a (K, |Lambda_m|) coefficient map
+    (:func:`_one_cell_derivs`). The eta integrals come from a table cached
+    per (family, m, d, q), read in the order of the pairs.
     """
     X, y, family, m, q, bounds = _selector_inputs(X, y, family, m, q, bounds)
     n, d = X.shape
@@ -153,8 +193,7 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     )
     if n <= spec.K:
         raise ConfigError(f"global degree-{degree} fit needs n > {spec.K}")
-    cells = spec.partition.locate(X)
-    design = spec.eval_many(X, cells=cells).values
+    design = spec.eval_many(X).values
     col_scale = np.sqrt(np.mean(design**2, axis=0))
     col_scale[col_scale == 0] = 1.0
     coef, *_ = np.linalg.lstsq(
@@ -163,13 +202,12 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     coef /= col_scale[:, None]
     mu, y2 = (design @ coef).T
 
-    model = biascorrect.LeadingErrorModel(family, m, d)
-    lam = model.lambda_set
-    derivs = {u: spec.eval_many(X, u, cells).row_dot(coef[:, 0]) for u in lam}
+    lam = biascorrect.LeadingErrorModel(family, m, d).lambda_set
+    derivs = _one_cell_derivs(spec, design, coef[:, 0], lam)
+    eta = _eta_table(family, m, d, (0,) * d)
     bias_sum = 0.0
-    for u1, u2 in itertools.product(lam, lam):
-        eta = eta_constant(family, m, u1, u2)
-        bias_sum += eta * float(np.mean(derivs[u1] * derivs[u2]))
+    for i, k in itertools.product(range(len(lam)), repeat=2):
+        bias_sum += eta[i, k] * float(np.mean(derivs[:, i] * derivs[:, k]))
 
     sig2 = np.clip(y2 - mu**2, _VAR_FLOOR, None)
     J = 1 if family is BasisFamily.BSPLINE else math.comb(d + m - 1, m - 1)

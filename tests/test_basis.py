@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import BSpline
 
-from lspart.basis import BasisFamily, BasisSpec, SparseRows, alpha_list, check_deriv
+from lspart.basis import (
+    BasisFamily,
+    BasisSpec,
+    SparseRows,
+    _runs,
+    alpha_list,
+    check_deriv,
+)
 from lspart.errors import ConfigError, UnsupportedDerivative
 from lspart.fit import stack_designs
 from lspart.partition import KnotRule, TensorPartition
@@ -188,6 +195,27 @@ class TestCellKernels:
         cells = spec.partition.locate(X)
         n_cells = np.unique(np.ravel_multi_index(cells.T, spec.partition.kappa)).size
         assert np.unique(spec.eval_many(X).groups).size == n_cells
+
+
+_RUNS_CASES = {
+    "49 cells": np.random.default_rng(1).integers(0, 49, 5000),
+    "full uint16 range": np.random.default_rng(2).integers(0, 1 << 16, 3000),
+    "one group": np.full(40, 7),
+    "ids from 2^16": np.random.default_rng(3).integers(1 << 16, 1 << 20, 3000),
+    "mixed and negative": np.array([5, 70000, 5, -1, 3, 70000, -1]),
+    "empty": np.zeros(0, dtype=np.intp),
+}
+
+
+@pytest.mark.parametrize("groups", _RUNS_CASES.values(), ids=_RUNS_CASES.keys())
+def test_runs_match_int64_stable_argsort(groups):
+    # ids in [0, 2^16) take the uint16 radix sort, the rest the int64 one
+    order, lead, spans = _runs(groups)
+    ref = np.argsort(groups.astype(np.int64), kind="stable")
+    assert np.array_equal(order, ref)
+    _, starts, counts = np.unique(groups[ref], return_index=True, return_counts=True)
+    assert np.array_equal(lead, ref[starts])
+    assert spans == list(zip(starts.tolist(), (starts + counts).tolist()))
 
 
 # uneven by hand, and quantile-rule knots of a skewed sample

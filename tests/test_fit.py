@@ -619,10 +619,11 @@ class TestRowBundle:
                                    band_method="plugin", B=200, grid_size=12))
         assert report["selection"]["kappa"] == 5
         assert len(located) == len(set(located)) == 5
-        # rot: the sample and 2 derivatives; pilot and final fit: main, bc
-        # and 2 lead derivatives at the sample; the final fit: main, bc and 2
-        # lead derivatives at the points and at the grid
-        assert len(evaluated) == len(set(evaluated)) == 3 + 4 + 4 + 4 + 4
+        # rot: the sample only (its derivatives are a coefficient map on that
+        # design); pilot and final fit: main, bc and 2 lead derivatives at
+        # the sample; the final fit: main, bc and 2 lead derivatives at the
+        # points and at the grid
+        assert len(evaluated) == len(set(evaluated)) == 1 + 4 + 4 + 4 + 4
 
     def test_mutated_points_get_fresh_rows(self):
         fit = _fit_nd(2)

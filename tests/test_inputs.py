@@ -1,10 +1,13 @@
-"""One check per input kind: every integer, choice and level from outside.
+"""One check per input kind: every integer, choice, level and float array
+from outside.
 
 Each table row names an input, a function that passes a value to it and
 reads back what the program kept, and the typed error a bad value raises.
 A fraction and a non-numeric string raise that error; a whole-valued float
 is kept as the int it equals. An unknown choice raises ``ConfigError`` and a
-choice's value string, in any case, is taken for its member.
+choice's value string, in any case, is taken for its member. A float array
+that is ragged, non-numeric, non-finite or of the wrong width raises
+``ConfigError``.
 """
 
 import functools
@@ -22,6 +25,7 @@ from lspart.errors import (
     InvalidModel,
     UnsupportedDerivative,
     check_choice,
+    check_floats,
     check_level,
     check_whole,
 )
@@ -168,6 +172,50 @@ def test_level_inputs(name, read):
             read(bad)
     got = read(np.float64(0.1))
     assert got == 0.1 and type(got) is float
+
+
+def _fit_cfg(eval_points):
+    cfg = RunConfig(mode="fit", data_path="x.csv", eval_points=eval_points)
+    return cfg.validated().eval_points
+
+
+def _rot_bounds(bounds):
+    return rot_select(*_sample(), "bspline", 2, bounds=bounds).kappa_rot
+
+
+# (input, read(value) -> what the program keeps, a bad value)
+FLOATS = [
+    ("RunConfig.eval_points non-numeric", _fit_cfg, (("a",),)),
+    ("RunConfig.eval_points ragged", _fit_cfg, ((0.1,), (0.2, 0.3))),
+    ("RunConfig.eval_points NaN", _fit_cfg, ((float("nan"),),)),
+    ("RunConfig.eval_points empty", _fit_cfg, ()),
+    ("TensorPartition.build.bounds non-numeric",
+     lambda v: TensorPartition.build("even", v, 3).knots, [["a", 1]]),
+    ("TensorPartition.build.bounds three columns",
+     lambda v: TensorPartition.build("even", v, 3).knots, [[0, 1, 2]]),
+    ("TensorPartition.build.bounds infinite",
+     lambda v: TensorPartition.build("even", v, 3).knots, [[0, float("inf")]]),
+    ("rot_select.bounds non-numeric", _rot_bounds, [["a", 1]]),
+    ("rot_select.bounds three columns", _rot_bounds, [[0, 1, 2]]),
+    ("make_grid.bounds non-numeric", lambda v: make_grid(v, 3), [["a", 1]]),
+    ("make_grid.bounds ragged", lambda v: make_grid(v, 3), [[0, 1], [0]]),
+    ("make_grid.bounds NaN", lambda v: make_grid(v, 3), [[0, float("nan")]]),
+    ("make_grid.bounds empty", lambda v: make_grid(v, 3), []),
+]
+
+
+@pytest.mark.parametrize("name, read, bad", FLOATS, ids=[f[0] for f in FLOATS])
+def test_float_array_inputs(name, read, bad):
+    with pytest.raises(ConfigError):
+        read(bad)
+
+
+def test_float_arrays_kept_as_floats():
+    assert _fit_cfg([[0.25], ["0.5"]]) == ((0.25,), (0.5,))
+    assert _fit_cfg((0.25, 0.5)) == ((0.25, 0.5),)  # a flat list is one point
+    np.testing.assert_array_equal(check_floats([0, 1], "bounds", 2), [[0.0, 1.0]])
+    grid = make_grid([[0, 1], [2, 4]], 3)
+    assert grid.shape == (9, 2) and grid.dtype == float
 
 
 class TestChecks:

@@ -9,7 +9,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lspart import dgp
-from lspart.basis import BasisFamily, SparseRows
+from lspart import tuning
+from lspart.basis import BasisFamily, BasisSpec, SparseRows
 from lspart.biascorrect import LeadingErrorModel
 from lspart.errors import ConfigError, DegenerateData, UnsupportedDerivative
 from lspart.fit import EstimatorKind, FitResult, fit_estimator
@@ -17,6 +18,8 @@ from lspart.inference import make_grid, quadratic_form, sigma_hat
 from lspart.partition import KnotRule, TensorPartition
 from lspart.tuning import (
     TuningReport,
+    _eta_table,
+    _one_cell_derivs,
     _pilot_kappa,
     dpi_select,
     eta_constant,
@@ -189,24 +192,24 @@ class TestRotOracle:
         X, y = dgp.dgp_sample(model, 1500, [model, m])
         d = X.shape[1]
         bounds = np.stack([X.min(axis=0), X.max(axis=0)], axis=1)
-        # the selector's row_dot calls are its derivatives, in lambda_set order
+        # the selector's derivatives are the columns of its one derivative
+        # product, in lambda_set order
         seen = []
-        row_dot = SparseRows.row_dot
 
-        def spy(self, coef):
-            out = row_dot(self, coef)
+        def spy(*args):
+            out = _one_cell_derivs(*args)
             seen.append(out)
             return out
 
-        monkeypatch.setattr(SparseRows, "row_dot", spy)
+        monkeypatch.setattr(tuning, "_one_cell_derivs", spy)
         rep = rot_select(X, y, family, m)
         monkeypatch.undo()
 
         lam = LeadingErrorModel(family, m, d).lambda_set
         mu = _monomial_fit(X, y, m + 4, bounds)
         ref = {u: mu(u) for u in lam}
-        assert len(seen) == len(lam)
-        for u, got in zip(lam, seen):
+        assert len(seen) == 1 and seen[0].shape == (X.shape[0], len(lam))
+        for u, got in zip(lam, seen[0].T):
             assert_allclose(got, ref[u], rtol=1e-8, atol=1e-8 * np.max(np.abs(ref[u])))
 
         q0 = (0,) * d
@@ -219,6 +222,54 @@ class TestRotOracle:
         var = np.mean(np.clip(sig2, 1e-8, None)) * J
         assert rep.bias_constant == pytest.approx(bias, rel=1e-8)
         assert rep.variance_constant == pytest.approx(var, rel=1e-8)
+
+
+class TestRotFixedCost:
+    """rot_select's derivative map, its eta table and its one evaluation."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_derivative_map_matches_evaluated_derivatives(self, family, m, d):
+        rng = np.random.default_rng([d, m])
+        bounds = np.column_stack([-rng.random(d), 1.0 + 2.0 * rng.random(d)])
+        X = bounds[:, 0] + rng.random((200, d)) * (bounds[:, 1] - bounds[:, 0])
+        spec = BasisSpec(BasisFamily.PP, m + 5, TensorPartition.build("even", bounds, 1))
+        coef = rng.standard_normal(spec.K)
+        lam = LeadingErrorModel(family, m, d).lambda_set
+        got = _one_cell_derivs(spec, spec.eval_many(X).values, coef, lam)
+        assert got.shape == (X.shape[0], len(lam))
+        for k, u in enumerate(lam):
+            ref = spec.eval_many(X, u).row_dot(coef)
+            assert_allclose(got[:, k], ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_eta_table_is_the_constants_read_only(self, family, m, d):
+        lam = LeadingErrorModel(family, m, d).lambda_set
+        q0 = (0,) * d
+        table = _eta_table(family, m, d, q0)
+        assert table.shape == (len(lam), len(lam))
+        for (i, u1), (k, u2) in itertools.product(enumerate(lam), repeat=2):
+            assert table[i, k] == eta_constant(family, m, u1, u2)
+        assert _eta_table(family, m, d, q0) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_one_evaluation_per_call(self, monkeypatch, family):
+        X, y = dgp.dgp_sample(4, 600, 5)
+        calls = []
+        eval_many = BasisSpec.eval_many
+
+        def count(self, X, deriv=None, cells=None):
+            calls.append(deriv)
+            return eval_many(self, X, deriv, cells)
+
+        monkeypatch.setattr(BasisSpec, "eval_many", count)
+        rot_select(X, y, family, 3)
+        assert calls == [None]
 
 
 class TestDpi:
