@@ -142,24 +142,39 @@ class SparseRows:
             out[order[s:e]] = vals[s:e] @ mat[idx[g]]
         return out
 
-    def left_times(self, W):
-        """``W @ design`` for a dense (c, n) matrix, returned as (c, K).
+    def bit_sums(self):
+        """``sums(octets)``, the function ``W @ design`` for 0/1 matrices W
+        given as packed bits, returned as (c, K).
 
-        The transpose of :meth:`rows_times`. W's columns are gathered into
-        group order once; per group, one product W_g V_g of its (c, n_g)
-        columns with the group's values is added into the width columns its
-        rows share. W may hold 0/1 bits as ``uint8``: each group's columns
-        are converted to float on their own, so memory stays at the gathered
-        W plus one group's block.
+        Bit i % 8 of ``octets[:, i // 8]`` is W[:, i], the layout of
+        ``np.packbits(W, axis=1, bitorder="little")``. The row layout is
+        computed here once, for a caller that sums many blocks of bits, and
+        the function reads the design's values as they are now. No (c, n)
+        array is formed. Per group, the bytes that hold its rows' bits are
+        gathered, one row per group row, and masked to those bits, so an
+        entry is 0 or the bit's place value 2^(i % 8). One product of the
+        group's values, each divided by its place value, with that (n_g, c)
+        block is added into the width rows of the (K, c) transpose its rows
+        share. Every product is then bit times value, exact for values 0 or
+        of magnitude at least 2^-1015.
         """
         order, lead, spans = self._group_runs
         idx = self.indices[lead]
-        vals = self.values[order]
-        W = np.asarray(W)[:, order]
-        out = np.zeros((W.shape[0], self.K))
-        for g, (s, e) in enumerate(spans):
-            out[:, idx[g]] += W[:, s:e].astype(float, copy=False) @ vals[s:e]
-        return out
+        byte = order // 8
+        place = np.left_shift(1, order % 8).astype(np.uint8)[:, None]
+        vals = (self.values[order] / place).T
+        K = self.K
+
+        def sums(octets):
+            rows = octets.T
+            out = np.zeros((K, octets.shape[0]))
+            for g, (s, e) in enumerate(spans):
+                block = rows[byte[s:e]]
+                block &= place[s:e]
+                out[idx[g]] += vals[:, s:e] @ block.astype(float)
+            return out.T
+
+        return sums
 
     def accumulate(self, row_weights):
         """``design' w`` for per-row weights: dense (K,) vector of sums."""

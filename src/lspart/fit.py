@@ -3,8 +3,11 @@
 All four point estimators share the structure
 ``deriv-estimate(x) = gamma_j(x)' E_n[Pi_j(x_i) y_i]`` where gamma depends
 on the Gram factors only. Each Gram is accumulated cell by cell into a dense
-K x K matrix and factored by one dense Cholesky. The fit is performed once;
-every j is a different read of the same factored objects:
+K x K matrix, checked by one dense Cholesky factor and inverted once
+(:class:`BandedCholesky`); every solve is a product with that inverse, and
+the coefficients take one step of iterative refinement. numpy's LAPACK is
+the only linear-algebra library. The fit is performed once; every j is a
+different read of the same factored objects:
 
 - j = 0: the plain least-squares fit of order m.
 - j = 1: the fit of order mtilde > m used directly.
@@ -39,7 +42,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import biascorrect
 from .basis import BasisFamily, BasisSpec, SparseRows, check_deriv, shared_groups
@@ -49,6 +51,7 @@ from .errors import (
     NumericalError,
     RankDeficient,
     UnsupportedFamily,
+    check_floats,
     check_whole,
 )
 from .partition import data_bounds
@@ -75,37 +78,45 @@ def cross_gram(design_a, design_b, row_weights=None):
 
 
 class BandedCholesky:
-    """Dense Cholesky factor of a symmetric positive-definite Gram ``Q``.
+    """Checked inverse of a symmetric positive-definite Gram ``Q``.
 
-    Holds ``Q`` and its lower factor from one ``cho_factor``. The class and
-    its methods keep the benchmark's span labels (``fit.factor`` and
-    ``fit.solve``); nothing here uses banded storage.
+    One ``np.linalg.cholesky`` of Q serves only as the check:
+    ``RankDeficient`` if it fails (Q is not positive definite) or if a squared
+    pivot falls below ``_PIVOT_REL_TOL`` times the mean diagonal. Every solve
+    is a product with the read-only ``inv = np.linalg.inv(Q)``, which the
+    leverage reads too; an inverse built from the Cholesky factor instead
+    is tens of times less accurate in the hat diagonal at fine partitions.
+    The coefficients add one refinement step (:meth:`FitResult._solve`).
+    The class and its methods keep the benchmark's span labels
+    (``fit.factor`` and ``fit.solve``); nothing here uses banded storage.
     """
 
     def __init__(self, Q):
         self.Q = Q
         K = Q.shape[0]
         try:
-            self.cf = scipy.linalg.cho_factor(Q, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            lower = np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError as exc:
             raise RankDeficient(
                 "Gram matrix is not positive definite (empty or nearly empty "
                 "cell); reduce kappa or use more data"
             ) from exc
-        pivots = np.diagonal(self.cf[0]) ** 2
+        pivots = np.diagonal(lower) ** 2
         if float(np.min(pivots)) < _PIVOT_REL_TOL * float(np.trace(Q)) / K:
             raise RankDeficient(
                 "Gram matrix is numerically rank deficient (near-empty cell); "
                 "reduce kappa or use more data"
             )
+        self.inv = np.linalg.inv(Q)
+        self.inv.flags.writeable = False
 
     @property
     def K(self):
         return self.Q.shape[0]
 
     def solve(self, b):
-        """Solve Q x = b for vector or (K, r) matrix right-hand sides."""
-        return scipy.linalg.cho_solve(self.cf, b)
+        """Q^-1 b for vector or (K, r) matrix right-hand sides."""
+        return self.inv @ b
 
 
 @dataclass(frozen=True)
@@ -220,7 +231,7 @@ class FitResult:
     def __init__(self, kind, X, y):
         self.kind = kind
         # own read-only copies: the caches below read the sample lazily
-        self.X = np.array(np.atleast_2d(X), dtype=float)
+        self.X = np.array(check_floats(X, "X", kind.main_spec.dim))
         self.y = np.array(y, dtype=float)
         self.X.flags.writeable = False
         self.y.flags.writeable = False
@@ -257,6 +268,9 @@ class FitResult:
             raise
         rhs = design.accumulate(self.y) / self.n
         beta = gram.solve(rhs)
+        # one refinement step: the inverse alone leaves gaps up to ~1e-9 on
+        # Grams just above the pivot test
+        beta += gram.solve(rhs - gram.Q @ beta)
         _check_normal_equations(gram, beta, rhs)
         return gram, rhs, beta
 
@@ -393,7 +407,7 @@ class FitResult:
 
         One route for every j: h_i = Pi_j(x_i)' G^- Pi_j(x_i) / n against a
         generalized inverse of the Gram, in O(K^3 + n width^2) and no (n, K)
-        array. For j <= 1 the inverse comes from the dense Cholesky factor.
+        array. For j <= 1 it is the Gram's checked inverse.
         The stacked Gram of j >= 2 is rank deficient by ``kind.null_dim``;
         its generalized inverse comes from the Schur complement of the
         bias-correction block (:func:`_stacked_ginv`). The hat diagonal does
@@ -404,8 +418,7 @@ class FitResult:
         key = min(j, 2)
         if key not in self._leverage:
             if key <= 1:
-                factor = self.gram_main if key == 0 else self.gram_bc
-                ginv = factor.solve(np.eye(factor.K))
+                ginv = (self.gram_main if key == 0 else self.gram_bc).inv
             else:
                 ginv = _stacked_ginv(self.gram_main, self.gram_bc,
                                      self._cross_for(2), self.kind.null_dim)
@@ -416,7 +429,7 @@ class FitResult:
 def _stacked_ginv(gram_main, gram_bc, cross, dropped):
     """Generalized inverse of the stacked Gram [[Q_0, C], [C', Q_1]].
 
-    Q_1 is positive definite (its dense Cholesky factor was checked at fit
+    Q_1 is positive definite (its Cholesky pivots were checked at fit
     time), so the Gram factors through the K_0 x K_0 Schur complement
     S = Q_0 - T C' with T = C Q_1^{-1}, and
 
@@ -428,7 +441,7 @@ def _stacked_ginv(gram_main, gram_bc, cross, dropped):
     (if any) 100 times above both them and eps s, or ``NumericalError``.
     """
     k0 = gram_main.K
-    q1inv = gram_bc.solve(np.eye(gram_bc.K))
+    q1inv = gram_bc.inv
     t = cross @ q1inv
     lam, vec = np.linalg.eigh(gram_main.Q - t @ cross.T)
     scale = float(np.max(np.diagonal(gram_main.Q)))

@@ -45,11 +45,11 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import statistics
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .basis import SparseRows
 from .errors import (
@@ -76,8 +76,8 @@ class HCKind(enum.Enum):
 
 
 def normal_quantile(p):
-    """Inverse standard-normal CDF."""
-    return float(scipy.special.ndtri(p))
+    """Inverse standard-normal CDF, for p in (0, 1)."""
+    return statistics.NormalDist().inv_cdf(p)
 
 
 class VarianceEstimate:
@@ -85,7 +85,7 @@ class VarianceEstimate:
 
     Binds the fit, the kind j, and the HC residual weighting. HC2/HC3 use
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
-    Gram, solved from its dense Cholesky factor, or for j >= 2 against a
+    Gram the fit keeps (``BandedCholesky.inv``), or for j >= 2 against a
     generalized inverse of the stacked Gram built from the Schur complement
     of its bias-correction block, less its ``kind.null_dim`` null directions.
     j = 2 and j = 3 share the cached leverage of their common stacked design.
@@ -394,18 +394,17 @@ def _exact_sign_sums(rows):
     return expo
 
 
-def _sign_bits(rng, shape):
-    """Rademacher signs as 0/1 bits, (c, n): row r is the first n bits, least
-    significant first, of the next ceil(n / 64) uint64 words of ``rng``.
+def _sign_bytes(rng, c, n):
+    """Rademacher signs as packed bits, (c, 8 ceil(n / 64)) ``uint8``: row r
+    holds draw r's n signs as the first n bits, least significant first, of
+    the next ceil(n / 64) uint64 words of ``rng``.
 
     Whole words per row keep each draw's signs the same however the rows
     are split into blocks (``int8`` draws would not: numpy buffers their
     bytes within one call).
     """
-    c, n = shape
     words = rng.integers(0, 2**64, size=(c, -(-n // 64)), dtype=np.uint64)
-    octets = words.astype("<u8", copy=False).view(np.uint8)
-    return np.unpackbits(octets, axis=1, count=n, bitorder="little")
+    return words.astype("<u8", copy=False).view(np.uint8)
 
 
 def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
@@ -453,18 +452,19 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
 
     1. The columns of P are rounded so that every 0/1 sum is exact
        (:func:`_exact_sign_sums`). With bits u, T_b = 2 U_b - P'1 and
-       U_b = u_b P, one small product per cell of the design's group order.
+       U_b = u_b P, one small product per cell of the design's group order,
+       read straight from the packed bits (:meth:`SparseRows.bit_sums`).
     2. T_b scaled column-wise into [-32, 32] and M scaled back go through the
        exact GEMM of the plug-in band (:func:`_exact_product`). That moves a
        supremum by a few 1e-6 relative at most, most where the stacked rows
        of M (j >= 2) cancel.
 
     One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
-    signs are row b of one row-major (draws, n) stream (:func:`_sign_bits`),
-    generated in blocks of ``_DRAW_CHUNK`` rows, so memory is a few
-    (chunk, n) arrays of one-byte bits plus O(n width + G K_j) floats. The
-    band depends only on the seed and the number of draws, not on the block
-    size.
+    signs are row b of one row-major (draws, n) stream (:func:`_sign_bytes`),
+    generated in blocks of ``_DRAW_CHUNK`` rows, so memory is one block of
+    packed bits (chunk n / 8 bytes), one cell's (chunk, n_g) block and
+    O(n width + G K_j) floats. The band depends only on the seed and the
+    number of draws, not on the block size.
     """
     grid, gamma, est, alpha, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
     rng = np.random.default_rng(seed)
@@ -487,9 +487,10 @@ def _sign_stat(fit, var, M, rng):
     # inside the left grid's range, never clipped, with 5 more bits than [-1, 1]
     scale = np.ldexp(1.0, 5 - expo)
     right = _exact_rows(M / scale)
+    sums = P.bit_sums()
 
     def stat(c):
-        U = P.left_times(_sign_bits(rng, (c, n)))
+        U = sums(_sign_bytes(rng, c, n))
         return _exact_product((2.0 * U - total) * scale, right)
 
     return stat

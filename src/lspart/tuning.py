@@ -126,7 +126,7 @@ def _one_cell_derivs(spec, design, coef, lam):
 
 def _selector_inputs(X, y, family, m, q, bounds):
     """The checked inputs both selectors share: (X, y, family, m, q, bounds)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = check_floats(X, "X")
     y = np.asarray(y, dtype=float)
     check_response(y)
     family = check_choice(BasisFamily, family)

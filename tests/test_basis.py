@@ -170,17 +170,16 @@ class TestCellKernels:
                             atol=1e-13 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
-    def test_left_times_matches_dense(self, family, d, rule):
-        # float weights, and 0/1 bits as uint8 (the bootstrap's sign blocks)
+    def test_bit_sums_match_dense(self, family, d, rule):
+        # 0/1 weights packed as bits, as the bootstrap's sign blocks are
         X, rows = self._designs(family, d, rule)
         rng = np.random.default_rng(d + 20)
         for r in rows.values():
             D = r.dense()
-            for W in (rng.standard_normal((7, r.n)),
-                      rng.integers(0, 2, size=(7, r.n), dtype=np.uint8)):
-                ref = W @ D
-                assert_allclose(r.left_times(W), ref, rtol=0,
-                                atol=1e-13 * np.max(np.abs(ref)))
+            W = rng.integers(0, 2, size=(7, r.n), dtype=np.uint8)
+            ref = W @ D
+            got = r.bit_sums()(np.packbits(W, axis=1, bitorder="little"))
+            assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
     def test_groups_share_indices(self, family, d, rule):

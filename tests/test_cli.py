@@ -213,3 +213,28 @@ def test_module_entry_point(data_file):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["schema"] == "lspart/1"
+
+
+def test_runs_without_scipy(data_file):
+    # scipy is a test-only dependency: the package and a fit with leverage,
+    # pointwise intervals and a band must not import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import lspart.cli\n"
+        "from lspart.harness import RunConfig, run_fit\n"
+        "run_fit(RunConfig(mode='fit', data_path=sys.argv[1], kappa=3, j_set=(0, 2),\n"
+        "                  hc_kind='hc2', band_method='bootstrap', B=200))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(data_file)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -9,7 +9,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from numpy.testing import assert_allclose
 
 import lspart.fit as fit_module
@@ -87,24 +86,42 @@ class TestGram:
 def _rank_deficient_sample(d, route, n=3000, seed=0):
     """Sample on [0, 1]^d whose centre cell of a kappa = 3 partition is empty
     (``route="empty"``) or holds points whose first coordinate varies by only
-    1e-6 (``route="near"``): the cell's order-2 piecewise-polynomial block is
-    then zero, or positive definite with one pivot below 1e-11 relative.
+    1e-6 (``route="near"``, 100 points) or 3e-5 (``route="sliver"``, 60
+    points): the cell's order-2 piecewise-polynomial block is then zero,
+    positive definite with one pivot below 1e-11 relative, or just above the
+    pivot test (about 5e-10 relative at d = 3).
     """
     rng = np.random.default_rng([seed, d])
     X = rng.random((n, d))
     X = X[~np.all((X > 0.3) & (X < 0.7), axis=1)]
-    if route == "near":
-        cell = 0.36 + 0.28 * rng.random((100, d))
-        cell[:, 0] = 0.5 + 1e-6 * rng.random(100)
+    if route != "empty":
+        size, width = (100, 1e-6) if route == "near" else (60, 3e-5)
+        cell = 0.36 + 0.28 * rng.random((size, d))
+        cell[:, 0] = 0.5 + width * rng.random(size)
         X = np.vstack([X, cell])
     y = np.sin(3 * X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0])
     return X, y
 
 
+def _record_pivots(monkeypatch):
+    """Spy on the factor's Cholesky: a list that collects each call's squared
+    pivots relative to the mean diagonal."""
+    pivots = []
+    cholesky = np.linalg.cholesky
+
+    def record(a, *args, **kwargs):
+        out = cholesky(a, *args, **kwargs)
+        pivots.append(np.diagonal(out) ** 2 / (np.trace(a) / a.shape[0]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "cholesky", record)
+    return pivots
+
+
 class TestRankDeficientRoutes:
     @staticmethod
-    def _fit(d, route):
-        X, y = _rank_deficient_sample(d, route)
+    def _fit(d, route, seed=0):
+        X, y = _rank_deficient_sample(d, route, seed=seed)
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, 3)
         return fit_estimator(EstimatorKind(BasisSpec(BasisFamily.PP, 2, part)), X, y)
 
@@ -112,23 +129,25 @@ class TestRankDeficientRoutes:
     def test_empty_cell_maps_factor_error(self, d):
         with pytest.raises(RankDeficient, match="not positive definite") as info:
             self._fit(d, "empty")
-        assert isinstance(info.value.__cause__, scipy.linalg.LinAlgError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_near_empty_cell_fails_pivot_test(self, d, monkeypatch):
-        pivots = []
-        cho_factor = scipy.linalg.cho_factor
-
-        def record(a, *args, **kwargs):
-            out = cho_factor(a, *args, **kwargs)
-            pivots.append(np.diagonal(out[0]) ** 2 / (np.trace(a) / a.shape[0]))
-            return out
-
-        monkeypatch.setattr(scipy.linalg, "cho_factor", record)
+        pivots = _record_pivots(monkeypatch)
         with pytest.raises(RankDeficient, match="numerically rank deficient") as info:
             self._fit(d, "near")
         assert info.value.__cause__ is None
         assert 0.0 < np.min(pivots[-1]) < fit_module._PIVOT_REL_TOL
+
+    def test_sliver_cell_fits_to_roundoff(self, monkeypatch):
+        # a Gram just above the pivot test: the inverse alone leaves a
+        # normal-equation gap near 3e-9 here, over the 1e-10 check; the
+        # refinement step in FitResult._solve brings it to roundoff
+        pivots = _record_pivots(monkeypatch)
+        fit = self._fit(3, "sliver", seed=1)
+        assert fit_module._PIVOT_REL_TOL < np.min(pivots[-1]) < 1e-9
+        gap = np.max(np.abs(fit.gram_main.Q @ fit.beta_main - fit.rhs_main))
+        assert gap <= 1e-14
 
     @pytest.mark.parametrize("route", ["empty", "near"])
     @pytest.mark.parametrize("d", [1, 2, 3])

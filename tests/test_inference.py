@@ -260,8 +260,8 @@ class TestBands:
         var = sigma_hat(fit_1d, 0)
         grid = make_grid([[0.0, 1.0]], 30)
         monkeypatch.setattr(
-            "lspart.inference._sign_bits",
-            lambda rng, shape: np.ones(shape, dtype=np.uint8),
+            "lspart.inference._sign_bytes",
+            lambda rng, c, n: np.full((c, 8 * -(-n // 64)), 255, dtype=np.uint8),
         )
         band = band_bootstrap(fit_1d, var, grid, seed=0, draws=150)
         assert band.quantile < 1e-8

@@ -183,8 +183,28 @@ def _rot_bounds(bounds):
     return rot_select(*_sample(), "bspline", 2, bounds=bounds).kappa_rot
 
 
+def _fit_x(X):
+    # the sample of a d = 1 fit
+    part = TensorPartition.build(KnotRule.EVEN, UNIT, 4)
+    kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
+    return fit_estimator(kind, X, np.zeros(len(X))).X
+
+
+def _rot_x(X):
+    return rot_select(X, np.zeros(len(X)), "bspline", 2).kappa_rot
+
+
 # (input, read(value) -> what the program keeps, a bad value)
 FLOATS = [
+    ("fit_estimator.X non-numeric", _fit_x, [["a"], [0.5]]),
+    ("fit_estimator.X ragged", _fit_x, [[0.1], [0.2, 0.3]]),
+    ("fit_estimator.X 3-d", _fit_x, [[[0.1]], [[0.2]]]),
+    ("fit_estimator.X NaN", _fit_x, [[float("nan")], [0.5]]),
+    ("fit_estimator.X two columns", _fit_x, [[0.1, 0.2], [0.3, 0.4]]),
+    ("rot_select.X non-numeric", _rot_x, [["a"], [0.5]]),
+    ("rot_select.X ragged", _rot_x, [[0.1], [0.2, 0.3]]),
+    ("rot_select.X 3-d", _rot_x, [[[0.1]], [[0.2]]]),
+    ("rot_select.X NaN", _rot_x, [[float("nan")], [0.5]]),
     ("RunConfig.eval_points non-numeric", _fit_cfg, (("a",),)),
     ("RunConfig.eval_points ragged", _fit_cfg, ((0.1,), (0.2, 0.3))),
     ("RunConfig.eval_points NaN", _fit_cfg, ((float("nan"),),)),
