@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidModel, check_whole
+from .errors import InvalidModel, check_floats, check_whole
 
 
 def _phi(t):
@@ -82,7 +82,7 @@ def dgp_dim(model_id):
 def dgp_eval(model_id, x):
     """Regression function of ``model_id`` at points ``x`` ((n, d) or (d,))."""
     d, fn = _model(model_id)
-    X = np.atleast_2d(np.asarray(x, dtype=float))
+    X = check_floats(x, "points")
     if X.shape[1] != d:
         raise InvalidModel(
             f"model {model_id} expects {d} covariates, got {X.shape[1]}"

@@ -3,9 +3,9 @@
 Three branches matter for the CLI exit-code mapping: configuration problems
 (exit 2), data problems (exit 3), and numerical failures (exit 4). Every
 integer, choice and level from outside goes through :func:`check_whole`,
-:func:`check_choice` or :func:`check_level`, and every array of floats
-(evaluation points, support bounds) through :func:`check_floats`; each raises
-a typed error.
+:func:`check_choice` or :func:`check_level`, and every array of floats (the
+sample, evaluation points and band grids, support bounds, knots, quantile
+data) through :func:`check_floats`; each raises a typed error.
 """
 
 import math

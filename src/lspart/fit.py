@@ -173,12 +173,20 @@ class EstimatorKind:
         return j
 
 
-def check_response(y):
-    """DataError naming the first non-finite entry of the response ``y``."""
+def check_response(y, n):
+    """The response ``y`` as a float vector of length ``n``: ConfigError if it
+    is not one, DataError naming its first non-finite entry."""
+    try:
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("y must be a vector of numbers") from exc
+    if y.shape != (n,):
+        raise ConfigError(f"y must be a vector matching the {n} rows of X")
     bad = ~np.isfinite(y)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise DataError(f"response row {i}: y = {y[i]!r} is not finite")
+    return y
 
 
 class RowBundle:
@@ -232,13 +240,10 @@ class FitResult:
         self.kind = kind
         # own read-only copies: the caches below read the sample lazily
         self.X = np.array(check_floats(X, "X", kind.main_spec.dim))
-        self.y = np.array(y, dtype=float)
+        self.n = self.X.shape[0]
+        self.y = np.array(check_response(y, self.n))
         self.X.flags.writeable = False
         self.y.flags.writeable = False
-        self.n = self.X.shape[0]
-        if self.y.shape != (self.n,):
-            raise ConfigError("y must be a vector matching X rows")
-        check_response(self.y)
 
         q0 = (0,) * kind.main_spec.dim
         self._sample = RowBundle(kind, self.X, q0)
@@ -281,7 +286,7 @@ class FitResult:
         q = 0 is always the fit's own bundle; other point sets are kept up
         to :data:`_BUNDLE_CAPACITY`, the oldest dropped first.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = check_floats(pts, "evaluation points", self.kind.main_spec.dim)
         q = check_deriv(q, self.kind.main_spec.dim)
         key = _bundle_key(pts, q)
         if key == self._sample_key:

@@ -10,21 +10,21 @@ normal quantiles. Uniform bands calibrate the supremum of the studentized
 process over a grid, either by simulating Gaussian vectors (plug-in) or by
 wild-bootstrap resampling of residuals.
 
-Both bands read Omega and the process off one square root of Sigma_j
-(``_band_root``): with A = Gamma Sigma_j^(1/2), Omega on the grid is the row
-sum of A**2, in O(K^3 + G K^2) and no (G, n) array. Both suprema are linear
-in the K_j coefficients. The plug-in process is M z with M = A / sqrt(Omega)
-and z standard normal. The bootstrap numerator is M T with
-M = Gamma / sqrt(Omega) and T = sum_i w_i Pi_j(x_i) epshat_i / sqrt(n), summed
-per cell from the sign bits. Each block of draws is then one exact GEMM
-(``_exact_product``): the left factor is rounded to the grid 2^-23 and each
-row of M to 24 significant bits of its L1 norm, so every partial sum is
-exact in float64. The rounding moves a supremum by a few 1e-6 relative at
-most, far inside the Monte Carlo error of the band quantile. The bootstrap
-draws Rademacher signs only; it has no other weight route.
-Only pointwise Omega at a few points (:meth:`VarianceEstimate.omega_many`)
-takes the per-observation route through the scores
-s[g, i] = gamma_g' Pi_j(x_i).
+Both bands take Omega on the grid from one product with Sigma_j
+(:func:`quadratic_form`): Omega = rowsum((Gamma Sigma_j) * Gamma), in
+O(G K^2) and no (G, n) array. Both suprema are linear in the K_j
+coefficients. The plug-in process is M z with M = A / sqrt(Omega),
+A = Gamma Sigma_j^(1/2) and z standard normal. The bootstrap numerator is
+M T with M = Gamma / sqrt(Omega) and T = sum_i w_i Pi_j(x_i) epshat_i /
+sqrt(n), summed per cell from the sign bits; it takes no root of Sigma_j.
+Each block of draws is then one exact GEMM (``_exact_product``): the left
+factor is rounded to the grid 2^-23 and each row of M to 24 significant bits
+of its L1 norm, so every partial sum is exact in float64. The rounding moves
+a supremum by a few 1e-6 relative at most, far inside the Monte Carlo error
+of the band quantile. The bootstrap draws Rademacher signs only; it has no
+other weight route. Pointwise Omega at a few points
+(:meth:`VarianceEstimate.omega_many`) takes the per-observation route
+through the scores s[g, i] = gamma_g' Pi_j(x_i), which needs no Sigma_j.
 
 A variance estimate belongs to one fit: every function that takes both
 checks that ``var.fit is fit`` (:func:`check_variance`).
@@ -36,15 +36,13 @@ signs for the bootstrap, K_j standard normals for the plug-in band. Both are
 generated in blocks of ``_DRAW_CHUNK`` draws. Because each block's product is
 exact, a draw's supremum does not depend on the block it falls in, nor on the
 BLAS thread count, and a band depends only on the seed and the number of
-draws, not on the block size. (Omega for j >= 2 comes from the eigenvalue
-routine, whose last bits may still vary with the thread count.)
+draws, not on the block size.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import numbers
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -90,9 +88,10 @@ class VarianceEstimate:
     of its bias-correction block, less its ``kind.null_dim`` null directions.
     j = 2 and j = 3 share the cached leverage of their common stacked design.
     The dense Sigma matrix is formed lazily by the Gram accumulator
-    :meth:`SparseRows.weighted_cross`; both bands take Omega from its
-    square root. :meth:`omega_many` needs no Sigma: at a few points the
-    per-observation route through the scores is cheaper than forming it.
+    :meth:`SparseRows.weighted_cross`; both bands take Omega on their grid
+    from it (:func:`quadratic_form`). :meth:`omega_many` needs no Sigma: it
+    serves a few points, where the per-observation route through the scores
+    is cheaper than forming Sigma, and the bands serve a grid.
     """
 
     def __init__(self, fit, j, hc=HCKind.HC0):
@@ -133,8 +132,9 @@ class VarianceEstimate:
         return self._sigma
 
     def omega_many(self, pts, q=None):
-        """Omega_j at many points, (1/n) sum_i wre2_i s_gi^2, through the
-        per-observation scores s[g, i] = gamma_g' Pi_j(x_i)."""
+        """Omega_j at a few points, (1/n) sum_i wre2_i s_gi^2, through the
+        per-observation scores s[g, i] = gamma_g' Pi_j(x_i); it forms no
+        Sigma, which a band's grid needs and a few points do not."""
         gamma = self.fit.gamma_many(pts, q, self.j)
         scores = self.design.rows_times(gamma.T).T
         omega = (scores**2) @ self.wre2 / self.fit.n
@@ -157,7 +157,8 @@ def check_variance(fit, var):
 
 
 def quadratic_form(gamma, sigma):
-    """Row-wise gamma' Sigma gamma for dense inputs; the oracle route."""
+    """Row-wise gamma' Sigma gamma as rowsum((Gamma Sigma) * Gamma), one GEMM:
+    both bands' Omega on their grid."""
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     return np.sum((gamma @ sigma) * gamma, axis=1)
 
@@ -182,8 +183,8 @@ def pointwise_ci(fit, var, pts, q=None, alpha=0.05):
     """
     check_variance(fit, var)
     alpha = check_level(alpha)
+    est = fit.estimate_many(pts, q, var.j)  # checks the points (FitResult.at)
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    est = fit.estimate_many(pts, q, var.j)
     omega = var.omega_many(pts, q)
     se = np.sqrt(omega / fit.n)
     zq = normal_quantile(1.0 - alpha / 2.0)
@@ -239,30 +240,36 @@ def make_grid(bounds, points_per_dim=None):
 
 
 def _check_seed(seed):
+    """``seed`` as a non-negative int, or as a tuple of them for a sequence
+    or an array; each key goes through :func:`check_whole`."""
     keys = seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed
-    keys = keys if isinstance(keys, (list, tuple)) else [keys]
-    if not all(isinstance(k, numbers.Integral) and k >= 0 for k in keys):
-        raise ConfigError(
-            f"seed must be a non-negative int or a sequence of them, got {seed!r}"
-        )
+    if isinstance(keys, (list, tuple)):
+        return tuple(check_whole(k, "seed", 0) for k in keys)
+    return check_whole(keys, "seed", 0)
 
 
 def _prep_band(fit, var, grid, q, alpha, draws, seed):
+    """Both bands' checked inputs and shared pieces. Omega on the grid is
+    rowsum((Gamma Sigma_j) * Gamma); NonPositiveVariance if one is not > 0."""
     check_variance(fit, var)
     alpha = check_level(alpha)
     draws = check_whole(draws, "draws", 100)
-    _check_seed(seed)
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.shape[0] < 1:
-        raise InvalidGrid("empty evaluation grid")
+    seed = _check_seed(seed)
+    try:
+        grid = check_floats(grid, "evaluation grid", fit.kind.main_spec.dim)
+    except ConfigError as exc:
+        raise InvalidGrid(str(exc)) from exc
     try:
         fit.at(grid, q).cells  # located once; the weights and estimates reuse them
     except OutOfSupport as exc:
         raise InvalidGrid(str(exc)) from exc
     _warn_grid_spacing(fit.kind.main_spec.partition, grid)
     gamma = fit.gamma_many(grid, q, var.j)
+    omega = quadratic_form(gamma, var.sigma_mat)
+    if np.any(omega <= 0):
+        raise NonPositiveVariance("variance not positive somewhere on the grid")
     est = fit.estimate_many(grid, q, var.j)
-    return grid, gamma, est, alpha, draws
+    return grid, gamma, omega, est, alpha, draws, np.random.default_rng(seed)
 
 
 def _warn_grid_spacing(part, grid):
@@ -316,26 +323,6 @@ def _band_result(grid, est, omega, n, sups, alpha, method):
         method=method,
         draws=sups.shape[0],
     )
-
-
-def _band_root(fit, var, gamma):
-    """One square root of the variance on the grid: ``(A, Omega)``.
-
-    A = Gamma V sqrt(lambda), (G, K_j), from the symmetric eigendecomposition
-    Sigma_j = V diag(lambda) V'. For j >= 2 the ``kind.null_dim`` smallest
-    eigenvalues, the stacked basis's known null directions, are set to zero;
-    any other negative one is clipped. Omega = rowsum(A**2) is
-    gamma' Sigma_j gamma at each grid point; NonPositiveVariance if any
-    is not positive.
-    """
-    evals, evecs = np.linalg.eigh(var.sigma_mat)
-    if var.j >= 2:
-        evals[: fit.kind.null_dim] = 0.0
-    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
-    omega = np.sum(A**2, axis=1)
-    if np.any(omega <= 0):
-        raise NonPositiveVariance("variance not positive somewhere on the grid")
-    return A, omega
 
 
 def _exact_rows(R):
@@ -410,10 +397,12 @@ def _sign_bytes(rng, c, n):
 def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     """Uniform band via simulated Gaussian suprema through Sigma^(1/2).
 
-    One square root serves the whole band (:func:`_band_root`): with
-    A = Gamma Sigma_j^(1/2), Omega on the grid is the row sum of A**2, and
-    draw b's process is M z_b with M = A / sqrt(Omega) and z_b standard
-    normal. No (G, n) score matrix is formed.
+    Omega on the grid comes from :func:`_prep_band`. Draw b's process is
+    M z_b with M = A / sqrt(Omega), z_b standard normal and
+    A = Gamma V sqrt(lambda), from one eigendecomposition Sigma_j =
+    V diag(lambda) V'. For j >= 2 the ``kind.null_dim`` smallest eigenvalues,
+    the stacked basis's known null directions, are set to zero; any other
+    negative one is clipped. No (G, n) score matrix is formed.
 
     One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
     normals are row b of one (draws, K_j) stream, taken in blocks of
@@ -424,10 +413,14 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     depends only on the seed and the number of draws, not on the block
     size.
     """
-    grid, gamma, est, alpha, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
-    A, omega = _band_root(fit, var, gamma)
+    grid, gamma, omega, est, alpha, draws, rng = _prep_band(
+        fit, var, grid, q, alpha, draws, seed
+    )
+    evals, evecs = np.linalg.eigh(var.sigma_mat)
+    if var.j >= 2:
+        evals[: fit.kind.null_dim] = 0.0
+    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
     right = _exact_rows(A / np.sqrt(omega)[:, None])
-    rng = np.random.default_rng(seed)
 
     def stat(c):
         return _exact_product(rng.standard_normal((c, right.shape[1])), right)
@@ -444,8 +437,9 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
 
     Each draw reweights the residuals by independent signs w_i and records
     the grid supremum of the restudentized process. The redrawn variance
-    equals Omega, because w_i^2 = 1, and Omega and M = Gamma / sqrt(Omega)
-    come from the same square root as the plug-in band (:func:`_band_root`).
+    equals Omega, because w_i^2 = 1, and Omega is the plug-in band's
+    rowsum((Gamma Sigma_j) * Gamma) (:func:`_prep_band`), so
+    M = Gamma / sqrt(Omega) needs no root of Sigma_j.
     The numerator is linear in the K_j coefficients, M T_b with
     T_b = sum_i w_i P_i and P_i = Pi_j(x_i) epshat_i / sqrt(n), so no (G, n)
     score matrix is formed:
@@ -466,9 +460,9 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     O(n width + G K_j) floats. The band depends only on the seed and the
     number of draws, not on the block size.
     """
-    grid, gamma, est, alpha, draws = _prep_band(fit, var, grid, q, alpha, draws, seed)
-    rng = np.random.default_rng(seed)
-    _, omega = _band_root(fit, var, gamma)
+    grid, gamma, omega, est, alpha, draws, rng = _prep_band(
+        fit, var, grid, q, alpha, draws, seed
+    )
     stat = _sign_stat(fit, var, gamma / np.sqrt(omega)[:, None], rng)
     sups = _draw_sups(draws, stat)
     return _band_result(grid, est, omega, fit.n, sups, alpha, "bootstrap")

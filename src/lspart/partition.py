@@ -84,10 +84,8 @@ def make_knots(rule, bounds, kappa, data=None):
 
     if data is None:
         raise DegenerateData("quantile knots need a data column")
-    col = np.sort(np.asarray(data, dtype=float))
+    col = np.sort(check_floats(data, "quantile data").ravel())
     n = col.shape[0]
-    if n == 0:
-        raise DegenerateData("quantile knots need a nonempty data column")
     knots = np.empty(kappa + 1)
     knots[0], knots[-1] = lo, hi
     for l in range(1, kappa):
@@ -115,15 +113,17 @@ class TensorPartition:
     knots: tuple = field()
 
     def __post_init__(self):
-        kn = tuple(np.asarray(k, dtype=float) for k in self.knots)
-        object.__setattr__(self, "knots", kn)
-        if len(kn) == 0:
+        if len(self.knots) == 0:
             raise DegenerateData("partition needs at least one axis")
-        for ell, k in enumerate(kn):
-            if k.ndim != 1 or k.shape[0] < 2:
+        kn = []
+        for ell, k in enumerate(self.knots):
+            a = check_floats(k, f"axis {ell} knots")[0]
+            if np.ndim(k) != 1 or a.shape[0] < 2:
                 raise DegenerateData(f"axis {ell}: need at least 2 knots")
-            if np.any(np.diff(k) <= 0):
+            if np.any(np.diff(a) <= 0):
                 raise DegenerateData(f"axis {ell}: knots must strictly increase")
+            kn.append(a)
+        object.__setattr__(self, "knots", tuple(kn))
 
     @classmethod
     def build(cls, rule, bounds, kappa, data=None):
@@ -140,7 +140,7 @@ class TensorPartition:
             raise InvalidKappa(f"kappa has {len(kap)} entries, bounds describe {d} axes")
         cols = [None] * d
         if data is not None:
-            X = np.atleast_2d(np.asarray(data, dtype=float))
+            X = check_floats(data, "quantile data")
             if X.shape[1] != d:
                 raise DegenerateData(
                     f"data has {X.shape[1]} columns, bounds describe {d} axes"

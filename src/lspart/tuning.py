@@ -127,8 +127,7 @@ def _one_cell_derivs(spec, design, coef, lam):
 def _selector_inputs(X, y, family, m, q, bounds):
     """The checked inputs both selectors share: (X, y, family, m, q, bounds)."""
     X = check_floats(X, "X")
-    y = np.asarray(y, dtype=float)
-    check_response(y)
+    y = check_response(y, X.shape[0])
     family = check_choice(BasisFamily, family)
     m = check_whole(m, "order", 1)
     q = check_deriv(q, X.shape[1])

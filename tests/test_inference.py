@@ -1,8 +1,12 @@
 """Sandwich variances, pointwise intervals, and uniform bands."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,15 +112,23 @@ class TestSigma:
         with pytest.raises(LeverageOverflow):
             sigma_hat(fit, 0, HCKind.HC2)
 
-    def test_zero_residuals_give_nonpositive_variance(self):
+    @pytest.mark.parametrize("call", ["pointwise", "plugin", "bootstrap"])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_zero_residuals_give_nonpositive_variance(self, j, call):
         rng = np.random.default_rng(3)
         X = rng.random((80, 1))
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 3)
         kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
         fit = fit_estimator(kind, X, np.zeros(80))
-        var = sigma_hat(fit, 0)
+        var = sigma_hat(fit, j)
+        grid = make_grid([[0.0, 1.0]], 9)
+        run = {
+            "pointwise": lambda: pointwise_ci(fit, var, [[0.5]]),
+            "plugin": lambda: band_plugin(fit, var, grid, draws=150),
+            "bootstrap": lambda: band_bootstrap(fit, var, grid, draws=150),
+        }[call]
         with pytest.raises(NonPositiveVariance):
-            pointwise_ci(fit, var, [[0.5]])
+            run()
 
 
 def test_hc1_needs_n_above_k():
@@ -305,7 +317,7 @@ class TestBands:
             ("seed", 1.5),
             ("seed", (3, -1)),
             ("seed", [2, 0.5]),
-            ("seed", "7"),
+            ("seed", "7.5"),
         ],
     )
     def test_bad_draws_or_seed(self, fit_1d, band, name, value):
@@ -314,12 +326,16 @@ class TestBands:
             band(fit_1d, var, make_grid([[0.0, 1.0]], 10), **{name: value})
 
     def test_integral_draws_and_array_seed(self, fit_1d):
-        # an integral float counts its draws; an int array seeds like a tuple
+        # an integral float counts its draws; an int array seeds like a tuple,
+        # and a whole-valued key (3.0, "3") like the int it equals
         var = sigma_hat(fit_1d, 0)
         grid = make_grid([[0.0, 1.0]], 30)
         a = band_bootstrap(fit_1d, var, grid, draws=150.0, seed=np.array([3, 1]))
         b = band_bootstrap(fit_1d, var, grid, draws=150, seed=(3, 1))
-        assert a.draws == 150 and a.quantile == b.quantile
+        c = band_bootstrap(fit_1d, var, grid, draws=150, seed=["3", 1.0])
+        assert a.draws == 150 and a.quantile == b.quantile == c.quantile
+        d = band_plugin(fit_1d, var, grid, draws=150, seed=3)
+        assert band_plugin(fit_1d, var, grid, draws=150, seed="3").quantile == d.quantile
 
     def test_coarse_grid_warns(self):
         rng = np.random.default_rng(5)
@@ -344,7 +360,8 @@ def _fit_nd(d, family=BasisFamily.BSPLINE, n=None, kappa=None, seed=0):
 
 
 class TestPluginRoute:
-    """The plug-in band reads Omega and the process off one root of Sigma."""
+    """Both bands take Omega from rowsum((Gamma Sigma) * Gamma); only the
+    plug-in band takes a root of Sigma, for its draws."""
 
     def test_never_builds_scores(self, monkeypatch):
         fit = _fit_nd(2)
@@ -364,14 +381,27 @@ class TestPluginRoute:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
     def test_half_widths_match_dense_omega(self, family, d, j, band_fn):
-        # both bands take Omega from the one root of Sigma (_band_root)
+        # the dense per-observation oracle: Omega = (Gamma D')^2 wre2 / n
         fit = _fit_nd(d, family)
         var = sigma_hat(fit, j)
         grid = make_grid([[0.0, 1.0]] * d, 30 if d == 1 else 8)
         band = band_fn(fit, var, grid, seed=2, draws=200)
-        gamma = fit.gamma_many(grid, None, j)
-        ref = band.quantile * np.sqrt(quadratic_form(gamma, var.sigma_mat) / fit.n)
+        scores = fit.gamma_many(grid, None, j) @ var.design.dense().T
+        ref = band.quantile * np.sqrt((scores**2) @ var.wre2 / fit.n / fit.n)
         assert_allclose(band.half_widths, ref, rtol=1e-10)
+
+    def test_bootstrap_takes_no_eigendecomposition(self, monkeypatch):
+        fit = _fit_nd(2)
+        grid = make_grid([[0.0, 1.0]] * 2, 8)
+        variances = [sigma_hat(fit, j) for j in (0, 1, 2, 3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for var in variances:
+            band = band_bootstrap(fit, var, grid, seed=1, draws=200)
+            assert np.all(band.half_widths > 0)
 
     @pytest.mark.parametrize("j", [0, 2])
     def test_memory_stays_below_score_matrix(self, j):
@@ -406,12 +436,13 @@ class TestPluginRoute:
 
 
 def _root(fit, var, gamma):
-    # A = Gamma Sigma^(1/2) with the stacked null directions zeroed; Omega
+    # A = Gamma Sigma^(1/2) with the stacked null directions zeroed, and
+    # Omega = rowsum((Gamma Sigma) * Gamma)
     evals, evecs = np.linalg.eigh(var.sigma_mat)
     if var.j >= 2:
         evals[: fit.kind.null_dim] = 0.0
     A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
-    return A, np.sum(A**2, axis=1)
+    return A, np.sum((gamma @ var.sigma_mat) * gamma, axis=1)
 
 
 def _round_left(L):
@@ -667,3 +698,43 @@ def test_exact_product_is_exact_and_blocking_invariant(factors):
         _exact_product(Z[s : s + 7].copy(), right) for s in range(0, Z.shape[0], 7)
     ]
     assert np.array_equal(np.concatenate(blocks), got)
+
+
+_THREAD_CHILD = """
+import numpy as np
+from lspart.basis import BasisFamily
+from lspart.dgp import dgp_sample
+from lspart.fit import EstimatorKind, fit_estimator
+from lspart.inference import band_bootstrap, band_plugin, make_grid, pointwise_ci, sigma_hat
+from lspart.partition import KnotRule, TensorPartition
+
+X, y = dgp_sample(4, 3001, 0)
+part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 6)
+fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 3, part), X, y)
+grid = make_grid([[0.0, 1.0]] * 2, 20)
+for j in range(4):
+    var = sigma_hat(fit, j)
+    for band in (band_plugin, band_bootstrap):
+        b = band(fit, var, grid, draws=100, seed=(1, j))
+        print(j, band.__name__, b.quantile.hex(), b.half_widths.tobytes().hex())
+    se = pointwise_ci(fit, var, [[0.2, 0.3], [0.5, 0.5], [0.8, 0.1]]).se
+    print(j, "se", se.tobytes().hex())
+"""
+
+
+def test_bands_do_not_depend_on_blas_threads():
+    # d = 2, B-spline m = 3, kappa = 6: K_2 = 145. Omega is one GEMM and the
+    # draws are exact products, so both bands keep their bits for every j
+    # (larger Grams already vary upstream, in numpy's Cholesky and inverse)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _THREAD_CHILD], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.splitlines())
+    assert len(out[0]) == 12
+    for one, two in zip(*out):
+        assert one == two, one.split()[:2]

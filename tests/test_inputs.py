@@ -6,7 +6,7 @@ reads back what the program kept, and the typed error a bad value raises.
 A fraction and a non-numeric string raise that error; a whole-valued float
 is kept as the int it equals. An unknown choice raises ``ConfigError`` and a
 choice's value string, in any case, is taken for its member. A float array
-that is ragged, non-numeric, non-finite or of the wrong width raises
+that is ragged, non-numeric, non-finite or of the wrong width or length raises
 ``ConfigError``.
 """
 
@@ -17,7 +17,7 @@ import pytest
 
 from lspart.basis import BasisFamily, BasisSpec, check_deriv
 from lspart.cli import _ints_csv
-from lspart.dgp import dgp_dim, dgp_sample
+from lspart.dgp import dgp_dim, dgp_eval, dgp_sample
 from lspart.errors import (
     ConfigError,
     InvalidGrid,
@@ -68,6 +68,11 @@ def _band(band_fn, **kw):
     return band_fn(fit, sigma_hat(fit, 0), make_grid(UNIT, 9), **kw)
 
 
+def _band_at(band_fn, grid):
+    fit = _fit()
+    return band_fn(fit, sigma_hat(fit, 0), grid, draws=100).half_widths
+
+
 # (input, read(value) -> what the program keeps, error, a valid whole value)
 WHOLE = [
     ("RunConfig.m", lambda v: _cfg(m=v).m, ConfigError, 3),
@@ -95,6 +100,10 @@ WHOLE = [
     ("band_plugin.draws", lambda v: _band(band_plugin, draws=v).draws, ConfigError, 120),
     ("band_bootstrap.draws", lambda v: _band(band_bootstrap, draws=v).draws,
      ConfigError, 120),
+    ("band_plugin.seed", lambda v: _band(band_plugin, seed=v, draws=100).quantile,
+     ConfigError, 3),
+    ("band_bootstrap.seed", lambda v: _band(band_bootstrap, seed=(v, 1), draws=100).quantile,
+     ConfigError, 3),
     ("eta_constant.m", lambda v: eta_constant("bspline", v, (2,), (2,)), ConfigError, 2),
     ("rot_select.m", lambda v: rot_select(*_sample(), "bspline", v).kappa_rot,
      ConfigError, 2),
@@ -194,6 +203,35 @@ def _rot_x(X):
     return rot_select(X, np.zeros(len(X)), "bspline", 2).kappa_rot
 
 
+def _fit_y(y):
+    return fit_estimator(_fit().kind, _sample()[0], y).y
+
+
+def _rot_y(y):
+    return rot_select(_sample()[0], y, "bspline", 2).kappa_rot
+
+
+def _dpi_y(y):
+    return dpi_select(_sample()[0], y, "bspline", 2).selected()
+
+
+def _estimates(pts):
+    return _fit().estimate_many(pts)
+
+
+def _pointwise(pts):
+    fit = _fit()
+    return pointwise_ci(fit, sigma_hat(fit, 0), pts).se
+
+
+def _partition(knots):
+    return TensorPartition((knots,)).knots
+
+
+def _quantile_data(data):
+    return TensorPartition.build("quantile", UNIT, 3, data=data).knots
+
+
 # (input, read(value) -> what the program keeps, a bad value)
 FLOATS = [
     ("fit_estimator.X non-numeric", _fit_x, [["a"], [0.5]]),
@@ -221,6 +259,28 @@ FLOATS = [
     ("make_grid.bounds ragged", lambda v: make_grid(v, 3), [[0, 1], [0]]),
     ("make_grid.bounds NaN", lambda v: make_grid(v, 3), [[0, float("nan")]]),
     ("make_grid.bounds empty", lambda v: make_grid(v, 3), []),
+    ("fit_estimator.y non-numeric", _fit_y, ["a"] * 300),
+    ("fit_estimator.y ragged", _fit_y, [[0.1]] * 299 + [[0.2, 0.3]]),
+    ("rot_select.y non-numeric", _rot_y, ["a"] * 300),
+    ("rot_select.y length", _rot_y, np.zeros(10)),
+    ("dpi_select.y length", _dpi_y, np.zeros(10)),
+    ("estimate_many ragged", _estimates, [[0.1], [0.2, 0.3]]),
+    ("estimate_many non-numeric", _estimates, [["a"]]),
+    ("estimate_many NaN", _estimates, [[float("nan")]]),
+    ("pointwise_ci ragged", _pointwise, [[0.1], [0.2, 0.3]]),
+    ("pointwise_ci non-numeric", _pointwise, [["a"]]),
+    ("pointwise_ci NaN", _pointwise, [[float("nan")]]),
+    ("pointwise_ci empty", _pointwise, np.empty((0, 1))),
+    ("band_plugin.grid ragged", lambda v: _band_at(band_plugin, v), [[0.1], [0.2, 0.3]]),
+    ("band_plugin.grid non-numeric", lambda v: _band_at(band_plugin, v), [["a"]]),
+    ("band_bootstrap.grid ragged", lambda v: _band_at(band_bootstrap, v),
+     [[0.1], [0.2, 0.3]]),
+    ("band_bootstrap.grid non-numeric", lambda v: _band_at(band_bootstrap, v), [["a"]]),
+    ("TensorPartition.knots NaN", _partition, [0.0, float("nan"), 1.0]),
+    ("TensorPartition.knots non-numeric", _partition, ["a", "b"]),
+    ("TensorPartition.build.data NaN", _quantile_data,
+     np.append(_sample()[0][:-1, 0], np.nan)[:, None]),
+    ("dgp_eval ragged", lambda v: dgp_eval(1, v), [[0.1], [0.2, 0.3]]),
 ]
 
 
