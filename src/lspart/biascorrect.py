@@ -6,11 +6,14 @@ fit takes the family-specific form
 
     lead_{m,q}(x) = - sum_{u in Lambda_m} d^u mu(x) * b^(u-q) * shape(u, q, z)
 
-where shape is a fixed polynomial product on [0,1]^d (Bernoulli factors for
-B-splines, scaled shifted-Legendre factors for piecewise polynomials) and
-vanishes whenever u - q has a negative entry. The plug-in estimate reads
-d^u mu off the order-mtilde fit, d^u mu-tilde = (d^u ptilde)' beta-tilde, so
-it is linear in the coefficients:
+where shape(u, q, .) is the q-th z-derivative of a fixed polynomial
+product shape(u, 0, .) on [0,1]^d (Bernoulli factors for B-splines, scaled
+shifted-Legendre factors for piecewise polynomials) and vanishes whenever
+u - q has a negative entry. A Bernoulli factor's derivative is again one,
+B_k' / k! = B_{k-1} / (k-1)!; a Legendre factor's is not, once u - q >= 2.
+The plug-in estimate reads d^u mu off the order-mtilde fit,
+d^u mu-tilde = (d^u ptilde)' beta-tilde, so it is linear in the
+coefficients:
 
     lead_q(x) = - R_q(x)' beta-tilde,   R_q = sum_u w_{u,q} d^u ptilde,
 
@@ -120,14 +123,17 @@ class LeadingErrorModel:
         if any(u[ell] < q[ell] for ell in range(self.dim)):
             return np.zeros(z.shape[0])  # convention: negative index kills term
         out = np.ones(z.shape[0])
-        for ell in range(self.dim):
-            k = u[ell] - q[ell]
+        for ell, (a, b) in enumerate(zip(u, q)):
+            k = a - b
             if self.family is BasisFamily.BSPLINE:
                 out *= bernoulli_poly(k, z[:, ell]) / math.factorial(k)
-            else:
-                out *= shifted_legendre(k, z[:, ell]) / (
-                    math.comb(2 * k, k) * math.factorial(k)
-                )
+            else:  # d^b of the level's shape, not the order-(a - b) one
+                c = [0] * a + [1]  # P_a(2z - 1) in shifted-Legendre coefficients
+                for _ in range(b):  # P_n' = sum_{i = n-1, n-3, ..} (2i + 1) P_i; dt/dz = 2
+                    c = [sum(2 * (2 * i + 1) * c[n] for n in range(i + 1, a + 1, 2))
+                         for i in range(a + 1)]
+                terms = [ci * shifted_legendre(i, z[:, ell]) for i, ci in enumerate(c) if ci]
+                out *= sum(terms[1:], terms[0]) / (math.comb(2 * a, a) * math.factorial(a))
         return out
 
     def weight_values(self, u, q, z, width):

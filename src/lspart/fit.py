@@ -19,6 +19,14 @@ different read of the same factored objects:
   :func:`~lspart.biascorrect.lead_rows`, so D_3' beta-tilde is minus the
   plug-in estimate of the leading error.
 
+When the main span lies inside the companion's (:attr:`EstimatorKind.nested`:
+piecewise polynomials, Haar and a one-cell B-spline), p = A ptilde with
+A = C_2 Q-tilde^-1, so every j >= 1 is a linear read of beta-tilde alone. Its
+design, right-hand side, leverage and weights are then those of the companion
+design, and nothing stacks: j = 2 is j = 1 (their estimates differ by
+roundoff), and j = 3 equals j = 1 when mtilde = m + 1. Every other kind's
+j >= 2 reads the stacked design [p, ptilde].
+
 Every read at a point set goes through one row bundle per (point set, q)
 (:class:`RowBundle`, from :meth:`FitResult.at`). It locates its points on
 the partition that both bases share and builds, each at most once and only
@@ -155,9 +163,19 @@ class EstimatorKind:
 
     @property
     def null_dim(self):
-        """m^d for B-splines (the polynomials of degree < m per axis), else K_0."""
+        """Dimensions the main span shares with the companion's: m^d for
+        B-splines (the polynomials of degree < m per axis), else K_0. It is
+        also the rank the stacked design of j >= 2 loses."""
         main = self.main_spec
         return main.m**main.dim if main.family is BasisFamily.BSPLINE else main.K
+
+    @property
+    def nested(self):
+        """True when the main span lies inside the companion's
+        (``null_dim == K_0``): piecewise polynomials, Haar and a one-cell
+        B-spline. Every j >= 1 of a nested kind then reads the companion
+        design alone; nothing stacks."""
+        return self.null_dim == self.main_spec.K
 
     def require_j(self, j):
         j = check_whole(j, "estimator kind j", 0)
@@ -327,12 +345,21 @@ class FitResult:
 
     # -- per-kind reads -----------------------------------------------------
 
+    def _reads(self, j):
+        """The checked j whose design j reads: 1 for every j >= 1 of a
+        nested kind."""
+        j = self.kind.require_j(j)
+        return min(j, 1) if self.kind.nested else j
+
     def design_for(self, j):
         """Pi_j rows at the sample: the j-relevant (possibly stacked) design.
 
-        j = 2 and 3 share one stacked design, built on first use.
+        j = 2 and 3 share one stacked design, built on first use. A nested
+        kind's j >= 2 read the companion design of j = 1 instead: their
+        weights on [p, ptilde] fold into weights on ptilde alone
+        (:meth:`gamma_many`).
         """
-        j = self.kind.require_j(j)
+        j = self._reads(j)
         if j == 0:
             return self.design_main
         if j == 1:
@@ -343,7 +370,7 @@ class FitResult:
 
     def rhs_for(self, j):
         """E_n[Pi_j(x_i) y_i] as a dense vector."""
-        j = self.kind.require_j(j)
+        j = self._reads(j)
         if j == 0:
             return self.rhs_main
         if j == 1:
@@ -394,10 +421,16 @@ class FitResult:
         and C_j the cross-Gram of p and D_{j,0} at the sample. The estimator identity
         ``estimate == gamma_many @ rhs_for(j)`` holds to roundoff and is
         exercised in tests.
+
+        A nested kind folds the main block into the companion block: since
+        p = C_2 Q-tilde^-1 ptilde at the sample, the stacked weights
+        gamma_0' p_i + gamma_b' ptilde_i equal gammatilde_j' ptilde_i with
+        gammatilde_j = Q-tilde^-1 (D_j(pts)' + (C_2 - C_j)' gamma_0'), (G, K_1).
+        For j = 2 the fold term is zero, so gamma_2 is gamma_1.
         """
         j = self.kind.require_j(j)
         bundle = self.at(pts, q)
-        if j == 1:
+        if j == 1 or (j == 2 and self.kind.nested):
             return self.gram_bc.solve(bundle.bc.dense().T).T
         if bundle.gamma0 is None:
             bundle.gamma0 = self.gram_main.solve(bundle.main.dense().T).T
@@ -405,22 +438,25 @@ class FitResult:
         if j == 0:
             return gamma0.copy()
         rhs = self._correction(j, bundle).dense().T - self._cross_for(j).T @ gamma0.T
-        return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
+        if not self.kind.nested:
+            return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
+        return self.gram_bc.solve(rhs + self._cross_for(2).T @ gamma0.T).T
 
     def leverage(self, j):
         """Diagonal of the hat matrix for the j-relevant design, (n,).
 
         One route for every j: h_i = Pi_j(x_i)' G^- Pi_j(x_i) / n against a
         generalized inverse of the Gram, in O(K^3 + n width^2) and no (n, K)
-        array. For j <= 1 it is the Gram's checked inverse.
-        The stacked Gram of j >= 2 is rank deficient by ``kind.null_dim``;
-        its generalized inverse comes from the Schur complement of the
-        bias-correction block (:func:`_stacked_ginv`). The hat diagonal does
-        not depend on which generalized inverse is used. j = 2 and j = 3
-        share one stacked design, so they share one cached leverage array.
+        array. For j <= 1, and for every j of a nested kind, it is the
+        Gram's checked inverse, and a nested kind's j >= 2 share j = 1's
+        array. Otherwise the stacked Gram of j >= 2 is rank deficient by
+        ``kind.null_dim``; its generalized inverse comes from the Schur
+        complement of the bias-correction block (:func:`_stacked_ginv`). The
+        hat diagonal does not depend on which generalized inverse is used.
+        j = 2 and j = 3 share one stacked design, so they share one cached
+        leverage array.
         """
-        j = self.kind.require_j(j)
-        key = min(j, 2)
+        key = min(self._reads(j), 2)
         if key not in self._leverage:
             if key <= 1:
                 ginv = (self.gram_main if key == 0 else self.gram_bc).inv
@@ -443,7 +479,9 @@ def _stacked_ginv(gram_main, gram_bc, cross, dropped):
     is a generalized inverse of G. S^+ is taken from one ``eigh`` of S and
     drops its ``dropped`` smallest eigenvalues (:attr:`EstimatorKind.null_dim`).
     With s = max diag(Q_0), they must lie below sqrt(eps) s and the next one
-    (if any) 100 times above both them and eps s, or ``NumericalError``.
+    100 times above both them and eps s, or ``NumericalError``. Only kinds
+    that are not nested reach here, so ``dropped < K_0`` and some eigenvalue
+    is kept.
     """
     k0 = gram_main.K
     q1inv = gram_bc.inv
@@ -451,7 +489,7 @@ def _stacked_ginv(gram_main, gram_bc, cross, dropped):
     lam, vec = np.linalg.eigh(gram_main.Q - t @ cross.T)
     scale = float(np.max(np.diagonal(gram_main.Q)))
     floor = float(np.max(np.abs(lam[:dropped]), initial=0.0))
-    gap = dropped == k0 or lam[dropped] >= 100.0 * max(floor, _EPS * scale)
+    gap = lam[dropped] >= 100.0 * max(floor, _EPS * scale)
     if floor > np.sqrt(_EPS) * scale or not gap:
         raise NumericalError(
             f"stacked Gram: its {dropped} null directions are not separated "

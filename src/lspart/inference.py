@@ -81,12 +81,16 @@ def normal_quantile(p):
 class VarianceEstimate:
     """Sandwich variance pieces for one estimator kind.
 
-    Binds the fit, the kind j, and the HC residual weighting. HC2/HC3 use
+    Binds the fit, the kind j, and the HC residual weighting. The design is
+    :meth:`FitResult.design_for`: for a nested kind (PP, Haar, one-cell
+    B-spline) every j >= 1 reads the companion design, so Sigma_j is
+    (K_1, K_1) and HC1 counts K_1 functions; otherwise j >= 2 read the
+    stacked design, and HC1 counts all K_0 + K_1 of its columns. HC2/HC3 use
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
-    Gram the fit keeps (``BandedCholesky.inv``), or for j >= 2 against a
-    generalized inverse of the stacked Gram built from the Schur complement
-    of its bias-correction block, less its ``kind.null_dim`` null directions.
-    j = 2 and j = 3 share the cached leverage of their common stacked design.
+    Gram the fit keeps (``BandedCholesky.inv``), or for a stacked j >= 2
+    against a generalized inverse of the stacked Gram built from the Schur
+    complement of its bias-correction block, less its ``kind.null_dim`` null
+    directions. j = 2 and j = 3 share one cached leverage array.
     The dense Sigma matrix is formed lazily by the Gram accumulator
     :meth:`SparseRows.weighted_cross`; both bands take Omega on their grid
     from it (:func:`quadratic_form`). :meth:`omega_many` needs no Sigma: it
@@ -400,9 +404,12 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     Omega on the grid comes from :func:`_prep_band`. Draw b's process is
     M z_b with M = A / sqrt(Omega), z_b standard normal and
     A = Gamma V sqrt(lambda), from one eigendecomposition Sigma_j =
-    V diag(lambda) V'. For j >= 2 the ``kind.null_dim`` smallest eigenvalues,
-    the stacked basis's known null directions, are set to zero; any other
-    negative one is clipped. No (G, n) score matrix is formed.
+    V diag(lambda) V'. When Sigma_j belongs to a stacked design (j >= 2 of
+    a kind that is not nested), its ``kind.null_dim`` smallest eigenvalues,
+    the stacked basis's known null directions, are set to zero; a nested
+    kind's Sigma_j is the companion design's, of full rank, and nothing is
+    zeroed. Any other negative eigenvalue is clipped. No (G, n) score matrix
+    is formed.
 
     One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
     normals are row b of one (draws, K_j) stream, taken in blocks of
@@ -417,7 +424,7 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
         fit, var, grid, q, alpha, draws, seed
     )
     evals, evecs = np.linalg.eigh(var.sigma_mat)
-    if var.j >= 2:
+    if var.j >= 2 and not fit.kind.nested:  # Sigma_j of the stacked design
         evals[: fit.kind.null_dim] = 0.0
     A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
     right = _exact_rows(A / np.sqrt(omega)[:, None])

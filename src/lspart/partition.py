@@ -62,16 +62,17 @@ def make_knots(rule, bounds, kappa, data=None):
     Raises
     ------
     ConfigError
-        If ``rule`` names no knot rule.
+        If ``rule`` names no knot rule, or ``bounds`` is not a pair of
+        finite numbers.
     InvalidKappa
         If ``kappa`` is not a whole number >= 1.
     DegenerateData
-        If quantile placement produces duplicate knots, or a quantile knot
-        falls outside the open support interval.
+        If ``lo >= hi``, if quantile placement produces duplicate knots, or
+        if a quantile knot falls outside the open support interval.
     """
     rule = check_choice(KnotRule, rule)
     kappa = check_whole(kappa, "kappa", 1, InvalidKappa)
-    lo, hi = float(bounds[0]), float(bounds[1])
+    lo, hi = check_floats([bounds], "bounds", 2)[0]
     if not lo < hi:
         raise DegenerateData(f"empty support [{lo}, {hi}]")
 

@@ -5,6 +5,7 @@ x^2 on even cells of width b overshoots by b^2/12 at cell midpoints and
 undershoots by b^2/6 at the knots.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -307,8 +308,16 @@ class TestLeadDesign:
         R = sum(w_u[:, None] * Du for w_u, Du in terms)
         assert_allclose(fit.at(pts, q).lead.dense(), R, atol=1e-12)
         assert_allclose(leading_bias_many(fit, pts, q), lead, rtol=1e-12, atol=1e-13)
-        assert_allclose(fit.gamma_many(pts, q, j=3), _per_u_gamma3(fit, pts, q),
-                        rtol=1e-9, atol=1e-9)
+        gamma3 = _per_u_gamma3(fit, pts, q)
+        if fit.kind.nested:
+            # a nested kind (PP) folds the stacked weights onto the companion
+            # design; the per-observation weights Gamma Pi_3(x_i)' do not
+            # depend on the representation
+            stacked = np.hstack([fit.design_main.dense(), fit.design_bc.dense()])
+            assert_allclose(fit.gamma_many(pts, q, j=3) @ fit.design_for(3).dense().T,
+                            gamma3 @ stacked.T, rtol=1e-9, atol=1e-9)
+        else:
+            assert_allclose(fit.gamma_many(pts, q, j=3), gamma3, rtol=1e-9, atol=1e-9)
         sample = _per_u_terms(fit, fit.X, (0,) * d)
         assert_allclose(leading_bias_many(fit, fit.X),
                         -sum(w * (Du @ fit.beta_bc) for w, Du in sample),
@@ -326,6 +335,31 @@ class TestLeadDesign:
                         fit.estimate_many(pts, q, j=3), atol=1e-10)
         assert_allclose(fit.gamma_many(pts, q, j=3), _per_u_gamma3(fit, pts, q),
                         rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("d,g", [(1, 4000), (2, 200)])
+def test_pp_derivative_lead_is_the_true_error(d, g):
+    # y of degree m = 3 on a midpoint sample of g points per axis: the
+    # sample projection of order m is the L2 one up to O(g^-2), so the j = 0
+    # error of d^q y is the q-th derivative of the level's lead, and the
+    # order-4 fit reads d^u y exactly
+    coef = {1: {(3,): 1.0, (2,): -0.5},
+            2: {(3, 0): 1.0, (2, 1): -2.0, (1, 2): 0.5, (0, 3): 0.75}}[d]
+
+    def poly(X, q):
+        return sum(c * math.prod(map(math.perm, a, q)) * np.prod(X ** np.subtract(a, q), axis=1)
+                   for a, c in coef.items() if all(x >= y for x, y in zip(a, q)))
+
+    axis = (np.arange(g) + 0.5) / g
+    X = np.stack([c.ravel() for c in np.meshgrid(*[axis] * d, indexing="ij")], axis=1)
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, {1: 4, 2: 2}[d])
+    fit = fit_estimator(EstimatorKind.default(BasisFamily.PP, 3, part), X, poly(X, (0,) * d))
+    pts = np.random.default_rng(d).random((9, d))
+    for q in itertools.product(range(3), repeat=d):
+        if sum(q) < 3:
+            error = fit.estimate_many(pts, q, j=0) - poly(pts, q)
+            assert_allclose(leading_bias_many(fit, pts, q), error, rtol=0,
+                            atol=1.0 / g**2, err_msg=str(q))
 
 
 class TestDerivativeIndex:

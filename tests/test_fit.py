@@ -5,6 +5,8 @@ small instances (two-stage refit for j=2, explicit plug-in for j=3); the
 tests compare the production paths against those.
 """
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lspart.fit as fit_module
+import lspart.inference as inference_module
 from lspart.basis import BasisFamily, BasisSpec, SparseRows
 from lspart.cli import main
 from lspart.errors import (
@@ -32,7 +35,14 @@ from lspart.fit import (
     stack_designs,
 )
 from lspart.harness import RunConfig, run_fit
-from lspart.inference import HCKind, pointwise_ci, sigma_hat
+from lspart.inference import (
+    HCKind,
+    band_bootstrap,
+    band_plugin,
+    make_grid,
+    pointwise_ci,
+    sigma_hat,
+)
 from lspart.partition import KnotRule, TensorPartition
 from lspart.tuning import dpi_select, rot_select
 
@@ -290,6 +300,27 @@ class TestJ2:
         assert gap > 1e-6
 
 
+_CUBIC = {  # total degree 3, as {exponents: coefficient}
+    1: {(3,): 1.0, (2,): -0.5, (0,): 0.25},
+    2: {(3, 0): 1.0, (2, 1): -2.0, (1, 2): 0.5, (0, 3): 0.75, (1, 1): 1.0, (0, 0): 0.25},
+}
+
+
+def _poly(coef, X, q):
+    """d^q of the polynomial sum_a coef[a] x^a at the rows of X."""
+    out = np.zeros(X.shape[0])
+    for a, c in coef.items():
+        scale = c * math.prod(map(math.perm, a, q))
+        if scale:
+            out += scale * np.prod(X ** np.subtract(a, q), axis=1)
+    return out
+
+
+def _derivs(d, m):
+    """Every derivative order q with [q] < m."""
+    return [q for q in itertools.product(range(m), repeat=d) if sum(q) < m]
+
+
 class TestJ3:
     @pytest.mark.parametrize(
         "family,rule",
@@ -309,6 +340,23 @@ class TestJ3:
         assert_allclose(
             fit.estimate_many(pts, q=[1], j=3), 2.0 * pts[:, 0], atol=1e-9
         )
+
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_cubic_reproduced_at_every_derivative(self, family, d):
+        # a noise-free y of degree m = 3: the order-4 fit recovers it, and the
+        # lead at q is the q-th derivative of the level's lead, so j = 3
+        # returns d^q y exactly at every q with [q] < m
+        coef = _CUBIC[d]
+        rng = np.random.default_rng([d, 3])
+        X = rng.random((900, d))
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, 3)
+        kind = EstimatorKind.default(family, 3, part)
+        fit = fit_estimator(kind, X, _poly(coef, X, (0,) * d))
+        pts = rng.random((9, d))
+        for q in _derivs(d, 3):
+            assert_allclose(fit.estimate_many(pts, q, j=3), _poly(coef, pts, q),
+                            rtol=0, atol=1e-8, err_msg=str(q))
 
     def test_uncorrected_quadratic_biased(self):
         fit, _, _ = _fit_1d(lambda x: x**2, m=2, kappa=4, seed=5)
@@ -463,7 +511,7 @@ class TestLeverageRoute:
     @pytest.mark.parametrize("family", [BasisFamily.PP, BasisFamily.HAAR])
     @pytest.mark.parametrize("d", [1, 2])
     def test_nested_kinds_leverage_is_j1(self, family, d):
-        # span(main) lies inside span(bc): all K_0 directions drop
+        # span(main) lies inside span(bc): j >= 2 read j = 1's design
         fit = _fit_nd(d, family, m=1 if family is BasisFamily.HAAR else 2)
         assert fit.kind.null_dim == fit.design_main.K
         assert_allclose(fit.leverage(2), fit.leverage(1), rtol=0, atol=1e-13)
@@ -540,6 +588,117 @@ class TestLeverageRoute:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
+
+
+def _nested_fit(family, d, m, m_tilde, seed=0):
+    # PP and Haar nest on any partition, a B-spline on one cell only
+    kappa = 1 if family is BasisFamily.BSPLINE else {1: 4, 2: 3}[d]
+    n = {1: 300, 2: 900}[d]
+    rng = np.random.default_rng([seed, d, m])
+    X = rng.random((n, d))
+    y = np.sin(3 * X[:, 0]) * np.cos(2 * X[:, -1]) + 0.3 * rng.standard_normal(n)
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
+    return fit_estimator(EstimatorKind.default(family, m, part, m_tilde), X, y)
+
+
+_NESTED = [(BasisFamily.PP, 3), (BasisFamily.HAAR, 1), (BasisFamily.BSPLINE, 3)]
+
+
+class TestNestedKinds:
+    """PP, Haar and a one-cell B-spline: the main span lies inside the
+    companion's, so every j >= 1 reads the companion design alone."""
+
+    def test_nested_is_decided_by_the_spans(self):
+        assert _nested_fit(BasisFamily.BSPLINE, 2, 2, 3).kind.nested
+        assert not _fit_nd(1).kind.nested
+        assert _fit_nd(1, BasisFamily.PP).kind.nested
+
+    @pytest.mark.parametrize("family,m", _NESTED)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_j2_is_j1(self, family, m, d):
+        fit = _nested_fit(family, d, m, m + 1)
+        assert fit.kind.nested
+        assert fit.design_for(2) is fit.design_bc
+        assert np.array_equal(fit.rhs_for(2), fit.rhs_for(1))
+        assert np.array_equal(fit.leverage(2), fit.leverage(1))
+        var1, var2 = sigma_hat(fit, 1, HCKind.HC2), sigma_hat(fit, 2, HCKind.HC2)
+        pts = np.random.default_rng(d).random((9, d))
+        for q in _derivs(d, m):
+            assert np.array_equal(fit.gamma_many(pts, q, 2), fit.gamma_many(pts, q, 1))
+            assert_allclose(fit.estimate_many(pts, q, 2), fit.estimate_many(pts, q, 1),
+                            rtol=1e-10, atol=1e-12)
+            assert_allclose(var2.omega_many(pts, q), var1.omega_many(pts, q), rtol=1e-10)
+
+    @pytest.mark.parametrize("family,d", [
+        (BasisFamily.PP, 1), (BasisFamily.PP, 2), (BasisFamily.BSPLINE, 1),
+    ])
+    def test_j3_is_j1_one_order_up(self, family, d):
+        # at mtilde = m + 1 the plug-in lead is the order-mtilde fit's whole
+        # error, at every q. (A one-cell B-spline at d = 2 is left out: its
+        # lead covers only the axis terms u = m e_l, not the mixed ones.)
+        fit = _nested_fit(family, d, 3, 4)
+        assert fit.design_for(3) is fit.design_bc
+        assert np.array_equal(fit.leverage(3), fit.leverage(1))
+        var1, var3 = sigma_hat(fit, 1, HCKind.HC2), sigma_hat(fit, 3, HCKind.HC2)
+        pts = np.random.default_rng(d).random((9, d))
+        for q in _derivs(d, 3):
+            gamma1 = fit.gamma_many(pts, q, 1)
+            assert_allclose(fit.gamma_many(pts, q, 3), gamma1, rtol=0,
+                            atol=1e-10 * np.max(np.abs(gamma1)), err_msg=str(q))
+            assert_allclose(fit.estimate_many(pts, q, 3), fit.estimate_many(pts, q, 1),
+                            rtol=1e-10, atol=1e-12, err_msg=str(q))
+            assert_allclose(var3.omega_many(pts, q), var1.omega_many(pts, q), rtol=1e-9)
+
+    @pytest.mark.parametrize("family", [BasisFamily.PP, BasisFamily.BSPLINE])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_j3_weights_match_stacked_oracle(self, family, d):
+        # at mtilde = m + 2, j = 3 is an estimator of its own; its weights on
+        # the companion design are the stacked weights on [p, ptilde]
+        m = 2
+        fit = _nested_fit(family, d, m, m + 2)
+        Dm, Db = fit.design_main.dense(), fit.design_bc.dense()
+        C3 = Dm.T @ fit.at(fit.X).lead.dense() / fit.n
+        pts = np.random.default_rng(d).random((9, d))
+        for q in _derivs(d, m):
+            gamma0 = np.linalg.solve(fit.gram_main.Q, fit.at(pts, q).main.dense().T).T
+            rhs = fit.at(pts, q).lead.dense().T - C3.T @ gamma0.T
+            gamma_b = np.linalg.solve(fit.gram_bc.Q, rhs).T
+            assert_allclose(fit.gamma_many(pts, q, 3) @ Db.T, gamma0 @ Dm.T + gamma_b @ Db.T,
+                            rtol=1e-9, atol=1e-9, err_msg=str(q))
+        gap = fit.estimate_many(pts, None, 3) - fit.estimate_many(pts, None, 1)
+        assert np.max(np.abs(gap)) > 1e-4
+
+    @pytest.mark.parametrize("family,m,d", [
+        (BasisFamily.PP, 2, 2), (BasisFamily.HAAR, 1, 2), (BasisFamily.BSPLINE, 2, 1),
+    ])
+    def test_never_stacks(self, monkeypatch, family, m, d):
+        def refuse(*args, **kwargs):
+            raise AssertionError("stacked route called")
+
+        widths = []
+        exact = inference_module._exact_product
+
+        def record(Z, R):
+            widths.append((Z.shape[1], R.shape[1]))
+            return exact(Z, R)
+
+        monkeypatch.setattr(fit_module, "stack_designs", refuse)
+        monkeypatch.setattr(fit_module, "_stacked_ginv", refuse)
+        monkeypatch.setattr(inference_module, "_exact_product", record)
+        fit = _nested_fit(family, d, m, m + 1)
+        K = fit.design_bc.K
+        grid = make_grid([[0.0, 1.0]] * d, 8)
+        for j in (2,) if family is BasisFamily.HAAR else (2, 3):
+            assert fit.gamma_many(grid, None, j).shape == (grid.shape[0], K)
+            assert np.array_equal(sigma_hat(fit, j, HCKind.HC1).weights,
+                                  sigma_hat(fit, 1, HCKind.HC1).weights)
+            for hc in HCKind:
+                var = sigma_hat(fit, j, hc)
+                assert var.sigma_mat.shape == (K, K)
+                pointwise_ci(fit, var, grid[:3])
+                band_plugin(fit, var, grid, draws=100)
+                band_bootstrap(fit, var, grid, draws=100)
+        assert widths and set(widths) == {(K, K)}
 
 
 class TestAccumulatorOracles:

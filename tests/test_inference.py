@@ -1,5 +1,6 @@
 """Sandwich variances, pointwise intervals, and uniform bands."""
 
+import json
 import math
 import os
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from lspart.basis import BasisFamily, SparseRows
+from lspart.dgp import dgp_sample
 from lspart.errors import (
     ConfigError,
     InvalidGrid,
@@ -436,10 +438,10 @@ class TestPluginRoute:
 
 
 def _root(fit, var, gamma):
-    # A = Gamma Sigma^(1/2) with the stacked null directions zeroed, and
-    # Omega = rowsum((Gamma Sigma) * Gamma)
+    # A = Gamma Sigma^(1/2) with the null directions of a stacked [p, ptilde]
+    # design zeroed, and Omega = rowsum((Gamma Sigma) * Gamma)
     evals, evecs = np.linalg.eigh(var.sigma_mat)
-    if var.j >= 2:
+    if var.design.K == fit.design_main.K + fit.design_bc.K:
         evals[: fit.kind.null_dim] = 0.0
     A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
     return A, np.sum((gamma @ var.sigma_mat) * gamma, axis=1)
@@ -523,6 +525,19 @@ class TestDrawStream:
         assert np.array_equal(band.half_widths, qhat * np.sqrt(omega / fit_1d.n))
         # the rounding moves each supremum, so the quantile, by at most the bound
         assert abs(band.quantile - _sup_quantile(plain, 0.05)) <= bound
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_nested_plugin_draws_the_full_root(self, j):
+        # a nested kind's Sigma_j is the companion design's, of full rank:
+        # nothing is zeroed and the draws take K_1 normals
+        fit = _fit_nd(1, BasisFamily.PP)
+        var = sigma_hat(fit, j)
+        assert var.sigma_mat.shape == (fit.design_bc.K,) * 2
+        grid = make_grid([[0.0, 1.0]], 30)
+        band = band_plugin(fit, var, grid, seed=(9, j), draws=300)
+        sups, _, _, omega = _unchunked_plugin_sups(fit, var, grid, (9, j), 300)
+        assert band.quantile == _sup_quantile(sups, 0.05)
+        assert np.array_equal(band.half_widths, band.quantile * np.sqrt(omega / fit.n))
 
     @pytest.mark.parametrize("j", [0, 2])
     def test_one_generator_per_call(self, monkeypatch, fit_1d, j):
@@ -738,3 +753,35 @@ def test_bands_do_not_depend_on_blas_threads():
     assert len(out[0]) == 12
     for one, two in zip(*out):
         assert one == two, one.split()[:2]
+
+
+def test_pp_plugin_quantiles_do_not_depend_on_blas_threads(tmp_path):
+    # d = 2, PP m = 2, kappa = 5: K_1 = 150. The Gram inverse, so Gamma and
+    # Sigma, already differ in their last bits between the thread counts, so
+    # the quantiles meet a bound, not bit equality: the draws' 24-bit
+    # rounding moves a supremum by at most 2^-24 ||r||_1 (1 + ||z||_1), about
+    # 2e-5 of a quantile near 3.7 (||r||_1 <= sqrt(K), ||z||_1 ~ 0.8 K). The
+    # bound also needs the eigenvector root of Sigma_j not to turn; that is
+    # measured on these data, not guaranteed. A nested kind draws through
+    # j = 1's full-rank Sigma; a stacked Sigma_j, whose zeroed null directions
+    # form a degenerate cluster, turned and moved its j = 2, 3 quantiles by
+    # 0.4-1.1% here
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    X, y = dgp_sample(4, 3001, 0)
+    data = tmp_path / "m4.csv"
+    np.savetxt(data, np.column_stack([X, y]), delimiter=",", header="x1,x2,y",
+               comments="", fmt="%.17g")
+    quantiles = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"r{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lspart.cli", "fit", "--data", str(data), "--family",
+             "pp", "--kappa", "5", "--band", "plugin", "--out", str(out)],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        band = json.loads(out.read_text())["band"]
+        quantiles.append({j: band[j]["quantile"] for j in ("j0", "j1", "j2", "j3")})
+    for j, q in quantiles[0].items():
+        assert quantiles[1][j] == pytest.approx(q, rel=1e-4, abs=0), j

@@ -188,6 +188,10 @@ def _fit_cfg(eval_points):
     return cfg.validated().eval_points
 
 
+def _knots(bounds):
+    return make_knots(KnotRule.EVEN, bounds, 3)
+
+
 def _rot_bounds(bounds):
     return rot_select(*_sample(), "bspline", 2, bounds=bounds).kappa_rot
 
@@ -253,6 +257,11 @@ FLOATS = [
      lambda v: TensorPartition.build("even", v, 3).knots, [[0, 1, 2]]),
     ("TensorPartition.build.bounds infinite",
      lambda v: TensorPartition.build("even", v, 3).knots, [[0, float("inf")]]),
+    ("make_knots.bounds non-numeric", _knots, ("a", 1)),
+    ("make_knots.bounds one number", _knots, (0,)),
+    ("make_knots.bounds NaN", _knots, (0, float("nan"))),
+    ("make_knots.bounds infinite", _knots, (0, float("inf"))),
+    ("make_knots.bounds two rows", _knots, [[0, 1], [0, 1]]),
     ("rot_select.bounds non-numeric", _rot_bounds, [["a", 1]]),
     ("rot_select.bounds three columns", _rot_bounds, [[0, 1, 2]]),
     ("make_grid.bounds non-numeric", lambda v: make_grid(v, 3), [["a", 1]]),
