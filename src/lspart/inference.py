@@ -85,7 +85,8 @@ class VarianceEstimate:
     :meth:`FitResult.design_for`: for a nested kind (PP, Haar, one-cell
     B-spline) every j >= 1 reads the companion design, so Sigma_j is
     (K_1, K_1) and HC1 counts K_1 functions; otherwise j >= 2 read the
-    stacked design, and HC1 counts all K_0 + K_1 of its columns. HC2/HC3 use
+    stacked design, and HC1 counts its rank K_0 + K_1 - ``kind.null_dim``
+    (the sum of its HC2 leverages), not its K_0 + K_1 columns. HC2/HC3 use
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
     Gram the fit keeps (``BandedCholesky.inv``), or for a stacked j >= 2
     against a generalized inverse of the stacked Gram built from the Schur
@@ -109,6 +110,8 @@ class VarianceEstimate:
             w = np.ones(n)
         elif self.hc is HCKind.HC1:
             K_j = self.design.K
+            if self.j >= 2 and not fit.kind.nested:  # rank of the stacked design
+                K_j -= fit.kind.null_dim
             if n <= K_j:
                 raise ConfigError(f"HC1 needs n > K_j = {K_j}")
             w = np.full(n, n / (n - K_j))

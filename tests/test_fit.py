@@ -17,6 +17,7 @@ import lspart.fit as fit_module
 import lspart.inference as inference_module
 from lspart.basis import BasisFamily, BasisSpec, SparseRows
 from lspart.cli import main
+from lspart.dgp import dgp_sample
 from lspart.errors import (
     ConfigError,
     DataError,
@@ -27,6 +28,7 @@ from lspart.errors import (
     UnsupportedFamily,
 )
 from lspart.fit import (
+    BandedCholesky,
     EstimatorKind,
     _stacked_ginv,
     cross_gram,
@@ -172,6 +174,60 @@ class TestRankDeficientRoutes:
         assert code == 4
         want = {"empty": "not positive definite", "near": "numerically rank deficient"}
         assert want[route] in capsys.readouterr().err
+
+
+def _model6_fit(n=10_000, seed=0):
+    # the d = 3 benchmark fit: B-spline m = 2 at kappa = 5, K_0 = 216, K_1 = 343
+    X, y = dgp_sample(6, n, seed)
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 3, 5)
+    return fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
+
+
+class TestGramInverse:
+    @pytest.mark.parametrize("family,m,d,kappa", [
+        (BasisFamily.BSPLINE, 2, 1, 10),   # K = 11
+        (BasisFamily.BSPLINE, 2, 1, 95),   # K = 96, the largest leaf
+        (BasisFamily.PP, 2, 1, 48),        # K = 96
+        (BasisFamily.BSPLINE, 2, 2, 7),    # K = 64
+        (BasisFamily.BSPLINE, 3, 2, 7),    # K = 81
+        (BasisFamily.BSPLINE, 2, 3, 3),    # K = 64
+    ])
+    def test_leaf_keeps_lapack_inverse_bits(self, family, m, d, kappa):
+        rng = np.random.default_rng([kappa, d])
+        X = rng.random((4000, d))
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
+        Q = gram_banded(BasisSpec(family, m, part).eval_many(X))
+        assert Q.shape[0] <= fit_module._INV_LEAF
+        assert np.array_equal(BandedCholesky(Q).inv, np.linalg.inv(Q))
+
+    def test_recursive_inverse_matches_lapack(self):
+        fit = _model6_fit()
+        fine = _fine_fit(BasisFamily.BSPLINE, 2, 3, 1, 150, 20000)
+        for gram in (fit.gram_main, fit.gram_bc, fine.gram_main):
+            assert gram.K > fit_module._INV_LEAF
+            ref = np.linalg.inv(gram.Q)
+            rel = np.max(np.abs(gram.inv - ref)) / np.max(np.abs(ref))
+            residual = np.max(np.abs(gram.Q @ gram.inv - np.eye(gram.K)))
+            assert rel <= 1e-12, (gram.K, rel)
+            assert residual <= 1e-12, (gram.K, residual)
+        assert (fit.gram_main.K, fit.gram_bc.K, fine.gram_main.K) == (216, 343, 151)
+
+    def test_lapack_inverse_no_larger_than_leaf(self, monkeypatch):
+        # the d = 3 benchmark fit: LAPACK inverts only the recursion's leaves
+        shapes = []
+        inv = np.linalg.inv
+
+        def record(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return inv(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "inv", record)
+        fit = _model6_fit(n=3000)
+        for j in (0, 2):
+            sigma_hat(fit, j, HCKind.HC2)
+        leaf = fit_module._INV_LEAF
+        assert shapes and all(a == b <= leaf for a, b in shapes)
+        assert max(a for a, _ in shapes) > leaf // 2
 
 
 class TestNormalEquations:

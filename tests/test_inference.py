@@ -81,6 +81,18 @@ class TestSigma:
         factor = fit_1d.n / (fit_1d.n - K)
         assert_allclose(v1.sigma_mat, factor * v0.sigma_mat, rtol=1e-12)
 
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_hc1_counts_the_stacked_rank(self, fit_1d, j):
+        # the stacked B-spline design loses null_dim = m^d of its columns;
+        # HC1's degrees of freedom are its rank, the sum of its leverages
+        rank = fit_1d.design_main.K + fit_1d.design_bc.K - fit_1d.kind.null_dim
+        assert rank == pytest.approx(np.sum(fit_1d.leverage(j)), abs=1e-9)
+        v0 = sigma_hat(fit_1d, j, HCKind.HC0)
+        v1 = sigma_hat(fit_1d, j, HCKind.HC1)
+        factor = fit_1d.n / (fit_1d.n - rank)
+        assert np.all(v1.weights == factor)
+        assert_allclose(v1.sigma_mat, factor * v0.sigma_mat, rtol=1e-12)
+
     def test_hc2_hc3_weights(self, fit_1d):
         lev = fit_1d.leverage(0)
         v2 = sigma_hat(fit_1d, 0, HCKind.HC2)
@@ -740,7 +752,7 @@ for j in range(4):
 def test_bands_do_not_depend_on_blas_threads():
     # d = 2, B-spline m = 3, kappa = 6: K_2 = 145. Omega is one GEMM and the
     # draws are exact products, so both bands keep their bits for every j
-    # (larger Grams already vary upstream, in numpy's Cholesky and inverse)
+    # (above K = 96 the Gram inverse's matrix products can vary upstream)
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = []
     for threads in ("1", "2"):
@@ -757,7 +769,8 @@ def test_bands_do_not_depend_on_blas_threads():
 
 def test_pp_plugin_quantiles_do_not_depend_on_blas_threads(tmp_path):
     # d = 2, PP m = 2, kappa = 5: K_1 = 150. The Gram inverse, so Gamma and
-    # Sigma, already differ in their last bits between the thread counts, so
+    # Sigma, comes from threaded matrix products at this size and may differ
+    # in its last bits between the thread counts (LAPACK's inverse did), so
     # the quantiles meet a bound, not bit equality: the draws' 24-bit
     # rounding moves a supremum by at most 2^-24 ||r||_1 (1 + ||z||_1), about
     # 2e-5 of a quantile near 3.7 (||r||_1 <= sqrt(K), ||z||_1 ~ 0.8 K). The
