@@ -37,7 +37,7 @@ points of a cell share their active set in all three families, at every
 derivative order. Every basis of one fit lives on the main partition, so
 its designs share their groups, and a stacked design or a cross product
 keeps them. The dense-output kernels (``weighted_cross``,
-``quadratic_forms``, ``rows_times``) work one group at a time: one small
+``quadratic_forms``, ``bit_sums``) work one group at a time: one small
 matrix product over the group's rows, then one write of the group's block.
 Any grouping that keeps the invariant gives the same numbers up to roundoff;
 the trivial one (every row its own group) is valid input too.
@@ -124,23 +124,6 @@ class SparseRows:
         """Per-row inner product with a dense coefficient vector: (n,)."""
         coef = np.asarray(coef, dtype=float)
         return np.sum(self.values * coef[self.indices], axis=1)
-
-    def rows_times(self, mat):
-        """``design @ mat`` for a dense (K, r) matrix, returned as (n, r).
-
-        Per group: one product V_g @ mat[idx_g] of its (n_g, width) values
-        with the width rows of ``mat`` its rows share, written straight into
-        the group's output rows. Memory stays at the (n, r) output plus one
-        group's block.
-        """
-        mat = np.ascontiguousarray(mat, dtype=float)
-        order, lead, spans = self._group_runs
-        idx = self.indices[lead]
-        vals = self.values[order]
-        out = np.empty((self.n, mat.shape[1]))
-        for g, (s, e) in enumerate(spans):
-            out[order[s:e]] = vals[s:e] @ mat[idx[g]]
-        return out
 
     def bit_sums(self):
         """``sums(octets)``, the function ``W @ design`` for 0/1 matrices W

@@ -3,13 +3,14 @@
 All four point estimators share the structure
 ``deriv-estimate(x) = gamma_j(x)' E_n[Pi_j(x_i) y_i]`` where gamma depends
 on the Gram factors only. Each Gram is accumulated cell by cell into a dense
-K x K matrix, checked by one dense Cholesky factor and inverted once
-(:class:`BandedCholesky`); every solve is a product with that inverse, and
-the coefficients take one step of iterative refinement. The inverse is
-LAPACK's up to K = :data:`_INV_LEAF` and above that a blocked Schur
-recursion whose work is matrix products (:func:`_spd_inverse`). numpy is
-the only linear-algebra library. The fit is performed once; every j is a
-different read of the same factored objects:
+K x K matrix and inverted once (:class:`BandedCholesky`); every solve is a
+product with that inverse, and the coefficients take one step of iterative
+refinement. The inverse is LAPACK's up to K = :data:`_INV_LEAF` and above
+that a blocked Schur recursion whose work is matrix products
+(:func:`_spd_inverse`); each leaf of the recursion is checked by one
+Cholesky factor before LAPACK inverts it. numpy is the only linear-algebra
+library. The fit is performed once; every j is a different read of the same
+factored objects:
 
 - j = 0: the plain least-squares fit of order m.
 - j = 1: the fit of order mtilde > m used directly.
@@ -91,14 +92,14 @@ def cross_gram(design_a, design_b, row_weights=None):
 class BandedCholesky:
     """Checked inverse of a symmetric positive-definite Gram ``Q``.
 
-    One ``np.linalg.cholesky`` of Q serves only as the check:
-    ``RankDeficient`` if it fails (Q is not positive definite) or if a squared
-    pivot falls below ``_PIVOT_REL_TOL`` times the mean diagonal. Every solve
-    is a product with the read-only ``inv = _spd_inverse(Q)``, which the
-    leverage reads too: ``np.linalg.inv(Q)`` itself up to K = ``_INV_LEAF``,
-    a blocked Schur recursion above. An inverse built from the Cholesky
-    factor instead is tens of times less accurate in the hat diagonal at
-    fine partitions.
+    ``inv = _spd_inverse(Q, floor)`` is read-only; every solve is a product
+    with it, and the leverage reads it too. It is ``np.linalg.inv(Q)``
+    itself up to K = ``_INV_LEAF`` and a blocked Schur recursion above, and
+    its leaves' Cholesky factors are the check: ``RankDeficient`` if one
+    fails (Q is not positive definite) or if a squared pivot falls below
+    ``floor``, ``_PIVOT_REL_TOL`` times the mean diagonal of Q. An inverse
+    built from the Cholesky factor instead is tens of times less accurate in
+    the hat diagonal at fine partitions.
     The coefficients add one refinement step (:meth:`FitResult._solve`).
     The class and its methods keep the benchmark's span labels
     (``fit.factor`` and ``fit.solve``); nothing here uses banded storage.
@@ -106,21 +107,8 @@ class BandedCholesky:
 
     def __init__(self, Q):
         self.Q = Q
-        K = Q.shape[0]
-        try:
-            lower = np.linalg.cholesky(Q)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(
-                "Gram matrix is not positive definite (empty or nearly empty "
-                "cell); reduce kappa or use more data"
-            ) from exc
-        pivots = np.diagonal(lower) ** 2
-        if float(np.min(pivots)) < _PIVOT_REL_TOL * float(np.trace(Q)) / K:
-            raise RankDeficient(
-                "Gram matrix is numerically rank deficient (near-empty cell); "
-                "reduce kappa or use more data"
-            )
-        self.inv = _spd_inverse(Q)
+        floor = _PIVOT_REL_TOL * float(np.trace(Q)) / Q.shape[0]
+        self.inv = _spd_inverse(Q, floor)
         self.inv.flags.writeable = False
 
     @property
@@ -132,33 +120,49 @@ class BandedCholesky:
         return self.inv @ b
 
 
-def _spd_inverse(Q):
-    """Inverse of a symmetric positive-definite Q by blocked Schur recursion.
+def _spd_inverse(Q, floor):
+    """Inverse of a symmetric positive-definite Q by blocked Schur recursion,
+    checking every squared Cholesky pivot of Q against ``floor``.
 
     With Q = [[A, B], [B', D]] split at h = K // 2, T = A^-1 B and the Schur
     complement S = D - B'T (itself SPD),
 
         Q^-1 = [[A^-1 + T S^-1 T', -T S^-1], [-S^-1 T', S^-1]],
 
-    with A^-1 and S^-1 taken the same way. Up to K = ``_INV_LEAF`` it is
-    ``np.linalg.inv(Q)``, bit for bit. Above, the work is four matrix
-    products per level, about three times faster than LAPACK's LU inverse at
-    the d = 3 sizes (K = 216, 343). Since T comes from an explicit A^-1, the
-    residual ||Q X - I|| grows with cond(A) cond(S), not cond(Q): from 1e-14
-    at K = 343 (cond 2e3) to 2.5e-12 on a cubic B-spline Gram with cond 3e4,
-    one to twenty times LAPACK's.
+    with A^-1 and S^-1 taken the same way. Q's Cholesky pivots are A's
+    followed by S's, so each leaf, of K <= ``_INV_LEAF``, checks its own
+    factor: ``RankDeficient`` if the factor fails or a squared pivot is
+    below ``floor``, else ``np.linalg.inv`` of the leaf, bit for bit. Above
+    the leaf, the work is four matrix products per level, about three times
+    faster than LAPACK's LU inverse at the d = 3 sizes (K = 216, 343). Since
+    T comes from an explicit A^-1, the residual ||Q X - I|| grows with
+    cond(A) cond(S), not cond(Q): from 1e-14 at K = 343 (cond 2e3) to
+    2.5e-12 on a cubic B-spline Gram with cond 3e4, one to twenty times
+    LAPACK's.
     """
     K = Q.shape[0]
     if K <= _INV_LEAF:
+        try:
+            lower = np.linalg.cholesky(Q)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient(
+                "Gram matrix is not positive definite (empty or nearly empty "
+                "cell); reduce kappa or use more data"
+            ) from exc
+        if float(np.min(np.diagonal(lower) ** 2)) < floor:
+            raise RankDeficient(
+                "Gram matrix is numerically rank deficient (near-empty cell); "
+                "reduce kappa or use more data"
+            )
         return np.linalg.inv(Q)
     h = K // 2
-    a_inv = _spd_inverse(Q[:h, :h])
+    a_inv = _spd_inverse(Q[:h, :h], floor)
     b = Q[:h, h:]
     t = a_inv @ b
     s = Q[h:, h:] - b.T @ t
     # S's skew part is roundoff from A^-1; dropping it keeps the hat
     # diagonal as close to the dense oracle as LAPACK's inverse does
-    s_inv = _spd_inverse(0.5 * (s + s.T))
+    s_inv = _spd_inverse(0.5 * (s + s.T), floor)
     u = t @ s_inv
     out = np.empty_like(Q)
     out[:h, :h] = a_inv + u @ t.T

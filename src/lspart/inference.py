@@ -10,9 +10,9 @@ normal quantiles. Uniform bands calibrate the supremum of the studentized
 process over a grid, either by simulating Gaussian vectors (plug-in) or by
 wild-bootstrap resampling of residuals.
 
-Both bands take Omega on the grid from one product with Sigma_j
-(:func:`quadratic_form`): Omega = rowsum((Gamma Sigma_j) * Gamma), in
-O(G K^2) and no (G, n) array. Both suprema are linear in the K_j
+Pointwise intervals and both bands take Omega from one product with
+Sigma_j (:func:`quadratic_form`): Omega = rowsum((Gamma Sigma_j) * Gamma),
+in O(G K^2) and no (G, n) array. Both suprema are linear in the K_j
 coefficients. The plug-in process is M z with M = A / sqrt(Omega),
 A = Gamma Sigma_j^(1/2) and z standard normal. The bootstrap numerator is
 M T with M = Gamma / sqrt(Omega) and T = sum_i w_i Pi_j(x_i) epshat_i /
@@ -22,9 +22,7 @@ factor is rounded to the grid 2^-23 and each row of M to 24 significant bits
 of its L1 norm, so every partial sum is exact in float64. The rounding moves
 a supremum by a few 1e-6 relative at most, far inside the Monte Carlo error
 of the band quantile. The bootstrap draws Rademacher signs only; it has no
-other weight route. Pointwise Omega at a few points
-(:meth:`VarianceEstimate.omega_many`) takes the per-observation route
-through the scores s[g, i] = gamma_g' Pi_j(x_i), which needs no Sigma_j.
+other weight route.
 
 A variance estimate belongs to one fit: every function that takes both
 checks that ``var.fit is fit`` (:func:`check_variance`).
@@ -92,11 +90,9 @@ class VarianceEstimate:
     against a generalized inverse of the stacked Gram built from the Schur
     complement of its bias-correction block, less its ``kind.null_dim`` null
     directions. j = 2 and j = 3 share one cached leverage array.
-    The dense Sigma matrix is formed lazily by the Gram accumulator
-    :meth:`SparseRows.weighted_cross`; both bands take Omega on their grid
-    from it (:func:`quadratic_form`). :meth:`omega_many` needs no Sigma: it
-    serves a few points, where the per-observation route through the scores
-    is cheaper than forming Sigma, and the bands serve a grid.
+    The dense Sigma matrix is formed lazily, once, by the Gram accumulator
+    :meth:`SparseRows.weighted_cross`; pointwise intervals and both bands
+    take Omega from it (:func:`quadratic_form`).
     """
 
     def __init__(self, fit, j, hc=HCKind.HC0):
@@ -139,12 +135,8 @@ class VarianceEstimate:
         return self._sigma
 
     def omega_many(self, pts, q=None):
-        """Omega_j at a few points, (1/n) sum_i wre2_i s_gi^2, through the
-        per-observation scores s[g, i] = gamma_g' Pi_j(x_i); it forms no
-        Sigma, which a band's grid needs and a few points do not."""
-        gamma = self.fit.gamma_many(pts, q, self.j)
-        scores = self.design.rows_times(gamma.T).T
-        omega = (scores**2) @ self.wre2 / self.fit.n
+        """Omega_j = gamma_j' Sigma_j gamma_j at many points, (G,)."""
+        omega = quadratic_form(self.fit.gamma_many(pts, q, self.j), self.sigma_mat)
         if np.any(omega <= 0):
             raise NonPositiveVariance(
                 "variance estimate is not positive at an evaluation point"
@@ -165,7 +157,7 @@ def check_variance(fit, var):
 
 def quadratic_form(gamma, sigma):
     """Row-wise gamma' Sigma gamma as rowsum((Gamma Sigma) * Gamma), one GEMM:
-    both bands' Omega on their grid."""
+    every Omega, at pointwise points and on both bands' grids."""
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     return np.sum((gamma @ sigma) * gamma, axis=1)
 
@@ -442,8 +434,7 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
 def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     """Uniform band via the wild bootstrap with Rademacher weights.
 
-    The signs are its only weights, and it forms no per-observation scores;
-    those serve pointwise Omega only (:meth:`VarianceEstimate.omega_many`).
+    The signs are its only weights, and it forms no per-observation scores.
 
     Each draw reweights the residuals by independent signs w_i and records
     the grid supremum of the restudentized process. The redrawn variance

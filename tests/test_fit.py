@@ -95,8 +95,9 @@ class TestGram:
             fit_estimator(kind, X, y)
 
 
-def _rank_deficient_sample(d, route, n=3000, seed=0):
-    """Sample on [0, 1]^d whose centre cell of a kappa = 3 partition is empty
+def _rank_deficient_sample(d, route, n=3000, seed=0, shift=0.0):
+    """Sample on [0, 1]^d whose centre cell of a kappa = 3 partition (or,
+    with ``shift`` = -1/3 or 1/3, its first or last corner cell) is empty
     (``route="empty"``) or holds points whose first coordinate varies by only
     1e-6 (``route="near"``, 100 points) or 3e-5 (``route="sliver"``, 60
     points): the cell's order-2 piecewise-polynomial block is then zero,
@@ -105,35 +106,37 @@ def _rank_deficient_sample(d, route, n=3000, seed=0):
     """
     rng = np.random.default_rng([seed, d])
     X = rng.random((n, d))
-    X = X[~np.all((X > 0.3) & (X < 0.7), axis=1)]
+    X = X[~np.all((X > 0.3 + shift) & (X < 0.7 + shift), axis=1)]
     if route != "empty":
         size, width = (100, 1e-6) if route == "near" else (60, 3e-5)
-        cell = 0.36 + 0.28 * rng.random((size, d))
-        cell[:, 0] = 0.5 + width * rng.random(size)
+        cell = 0.36 + shift + 0.28 * rng.random((size, d))
+        cell[:, 0] = 0.5 + shift + width * rng.random(size)
         X = np.vstack([X, cell])
     y = np.sin(3 * X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0])
     return X, y
 
 
 def _record_pivots(monkeypatch):
-    """Spy on the factor's Cholesky: a list that collects each call's squared
-    pivots relative to the mean diagonal."""
+    """Spy on the Gram inverse: a list that collects, for each leaf it
+    checks, the squared Cholesky pivots relative to the mean diagonal of the
+    whole Gram, so that the pivot test reads ``< _PIVOT_REL_TOL``."""
     pivots = []
-    cholesky = np.linalg.cholesky
+    spd_inverse = fit_module._spd_inverse
 
-    def record(a, *args, **kwargs):
-        out = cholesky(a, *args, **kwargs)
-        pivots.append(np.diagonal(out) ** 2 / (np.trace(a) / a.shape[0]))
-        return out
+    def record(Q, floor):
+        if Q.shape[0] <= fit_module._INV_LEAF:
+            mean_diag = floor / fit_module._PIVOT_REL_TOL
+            pivots.append(np.diagonal(np.linalg.cholesky(Q)) ** 2 / mean_diag)
+        return spd_inverse(Q, floor)
 
-    monkeypatch.setattr(np.linalg, "cholesky", record)
+    monkeypatch.setattr(fit_module, "_spd_inverse", record)
     return pivots
 
 
 class TestRankDeficientRoutes:
     @staticmethod
-    def _fit(d, route, seed=0):
-        X, y = _rank_deficient_sample(d, route, seed=seed)
+    def _fit(d, route, seed=0, shift=0.0):
+        X, y = _rank_deficient_sample(d, route, seed=seed, shift=shift)
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, 3)
         return fit_estimator(EstimatorKind(BasisSpec(BasisFamily.PP, 2, part)), X, y)
 
@@ -149,6 +152,20 @@ class TestRankDeficientRoutes:
         with pytest.raises(RankDeficient, match="numerically rank deficient") as info:
             self._fit(d, "near")
         assert info.value.__cause__ is None
+        assert 0.0 < np.min(np.concatenate(pivots)) < fit_module._PIVOT_REL_TOL
+
+    @pytest.mark.parametrize("shift,leaves", [(-1 / 3, 1), (1 / 3, 2)],
+                             ids=["first-half", "second-half"])
+    def test_near_empty_cell_on_either_side_of_split(self, shift, leaves, monkeypatch):
+        # d = 3, K = 108: the recursion splits at h = 54, and the first and
+        # last corner cells (functions 0..3 and 104..107) lie in A and in S,
+        # so the first or the second leaf fails the pivot test
+        pivots = _record_pivots(monkeypatch)
+        with pytest.raises(RankDeficient, match="numerically rank deficient") as info:
+            self._fit(3, "near", shift=shift)
+        assert info.value.__cause__ is None
+        assert len(pivots) == leaves
+        assert all(np.min(p) >= fit_module._PIVOT_REL_TOL for p in pivots[:-1])
         assert 0.0 < np.min(pivots[-1]) < fit_module._PIVOT_REL_TOL
 
     def test_sliver_cell_fits_to_roundoff(self, monkeypatch):
@@ -157,7 +174,7 @@ class TestRankDeficientRoutes:
         # refinement step in FitResult._solve brings it to roundoff
         pivots = _record_pivots(monkeypatch)
         fit = self._fit(3, "sliver", seed=1)
-        assert fit_module._PIVOT_REL_TOL < np.min(pivots[-1]) < 1e-9
+        assert fit_module._PIVOT_REL_TOL < np.min(np.concatenate(pivots)) < 1e-9
         gap = np.max(np.abs(fit.gram_main.Q @ fit.beta_main - fit.rhs_main))
         assert gap <= 1e-14
 
@@ -211,6 +228,15 @@ class TestGramInverse:
             assert rel <= 1e-12, (gram.K, rel)
             assert residual <= 1e-12, (gram.K, residual)
         assert (fit.gram_main.K, fit.gram_bc.K, fine.gram_main.K) == (216, 343, 151)
+
+    def test_recursive_inverse_residual_on_ill_conditioned_gram(self):
+        # the order-4 companion Gram at d = 3: K = 125, cond 3.3e4. T = A^-1 B
+        # comes from an explicit inverse, so the largest entry of Q X - I,
+        # 2.5e-12 here, grows with cond(A) cond(S), about 20 times LAPACK's
+        gram = _fit_nd(3, BasisFamily.BSPLINE, m=3).gram_bc
+        assert gram.K == 125 > fit_module._INV_LEAF
+        residual = np.max(np.abs(gram.Q @ gram.inv - np.eye(gram.K)))
+        assert residual <= 1e-11
 
     def test_lapack_inverse_no_larger_than_leaf(self, monkeypatch):
         # the d = 3 benchmark fit: LAPACK inverts only the recursion's leaves

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from lspart.basis import BasisFamily, SparseRows
+from lspart.basis import BasisFamily
 from lspart.dgp import dgp_sample
 from lspart.errors import (
     ConfigError,
@@ -36,7 +36,6 @@ from lspart.inference import (
     make_grid,
     normal_quantile,
     pointwise_ci,
-    quadratic_form,
     sigma_hat,
 )
 from lspart.partition import KnotRule, TensorPartition
@@ -102,10 +101,11 @@ class TestSigma:
 
     @pytest.mark.parametrize("j", [0, 2])
     def test_omega_matches_dense_quadratic_form(self, fit_1d, j):
+        # the dense per-observation oracle: (1/n) sum_i wre2_i (gamma' Pi_i)^2
         var = sigma_hat(fit_1d, j)
         pts = np.linspace(0.05, 0.95, 9)[:, None]
-        gamma = fit_1d.gamma_many(pts, None, j)
-        ref = quadratic_form(gamma, var.sigma_mat)
+        scores = fit_1d.gamma_many(pts, None, j) @ var.design.dense().T
+        ref = (scores**2) @ var.wre2 / fit_1d.n
         assert_allclose(var.omega_many(pts), ref, rtol=1e-11)
 
     def test_single_point_omega(self, fit_1d):
@@ -174,6 +174,20 @@ class TestPointwise:
         pts = np.array([[0.3], [0.7]])
         res = pointwise_ci(fit_1d, var, pts)
         assert_allclose(res.se, np.sqrt(var.omega_many(pts) / fit_1d.n))
+
+    def test_memory_stays_below_score_matrix(self):
+        # Omega from Sigma_j, which the call forms: no (G, n) score array
+        fit = _fit_nd(2, n=20_000, seed=5)
+        var = sigma_hat(fit, 2)
+        grid = make_grid([[0.0, 1.0]] * 2, 20)
+        dense_bytes = grid.shape[0] * fit.n * 8
+        tracemalloc.start()
+        try:
+            pointwise_ci(fit, var, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes / 8
 
     def test_alpha_validation(self, fit_1d):
         var = sigma_hat(fit_1d, 0)
@@ -377,13 +391,8 @@ class TestPluginRoute:
     """Both bands take Omega from rowsum((Gamma Sigma) * Gamma); only the
     plug-in band takes a root of Sigma, for its draws."""
 
-    def test_never_builds_scores(self, monkeypatch):
+    def test_never_builds_scores(self):
         fit = _fit_nd(2)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("score route called")
-
-        monkeypatch.setattr(SparseRows, "rows_times", refuse)
         grid = make_grid([[0.0, 1.0]] * 2, 8)
         for j in (0, 1, 2, 3):
             band = band_plugin(fit, sigma_hat(fit, j), grid, seed=1, draws=200)
@@ -618,13 +627,8 @@ class TestBootstrapChunks:
             tracemalloc.stop()
         assert peak < dense_bytes / 2
 
-    def test_default_route_never_builds_scores(self, monkeypatch):
+    def test_default_route_never_builds_scores(self):
         fit = _fit_nd(2)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("score route called")
-
-        monkeypatch.setattr(SparseRows, "rows_times", refuse)
         grid = make_grid([[0.0, 1.0]] * 2, 8)
         for j in (0, 1, 2, 3):
             band = band_bootstrap(fit, sigma_hat(fit, j), grid, seed=1, draws=200)
@@ -644,32 +648,6 @@ class TestBootstrapChunks:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes
-
-    def test_scores_memory_stays_near_output(self):
-        # one reused gather buffer: output plus scratch, no per-column temporaries
-        fit = _fit_nd(1, n=20_000, kappa=10, seed=5)
-        var = sigma_hat(fit, 0)
-        gamma = fit.gamma_many(make_grid([[0.0, 1.0]], 100), None, 0)
-        dense_bytes = gamma.shape[0] * fit.n * 8
-        tracemalloc.start()
-        try:
-            var.design.rows_times(gamma.T)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * dense_bytes
-
-    def test_scores_equal_column_sum_formula(self):
-        fit = _fit_nd(2, seed=4)
-        var = sigma_hat(fit, 2)
-        gamma = fit.gamma_many(make_grid([[0.0, 1.0]] * 2, 7), None, 2)
-        design, mat = var.design, gamma.T
-        ref = np.zeros((fit.n, mat.shape[1]))
-        for a in range(design.width):
-            ref += design.values[:, a, None] * mat[design.indices[:, a], :]
-        # one product per cell sums in another order: equal up to roundoff
-        assert_allclose(var.design.rows_times(gamma.T), ref, rtol=0,
-                        atol=1e-13 * np.max(np.abs(ref)))
 
 
 def _right_rows(G, K):
