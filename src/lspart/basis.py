@@ -283,6 +283,20 @@ class BasisSpec:
             return int(np.prod([k + self.m - 1 for k in self.partition.kappa]))
         return self.partition.num_cells * len(alpha_list(self.dim, self.m))
 
+    def monomial_coefs(self, m):
+        """(K, m^d) B-spline coefficients of prod_ell z_ell^k_ell, k_ell < m, z
+        scaled to [0, 1] per axis, columns row-major. Marsden's identity (de
+        Boor, *A Practical Guide to Splines*): z^k = sum_i e_k(t_{i+1..i+M-1})
+        / C(M - 1, k) B_i over the scaled knots; axes combine by Kronecker."""
+        M, out = self.m, np.ones((1, 1))
+        for t in self.partition.knots:
+            ext = _extended_knots((t - t[0]) / (t[-1] - t[0]), M)
+            e = np.tile(np.eye(1, m), (len(t) + M - 2, 1))  # e_k of no knots
+            for r in range(1, M):  # multiply in the factor (1 + t_{i+r} s)
+                e[:, 1:] = e[:, 1:] + e[:, :-1] * ext[r : r + len(e), None]
+            out = np.kron(out, e / [math.comb(M - 1, k) for k in range(m)])
+        return out
+
     def _check_deriv(self, deriv):
         deriv = check_deriv(deriv, self.dim)
         if max(deriv) >= self.m:

@@ -28,7 +28,8 @@ A = C_2 Q-tilde^-1, so every j >= 1 is a linear read of beta-tilde alone. Its
 design, right-hand side, leverage and weights are then those of the companion
 design, and nothing stacks: j = 2 is j = 1 (their estimates differ by
 roundoff), and j = 3 equals j = 1 when mtilde = m + 1. Every other kind's
-j >= 2 reads the stacked design [p, ptilde].
+j >= 2 reads the stacked design [p, ptilde], whose Gram and Sigma are deflated
+(:func:`_deflate`) along its known null space (:attr:`EstimatorKind.stacked_null`).
 
 Every read at a point set goes through one row bundle per (point set, q)
 (:class:`RowBundle`, from :meth:`FitResult.at`). It locates its points on
@@ -68,7 +69,6 @@ from .errors import (
 from .partition import data_bounds
 
 _PIVOT_REL_TOL = 1e-10
-_EPS = np.finfo(float).eps
 _BUNDLE_CAPACITY = 4  # point-set bundles a fit keeps besides the sample's
 _INV_LEAF = 96  # Grams up to this size are inverted by LAPACK directly
 
@@ -131,30 +131,17 @@ def _spd_inverse(Q, floor):
 
     with A^-1 and S^-1 taken the same way. Q's Cholesky pivots are A's
     followed by S's, so each leaf, of K <= ``_INV_LEAF``, checks its own
-    factor: ``RankDeficient`` if the factor fails or a squared pivot is
-    below ``floor``, else ``np.linalg.inv`` of the leaf, bit for bit. Above
-    the leaf, the work is four matrix products per level, about three times
-    faster than LAPACK's LU inverse at the d = 3 sizes (K = 216, 343). Since
-    T comes from an explicit A^-1, the residual ||Q X - I|| grows with
-    cond(A) cond(S), not cond(Q): from 1e-14 at K = 343 (cond 2e3) to
-    2.5e-12 on a cubic B-spline Gram with cond 3e4, one to twenty times
-    LAPACK's.
+    factor and is then ``np.linalg.inv`` of the leaf, bit for bit
+    (:func:`_checked_inv`). Above the leaf, the work is four matrix products
+    per level, about three times faster than LAPACK's LU inverse at the
+    d = 3 sizes (K = 216, 343). Since T comes from an explicit A^-1, the
+    residual ||Q X - I|| grows with cond(A) cond(S), not cond(Q): from 1e-14
+    at K = 343 (cond 2e3) to 2.5e-12 on a cubic B-spline Gram with cond 3e4,
+    one to twenty times LAPACK's.
     """
     K = Q.shape[0]
     if K <= _INV_LEAF:
-        try:
-            lower = np.linalg.cholesky(Q)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient(
-                "Gram matrix is not positive definite (empty or nearly empty "
-                "cell); reduce kappa or use more data"
-            ) from exc
-        if float(np.min(np.diagonal(lower) ** 2)) < floor:
-            raise RankDeficient(
-                "Gram matrix is numerically rank deficient (near-empty cell); "
-                "reduce kappa or use more data"
-            )
-        return np.linalg.inv(Q)
+        return _checked_inv(Q, floor)
     h = K // 2
     a_inv = _spd_inverse(Q[:h, :h], floor)
     b = Q[:h, h:]
@@ -170,6 +157,31 @@ def _spd_inverse(Q, floor):
     out[h:, :h] = -u.T
     out[h:, h:] = s_inv
     return out
+
+
+def _checked_inv(Q, floor):
+    """``np.linalg.inv(Q)`` once its Cholesky factor has no squared pivot
+    below ``floor``; else ``RankDeficient``. The leaf of :func:`_spd_inverse`."""
+    try:
+        lower = np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient("Gram matrix is not positive definite (empty or nearly "
+                            "empty cell); reduce kappa or use more data") from exc
+    if float(np.min(np.diagonal(lower) ** 2)) < floor:
+        raise RankDeficient("Gram matrix is numerically rank deficient (near-empty "
+                            "cell); reduce kappa or use more data")
+    return np.linalg.inv(Q)
+
+
+def _deflate(M, B):
+    """P M P + c B B', P = I - B B', c = tr(M) / K, for the symmetric part of
+    M and an orthonormal (K, r) B spanning its null space: positive definite,
+    in O(K^2 r), and M itself, bit for bit, when r = 0."""
+    M = 0.5 * (M + M.T)
+    c = float(np.trace(M)) / M.shape[0]
+    MB = M @ B
+    X = B @ (MB - 0.5 * B @ (B.T @ MB + c * np.eye(B.shape[1]))).T
+    return M - (X + X.T)  # = P M P + c B B'
 
 
 @dataclass(frozen=True)
@@ -213,6 +225,14 @@ class EstimatorKind:
         also the rank the stacked design of j >= 2 loses."""
         main = self.main_spec
         return main.m**main.dim if main.family is BasisFamily.BSPLINE else main.K
+
+    @cached_property
+    def stacked_null(self):
+        """Orthonormal (K_0 + K_1, m^d) null basis of a stacked design: one QR
+        of [N; -Ntilde], the polynomials' :meth:`BasisSpec.monomial_coefs`."""
+        m = self.main_spec.m
+        coefs = [self.main_spec.monomial_coefs(m), -self.bc_spec.monomial_coefs(m)]
+        return np.linalg.qr(np.vstack(coefs))[0]
 
     @property
     def nested(self):
@@ -487,6 +507,12 @@ class FitResult:
             return np.hstack([gamma0, self.gram_bc.solve(rhs).T])
         return self.gram_bc.solve(rhs + self._cross_for(2).T @ gamma0.T).T
 
+    def null_basis(self, j):
+        """Orthonormal basis of the j-relevant design's null space, (K_j, r_j):
+        ``kind.stacked_null`` for a stacked j >= 2, else no columns."""
+        j = self._reads(j)
+        return self.kind.stacked_null if j >= 2 else np.zeros((self.design_for(j).K, 0))
+
     def leverage(self, j):
         """Diagonal of the hat matrix for the j-relevant design, (n,).
 
@@ -507,44 +533,34 @@ class FitResult:
                 ginv = (self.gram_main if key == 0 else self.gram_bc).inv
             else:
                 ginv = _stacked_ginv(self.gram_main, self.gram_bc,
-                                     self._cross_for(2), self.kind.null_dim)
+                                     self._cross_for(2), self.kind.stacked_null)
             self._leverage[key] = self.design_for(key).quadratic_forms(ginv) / self.n
         return self._leverage[key]
 
 
-def _stacked_ginv(gram_main, gram_bc, cross, dropped):
+def _stacked_ginv(gram_main, gram_bc, cross, null):
     """Generalized inverse of the stacked Gram [[Q_0, C], [C', Q_1]].
 
     Q_1 is positive definite (its Cholesky pivots were checked at fit
     time), so the Gram factors through the K_0 x K_0 Schur complement
-    S = Q_0 - T C' with T = C Q_1^{-1}, and
+    S = Q_0 - T C' with T = C Q_1^{-1}, whose null space is spanned by the
+    top K_0 rows of the stacked design's ``null``. With S^- the checked
+    inverse of S deflated there (:func:`_deflate`) and U = T' S^-,
 
-        G^- = L S^+ L' + blockdiag(0, Q_1^{-1}),   L = [I; -T'],
+        G^- = [[S^-, -U'], [-U, U T + Q_1^{-1}]]
 
-    is a generalized inverse of G. S^+ is taken from one ``eigh`` of S and
-    drops its ``dropped`` smallest eigenvalues (:attr:`EstimatorKind.null_dim`).
-    With s = max diag(Q_0), they must lie below sqrt(eps) s and the next one
-    100 times above both them and eps s, or ``NumericalError``. Only kinds
-    that are not nested reach here, so ``dropped < K_0`` and some eigenvalue
-    is kept.
+    is a generalized inverse of G; ``RankDeficient`` if S is singular beyond
+    ``null`` (a squared pivot below ``_PIVOT_REL_TOL`` of its mean diagonal).
     """
     k0 = gram_main.K
-    q1inv = gram_bc.inv
-    t = cross @ q1inv
-    lam, vec = np.linalg.eigh(gram_main.Q - t @ cross.T)
-    scale = float(np.max(np.diagonal(gram_main.Q)))
-    floor = float(np.max(np.abs(lam[:dropped]), initial=0.0))
-    gap = lam[dropped] >= 100.0 * max(floor, _EPS * scale)
-    if floor > np.sqrt(_EPS) * scale or not gap:
-        raise NumericalError(
-            f"stacked Gram: its {dropped} null directions are not separated "
-            "from its spectrum; reduce kappa or use more data"
-        )
-    keep = vec[:, dropped:]
-    lv = np.vstack([keep, -t.T @ keep]) / np.sqrt(lam[dropped:])
-    ginv = lv @ lv.T
-    ginv[k0:, k0:] += q1inv
-    return ginv
+    t = cross @ gram_bc.inv
+    s = gram_main.Q - t @ cross.T
+    floor = _PIVOT_REL_TOL * float(np.trace(s)) / k0
+    s_inv = _checked_inv(_deflate(s, np.linalg.qr(null[:k0])[0]), floor)
+    # all blocks read one symmetric S^-, or the hat diagonal loses digits
+    s_inv = 0.5 * (s_inv + s_inv.T)
+    u = t.T @ s_inv
+    return np.block([[s_inv, -u.T], [-u, u @ t + gram_bc.inv]])
 
 
 def stack_designs(a, b):

@@ -14,9 +14,10 @@ Pointwise intervals and both bands take Omega from one product with
 Sigma_j (:func:`quadratic_form`): Omega = rowsum((Gamma Sigma_j) * Gamma),
 in O(G K^2) and no (G, n) array. Both suprema are linear in the K_j
 coefficients. The plug-in process is M z with M = A / sqrt(Omega),
-A = Gamma Sigma_j^(1/2) and z standard normal. The bootstrap numerator is
-M T with M = Gamma / sqrt(Omega) and T = sum_i w_i Pi_j(x_i) epshat_i /
-sqrt(n), summed per cell from the sign bits; it takes no root of Sigma_j.
+A A' = Gamma Sigma_j Gamma' (a Cholesky root) and z standard normal. The
+bootstrap numerator is M T with M = Gamma / sqrt(Omega), signs s_i, HC
+weights w_i and T = sum_i s_i Pi_j(x_i) epshat_i sqrt(w_i / n), summed per
+cell from the sign bits; it takes no root of Sigma_j.
 Each block of draws is then one exact GEMM (``_exact_product``): the left
 factor is rounded to the grid 2^-23 and each row of M to 24 significant bits
 of its L1 norm, so every partial sum is exact in float64. The rounding moves
@@ -59,6 +60,7 @@ from .errors import (
     check_level,
     check_whole,
 )
+from .fit import _deflate
 
 _LEVERAGE_TOL = 1e-8
 _DRAW_CHUNK = 128  # band draws per block: memory O(chunk) rows, not O(draws)
@@ -82,14 +84,13 @@ class VarianceEstimate:
     Binds the fit, the kind j, and the HC residual weighting. The design is
     :meth:`FitResult.design_for`: for a nested kind (PP, Haar, one-cell
     B-spline) every j >= 1 reads the companion design, so Sigma_j is
-    (K_1, K_1) and HC1 counts K_1 functions; otherwise j >= 2 read the
-    stacked design, and HC1 counts its rank K_0 + K_1 - ``kind.null_dim``
-    (the sum of its HC2 leverages), not its K_0 + K_1 columns. HC2/HC3 use
+    (K_1, K_1); otherwise j >= 2 read the stacked design. HC1 counts the
+    rank, K_j less the columns of :meth:`FitResult.null_basis`. HC2/HC3 use
     :meth:`FitResult.leverage`: row-wise quadratic forms against the inverse
     Gram the fit keeps (``BandedCholesky.inv``), or for a stacked j >= 2
     against a generalized inverse of the stacked Gram built from the Schur
-    complement of its bias-correction block, less its ``kind.null_dim`` null
-    directions. j = 2 and j = 3 share one cached leverage array.
+    complement of its bias-correction block, deflated along its known null
+    space. j = 2 and j = 3 share one cached leverage array.
     The dense Sigma matrix is formed lazily, once, by the Gram accumulator
     :meth:`SparseRows.weighted_cross`; pointwise intervals and both bands
     take Omega from it (:func:`quadratic_form`).
@@ -105,9 +106,7 @@ class VarianceEstimate:
         if self.hc is HCKind.HC0:
             w = np.ones(n)
         elif self.hc is HCKind.HC1:
-            K_j = self.design.K
-            if self.j >= 2 and not fit.kind.nested:  # rank of the stacked design
-                K_j -= fit.kind.null_dim
+            K_j = self.design.K - fit.null_basis(self.j).shape[1]  # the rank
             if n <= K_j:
                 raise ConfigError(f"HC1 needs n > K_j = {K_j}")
             w = np.full(n, n / (n - K_j))
@@ -394,17 +393,17 @@ def _sign_bytes(rng, c, n):
 
 
 def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
-    """Uniform band via simulated Gaussian suprema through Sigma^(1/2).
+    """Uniform band via simulated Gaussian suprema through a root of Sigma_j.
 
     Omega on the grid comes from :func:`_prep_band`. Draw b's process is
     M z_b with M = A / sqrt(Omega), z_b standard normal and
-    A = Gamma V sqrt(lambda), from one eigendecomposition Sigma_j =
-    V diag(lambda) V'. When Sigma_j belongs to a stacked design (j >= 2 of
-    a kind that is not nested), its ``kind.null_dim`` smallest eigenvalues,
-    the stacked basis's known null directions, are set to zero; a nested
-    kind's Sigma_j is the companion design's, of full rank, and nothing is
-    zeroed. Any other negative eigenvalue is clipped. No (G, n) score matrix
-    is formed.
+    A = Gamma P L, so A A' = Gamma Sigma_j Gamma': P = I - N N' for the
+    design's null basis N (``fit.null_basis(j)``, no columns unless stacked)
+    and L the Cholesky factor of Sigma_j deflated along N
+    (:func:`~lspart.fit._deflate`), unique and continuous in Sigma_j. A
+    Sigma_j singular beyond N (a cell whose residuals are all zero) has no
+    such factor: ``NonPositiveVariance``, even where Omega > 0 on the grid.
+    No (G, n) score matrix is formed.
 
     One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
     normals are row b of one (draws, K_j) stream, taken in blocks of
@@ -418,10 +417,12 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     grid, gamma, omega, est, alpha, draws, rng = _prep_band(
         fit, var, grid, q, alpha, draws, seed
     )
-    evals, evecs = np.linalg.eigh(var.sigma_mat)
-    if var.j >= 2 and not fit.kind.nested:  # Sigma_j of the stacked design
-        evals[: fit.kind.null_dim] = 0.0
-    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
+    null = fit.null_basis(var.j)
+    try:
+        root = np.linalg.cholesky(_deflate(var.sigma_mat, null))
+    except np.linalg.LinAlgError as exc:
+        raise NonPositiveVariance("Sigma_j is singular beyond its known null space") from exc
+    A = (gamma - (gamma @ null) @ null.T) @ root
     right = _exact_rows(A / np.sqrt(omega)[:, None])
 
     def stat(c):
@@ -434,16 +435,15 @@ def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
 def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     """Uniform band via the wild bootstrap with Rademacher weights.
 
-    The signs are its only weights, and it forms no per-observation scores.
-
-    Each draw reweights the residuals by independent signs w_i and records
-    the grid supremum of the restudentized process. The redrawn variance
-    equals Omega, because w_i^2 = 1, and Omega is the plug-in band's
-    rowsum((Gamma Sigma_j) * Gamma) (:func:`_prep_band`), so
-    M = Gamma / sqrt(Omega) needs no root of Sigma_j.
+    Each draw reweights the HC-transformed residuals epshat_i sqrt(w_i)
+    (Davidson and Flachaire 2008; w_i = 1 at HC0) by independent signs s_i
+    and records the grid supremum of the restudentized process. The redrawn
+    variance equals Omega at every HC kind, because s_i^2 = 1, and Omega is
+    the plug-in band's rowsum((Gamma Sigma_j) * Gamma) (:func:`_prep_band`),
+    so M = Gamma / sqrt(Omega) needs no root of Sigma_j.
     The numerator is linear in the K_j coefficients, M T_b with
-    T_b = sum_i w_i P_i and P_i = Pi_j(x_i) epshat_i / sqrt(n), so no (G, n)
-    score matrix is formed:
+    T_b = sum_i s_i P_i and P_i = Pi_j(x_i) epshat_i sqrt(w_i / n), so no
+    (G, n) score matrix is formed:
 
     1. The columns of P are rounded so that every 0/1 sum is exact
        (:func:`_exact_sign_sums`). With bits u, T_b = 2 U_b - P'1 and
@@ -472,7 +472,7 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
 def _sign_stat(fit, var, M, rng):
     # the Rademacher numerators M T_b in coefficient space; see band_bootstrap
     design, n = var.design, fit.n
-    resid = fit.residuals(var.j) / np.sqrt(n)
+    resid = fit.residuals(var.j) * np.sqrt(var.weights) / np.sqrt(n)
     P = SparseRows(
         design.indices, design.values * resid[:, None], design.K, design.groups
     )

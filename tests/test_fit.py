@@ -22,7 +22,6 @@ from lspart.errors import (
     ConfigError,
     DataError,
     DegenerateData,
-    NumericalError,
     RankDeficient,
     UnsupportedDerivative,
     UnsupportedFamily,
@@ -239,7 +238,8 @@ class TestGramInverse:
         assert residual <= 1e-11
 
     def test_lapack_inverse_no_larger_than_leaf(self, monkeypatch):
-        # the d = 3 benchmark fit: LAPACK inverts only the recursion's leaves
+        # the d = 3 benchmark fit: LAPACK inverts only the Gram recursion's
+        # leaves, and the stacked leverage's deflated Schur complement whole
         shapes = []
         inv = np.linalg.inv
 
@@ -249,11 +249,13 @@ class TestGramInverse:
 
         monkeypatch.setattr(np.linalg, "inv", record)
         fit = _model6_fit(n=3000)
-        for j in (0, 2):
-            sigma_hat(fit, j, HCKind.HC2)
+        sigma_hat(fit, 0, HCKind.HC2)
         leaf = fit_module._INV_LEAF
         assert shapes and all(a == b <= leaf for a, b in shapes)
         assert max(a for a, _ in shapes) > leaf // 2
+        del shapes[:]
+        sigma_hat(fit, 2, HCKind.HC2)
+        assert shapes == [(fit.design_main.K,) * 2]
 
 
 class TestNormalEquations:
@@ -598,30 +600,17 @@ class TestLeverageRoute:
         assert fit.kind.null_dim == fit.design_main.K
         assert_allclose(fit.leverage(2), fit.leverage(1), rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("shift", [-1, 1])
-    def test_wrong_null_count_raises(self, shift):
-        # one too few leaves a roundoff eigenvalue kept; one too many drops
-        # a real one, which at coarse kappa is far above sqrt(eps)
+    def test_dropped_null_column_fails_the_pivot(self):
+        # a null basis one column short leaves a roundoff eigenvalue in the
+        # deflated Schur complement: its Cholesky factor fails or a squared
+        # pivot falls below the floor
         fit = _fit_nd(1, m=3)
         args = (fit.gram_main, fit.gram_bc, fit._cross_for(2))
-        _stacked_ginv(*args, fit.kind.null_dim)
-        with pytest.raises(NumericalError):
-            _stacked_ginv(*args, fit.kind.null_dim + shift)
-
-    def test_eigh_no_larger_than_main_basis(self, monkeypatch):
-        fit = _fit_nd(2)
-        shapes = []
-        eigh = np.linalg.eigh
-
-        def record(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", record)
-        for j in (2, 3):
-            fit.leverage(j)
-        k0 = fit.design_main.K
-        assert shapes and all(s == (k0, k0) for s in shapes)
+        null = fit.kind.stacked_null
+        _stacked_ginv(*args, null)
+        for k in range(null.shape[1]):
+            with pytest.raises(RankDeficient):
+                _stacked_ginv(*args, np.delete(null, k, axis=1))
 
     def test_stacked_inverse_built_once_per_fit(self, monkeypatch, tmp_path):
         # j = 2 and j = 3 share one stacked design and so one leverage
@@ -670,6 +659,55 @@ class TestLeverageRoute:
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes / 4
+
+
+class TestNullBasis:
+    """The polynomials both spans hold, in closed form (Marsden's identity)."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rule", [KnotRule.EVEN, KnotRule.QUANTILE])
+    def test_main_and_companion_coefficients_agree(self, m, d, rule):
+        # p' N and ptilde' Ntilde are the same m^d tensor monomials; the first
+        # is the constant, so N's first column is a partition of unity
+        rng = np.random.default_rng([m, d])
+        X = rng.random((300, d)) ** 2  # skewed, so quantile knots are uneven
+        part = TensorPartition.build(rule, [[0.0, 1.0]] * d, 3, data=X)
+        kind = EstimatorKind.default(BasisFamily.BSPLINE, m, part)
+        N = kind.main_spec.monomial_coefs(m)
+        main = kind.main_spec.eval_many(X).dense() @ N
+        assert N.shape == (kind.main_spec.K, m**d) == (N.shape[0], kind.null_dim)
+        assert_allclose(main, kind.bc_spec.eval_many(X).dense()
+                        @ kind.bc_spec.monomial_coefs(m), rtol=0, atol=1e-13)
+        assert_allclose(main[:, 0], 1.0, rtol=0, atol=1e-13)
+        lo = part.knots[-1][0]
+        z = (X[:, -1] - lo) / (part.knots[-1][-1] - lo)
+        assert_allclose(main[:, m - 1], z ** (m - 1), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_null_basis_is_the_stacked_design_null_space(self, d, m):
+        fit = _fit_nd(d, m=m)
+        null = fit.null_basis(2)
+        r = m**d
+        assert null.shape == (fit.design_for(2).K, r)
+        assert np.array_equal(fit.null_basis(3), null)
+        assert_allclose(null.T @ null, np.eye(r), rtol=0, atol=1e-14)
+        assert np.max(np.abs(fit.design_for(2).dense() @ null)) <= 1e-13
+        # the Schur complement's null space; S carries roundoff from Q_1^-1,
+        # whose condition number reaches 3e4 at d = 3, m = 3
+        top = null[: fit.design_main.K]
+        S = fit.gram_main.Q - fit._cross_for(2) @ fit.gram_bc.solve(fit._cross_for(2).T)
+        assert np.max(np.abs(S @ top)) <= 1e-11 * np.max(np.diagonal(fit.gram_main.Q))
+        for j in (0, 1):
+            assert fit.null_basis(j).shape == (fit.design_for(j).K, 0)
+
+    @pytest.mark.parametrize("family,d", [(BasisFamily.PP, 1), (BasisFamily.PP, 2),
+                                          (BasisFamily.HAAR, 1)])
+    def test_nested_kinds_have_no_null_basis(self, family, d):
+        fit = _fit_nd(d, family, m=1 if family is BasisFamily.HAAR else 2)
+        for j in (0, 1, 2, 3) if family is BasisFamily.PP else (0, 1, 2):
+            assert fit.null_basis(j).shape == (fit.design_for(j).K, 0)
 
 
 def _nested_fit(family, d, m, m_tilde, seed=0):

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
+import lspart.inference as inference_module
 from lspart.basis import BasisFamily
+from lspart.cli import main
 from lspart.dgp import dgp_sample
 from lspart.errors import (
     ConfigError,
@@ -279,7 +281,8 @@ class TestBands:
 
     @pytest.mark.parametrize("j", [2, 3])
     def test_stacked_sigma_runs(self, fit_1d, j):
-        # Sigma for j >= 2 is singular; the clamped eigen square root copes
+        # Sigma for j >= 2 is singular along the stacked design's known null
+        # space; the root deflates it there
         var = sigma_hat(fit_1d, j)
         grid = make_grid([[0.0, 1.0]], 20)
         band = band_plugin(fit_1d, var, grid, seed=1, draws=200)
@@ -387,6 +390,15 @@ def _fit_nd(d, family=BasisFamily.BSPLINE, n=None, kappa=None, seed=0):
     return fit_estimator(EstimatorKind.default(family, 2, part), X, y)
 
 
+def _zero_cell_sample():
+    # noise on [0, 1] with a response of exactly zero in [1/3, 2/3)
+    rng = np.random.default_rng(3)
+    X = np.concatenate([[0.0, 1.0], rng.random(298)])[:, None]
+    y = rng.standard_normal(300)
+    y[(X[:, 0] >= 1 / 3) & (X[:, 0] < 2 / 3)] = 0.0
+    return X, y
+
+
 class TestPluginRoute:
     """Both bands take Omega from rowsum((Gamma Sigma) * Gamma); only the
     plug-in band takes a root of Sigma, for its draws."""
@@ -426,6 +438,67 @@ class TestPluginRoute:
             band = band_bootstrap(fit, var, grid, seed=1, draws=200)
             assert np.all(band.half_widths > 0)
 
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_plugin_takes_no_eigendecomposition(self, monkeypatch, family):
+        # the null spaces are known, so the stacked leverage and every plug-in
+        # root are a checked inverse and a Cholesky factor
+        fit = _fit_nd(2, family)
+        grid = make_grid([[0.0, 1.0]] * 2, 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert np.all(np.isfinite(fit.leverage(2)))
+        for j in (0, 1, 2, 3):
+            band = band_plugin(fit, sigma_hat(fit, j, HCKind.HC2), grid, seed=1, draws=200)
+            assert np.all(band.half_widths > 0)
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_plugin_root_reproduces_sigma(self, monkeypatch, j):
+        # independent of the root's formula: the draws' rows A / sqrt(Omega)
+        # have covariance Gamma Sigma_j Gamma' / sqrt(Omega Omega'), with
+        # Sigma_j and Omega from the dense design (d = 2, m = 3: K_2 = 145)
+        X, y = dgp_sample(4, 3001, 0)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 6)
+        fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 3, part), X, y)
+        var = sigma_hat(fit, j)
+        grid = make_grid([[0.0, 1.0]] * 2, 13)
+        rows = []
+        exact_rows = inference_module._exact_rows
+        monkeypatch.setattr(inference_module, "_exact_rows",
+                            lambda R: rows.append(R.copy()) or exact_rows(R))
+        band_plugin(fit, var, grid, seed=1, draws=100)
+        M = fit.gamma_many(grid, None, j)
+        M = M / np.sqrt(np.sum((M @ _dense_sigma(fit, j, var.weights)) * M, axis=1))[:, None]
+        assert_allclose(rows[0] @ rows[0].T, M @ _dense_sigma(fit, j, var.weights) @ M.T,
+                        rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:grid spacing")
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_singular_sigma_is_nonpositive_variance(self, j):
+        # PP fits the zero response of the middle cell exactly, so its block
+        # of Sigma_j is zero; Omega is positive on a grid that skips the cell,
+        # but Sigma_j has no Cholesky factor and is never clipped
+        X, y = _zero_cell_sample()
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 3)
+        fit = fit_estimator(EstimatorKind.default(BasisFamily.PP, 2, part), X, y)
+        var = sigma_hat(fit, j)
+        assert np.all(var.omega_many([[0.1], [0.9]]) > 0)
+        with pytest.raises(NonPositiveVariance, match="singular"):
+            band_plugin(fit, var, [[0.1], [0.9]], draws=200)
+
+    @pytest.mark.filterwarnings("ignore:grid spacing")
+    def test_singular_sigma_cli_exits_4(self, tmp_path, capsys):
+        X, y = _zero_cell_sample()
+        path = tmp_path / "data.csv"
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",", fmt="%.17g",
+                   header="x1,y", comments="")
+        code = main(["fit", "--data", str(path), "--family", "pp", "--kappa", "3",
+                     "--band", "plugin", "--grid", "2", "--eval-points", "0.1;0.9"])
+        assert code == 4
+        assert "singular" in capsys.readouterr().err
+
     @pytest.mark.parametrize("j", [0, 2])
     def test_memory_stays_below_score_matrix(self, j):
         fit = _fit_nd(2, n=20_000, kappa=8, seed=7)
@@ -459,13 +532,15 @@ class TestPluginRoute:
 
 
 def _root(fit, var, gamma):
-    # A = Gamma Sigma^(1/2) with the null directions of a stacked [p, ptilde]
-    # design zeroed, and Omega = rowsum((Gamma Sigma) * Gamma)
-    evals, evecs = np.linalg.eigh(var.sigma_mat)
-    if var.design.K == fit.design_main.K + fit.design_bc.K:
-        evals[: fit.kind.null_dim] = 0.0
-    A = gamma @ (evecs * np.sqrt(np.clip(evals, 0.0, None)))
-    return A, np.sum((gamma @ var.sigma_mat) * gamma, axis=1)
+    # A = Gamma P L with P = I - N N' for the design's orthonormal null basis
+    # N and L the Cholesky factor of P Sigma P + c N N', c = tr(Sigma) / K_j,
+    # all dense; N has no columns unless the design stacks [p, ptilde].
+    # Omega = rowsum((Gamma Sigma) * Gamma)
+    sigma, N = var.sigma_mat, fit.null_basis(var.j)
+    P = np.eye(N.shape[0]) - N @ N.T
+    c = np.trace(sigma) / sigma.shape[0]
+    A = gamma @ P @ np.linalg.cholesky(P @ sigma @ P + c * N @ N.T)
+    return A, np.sum((gamma @ sigma) * gamma, axis=1)
 
 
 def _round_left(L):
@@ -650,6 +725,43 @@ class TestBootstrapChunks:
         assert peak < dense_bytes
 
 
+class TestBootstrapHC:
+    """The bootstrap numerator reads the HC weights its Omega studentizes by."""
+
+    @pytest.mark.parametrize("hc", list(HCKind))
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_redrawn_variance_is_omega(self, monkeypatch, fit_1d, j, hc):
+        # P_i = Pi_j(x_i) epshat_i sqrt(w_i / n), so sum_i (m_g' P_i)^2 = 1 at
+        # every grid point for m_g = gamma_g / sqrt(Omega_g), Omega dense
+        var = sigma_hat(fit_1d, j, hc)
+        grid = make_grid([[0.0, 1.0]], 30)
+        rows = []
+        sign_sums = inference_module._exact_sign_sums
+        monkeypatch.setattr(inference_module, "_exact_sign_sums",
+                            lambda P: rows.append(P.dense()) or sign_sums(P))
+        band_bootstrap(fit_1d, var, grid, seed=0, draws=100)
+        gamma = fit_1d.gamma_many(grid, None, j)
+        scores = gamma @ var.design.dense().T
+        M = gamma / np.sqrt((scores**2) @ var.wre2 / fit_1d.n)[:, None]
+        assert_allclose(np.sum((M @ rows[0].T) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_hc3_widens_like_plugin(self):
+        # PP d = 2, kappa = 5, j = 2: HC3 widens the plug-in band by about 11%,
+        # and the bootstrap band, whose redrawn variance is the same Omega,
+        # by as much (common seed, so only the weights differ)
+        X, y = dgp_sample(4, 2000, 11)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 5)
+        fit = fit_estimator(EstimatorKind.default(BasisFamily.PP, 2, part), X, y)
+        grid = make_grid([[0.0, 1.0]] * 2, 20)
+        ratio = {}
+        for band in (band_plugin, band_bootstrap):
+            hw = [np.median(band(fit, sigma_hat(fit, 2, hc), grid, draws=1000,
+                                 seed=5).half_widths) for hc in (HCKind.HC0, HCKind.HC3)]
+            ratio[band] = hw[1] / hw[0]
+        assert ratio[band_plugin] > 1.05
+        assert ratio[band_bootstrap] == pytest.approx(ratio[band_plugin], rel=0.02)
+
+
 def _right_rows(G, K):
     # rows at scales 1e-300 .. 1e300, with zero entries and whole zero rows
     mag = hnp.arrays(float, (G, K), elements=st.floats(0.5, 1.0))
@@ -748,15 +860,14 @@ def test_bands_do_not_depend_on_blas_threads():
 def test_pp_plugin_quantiles_do_not_depend_on_blas_threads(tmp_path):
     # d = 2, PP m = 2, kappa = 5: K_1 = 150. The Gram inverse, so Gamma and
     # Sigma, comes from threaded matrix products at this size and may differ
-    # in its last bits between the thread counts (LAPACK's inverse did), so
-    # the quantiles meet a bound, not bit equality: the draws' 24-bit
-    # rounding moves a supremum by at most 2^-24 ||r||_1 (1 + ||z||_1), about
-    # 2e-5 of a quantile near 3.7 (||r||_1 <= sqrt(K), ||z||_1 ~ 0.8 K). The
-    # bound also needs the eigenvector root of Sigma_j not to turn; that is
-    # measured on these data, not guaranteed. A nested kind draws through
-    # j = 1's full-rank Sigma; a stacked Sigma_j, whose zeroed null directions
-    # form a degenerate cluster, turned and moved its j = 2, 3 quantiles by
-    # 0.4-1.1% here
+    # in its last bits between the thread counts (LAPACK's inverse did), and
+    # the Cholesky factor of the draws does differ in its last bits, so the
+    # quantiles meet a bound, not bit equality: the draws' 24-bit rounding
+    # moves a supremum by at most 2^-24 ||r||_1 (1 + ||z||_1), about 2e-5 of
+    # a quantile near 3.7 (||r||_1 <= sqrt(K), ||z||_1 ~ 0.8 K). A Cholesky
+    # factor is unique and continuous in Sigma_j, so roundoff in it moves
+    # the draws' right factor by roundoff only; its rounded rows were
+    # identical at both settings on these data
     src = str(Path(__file__).resolve().parents[1] / "src")
     X, y = dgp_sample(4, 3001, 0)
     data = tmp_path / "m4.csv"
