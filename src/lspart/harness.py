@@ -1,12 +1,16 @@
 """Run drivers: configuration, CSV ingestion, single fits, Monte Carlo loops.
 
-``RunConfig.validated`` checks each option once. A fit and a simulation
+``RunConfig`` holds each option's default, the CLI's too; ``validated``
+checks each option once and resolves ``m_tilde``. A fit and a simulation
 replication share one pass, :func:`_fit_and_infer`: select kappa, fit, then
 per j the variance, pointwise intervals and band, at the q resolved once per
 run. A ``ConfigError`` in a replication ends the study, as it ends a fit.
 
-JSON reports nest all wall-clock information under the single volatile
-"timestamp" key, so dropping that key leaves a byte-comparable document.
+Both modes write their JSON report through :func:`_report`, which nests all
+wall-clock information under the single volatile "timestamp" key, so
+dropping that key leaves a byte-comparable document. An unwritable output
+path is a ``ConfigError``, an unreadable or non-UTF-8 data file a
+``ParseError``.
 Simulation replications draw their data from streams keyed (master_seed, rep)
 and are reduced in replication order, which makes parallel and serial runs
 agree bit for bit. Each band call draws from one stream of its own, keyed
@@ -103,9 +107,13 @@ class RunConfig:
         cfg.j_set = tuple(sorted({check_whole(j, "estimator kind j", 0) for j in js}))
         if not cfg.j_set or max(cfg.j_set) > 3:
             raise ConfigError(f"j_set must be a nonempty subset of 0..3, got {cfg.j_set}")
-        mt = _m_tilde(cfg)
-        if mt is not None and mt <= cfg.m:
-            raise ConfigError(f"m_tilde {mt} must exceed m {cfg.m}")
+        # the bias-correction order: none when every j is 0, else m + 1 by default
+        if max(cfg.j_set) < 1:
+            cfg.m_tilde = None
+        elif cfg.m_tilde is None:
+            cfg.m_tilde = cfg.m + 1
+        elif cfg.m_tilde <= cfg.m:
+            raise ConfigError(f"m_tilde {cfg.m_tilde} must exceed m {cfg.m}")
 
         if cfg.kappa not in ("rot", "dpi"):
             cfg.kappa = check_whole(cfg.kappa, "kappa", 1, InvalidKappa)
@@ -118,8 +126,7 @@ class RunConfig:
             cfg.band_method = str(cfg.band_method).lower()
             if cfg.band_method not in ("plugin", "bootstrap"):
                 raise ConfigError(
-                    f"band method must be plugin or bootstrap, got {cfg.band_method!r}"
-                )
+                    f"band method must be plugin or bootstrap, got {cfg.band_method!r}")
             cfg.B = check_whole(cfg.B, "B", 100)  # the bands' minimum of draws
         if cfg.grid_size is not None:
             cfg.grid_size = check_whole(cfg.grid_size, "grid size", 2, InvalidGrid)
@@ -144,13 +151,6 @@ class RunConfig:
         return cfg
 
 
-def _m_tilde(cfg):
-    """The bias-correction order of a run, or None when every j is 0."""
-    if max(cfg.j_set) < 1:
-        return None
-    return cfg.m + 1 if cfg.m_tilde is None else cfg.m_tilde
-
-
 def read_data(path):
     """Parse a CSV with header x1,...,xd,y into (X, y).
 
@@ -159,21 +159,18 @@ def read_data(path):
     row loop :func:`_parse_rows` instead, which names the offending line.
     """
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise ParseError("line 1: empty file")
-        cols = [c.strip() for c in header]
-        d = len(cols) - 1
-        want = [f"x{k + 1}" for k in range(d)] + ["y"]
-        if d < 1 or cols != want:
-            raise ParseError(
-                f"line 1: header must be x1,...,xd,y; got {','.join(cols)!r}"
-            )
-        body = fh.read()
+    if header is None:
+        raise ParseError("line 1: empty file")
+    cols = [c.strip() for c in header]
+    d = len(cols) - 1
+    want = [f"x{k + 1}" for k in range(d)] + ["y"]
+    if d < 1 or cols != want:
+        raise ParseError(f"line 1: header must be x1,...,xd,y; got {','.join(cols)!r}")
     arr = None
     if body.strip():  # loadtxt warns on an input with no rows
         try:
@@ -266,7 +263,7 @@ def _fit_and_infer(cfg, X, y, bounds, q, pts, band_seed):
     (fit, selection, grid, per_j), per_j[j] = (pointwise, band or None)."""
     kappa, selection = _select_kappa(cfg, X, y, q, bounds)
     part = TensorPartition.build(cfg.knot_rule, bounds, kappa, data=X)
-    kind = EstimatorKind(BasisSpec(cfg.family, cfg.m, part), _m_tilde(cfg))
+    kind = EstimatorKind(BasisSpec(cfg.family, cfg.m, part), cfg.m_tilde)
     for j in cfg.j_set:
         kind.require_j(j)
     fit = fit_estimator(kind, X, y)
@@ -299,10 +296,30 @@ def _pyify(obj):
     return obj
 
 
-def _write_json(path, report):
-    text = json.dumps(report, indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write(path, text):
+    """Write ``text`` to ``path``; an unwritable path is a ``ConfigError``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _report(mode, body, t0, path):
+    """The JSON report of a run: schema and mode, ``body``, then the volatile
+    timestamp; written to ``path`` as one indented dump when it is set."""
+    report = _pyify({
+        "schema": SCHEMA,
+        "mode": mode,
+        **body,
+        "timestamp": {
+            "written_at": datetime.now(timezone.utc).isoformat(),
+            "runtime_seconds": time.perf_counter() - t0,
+        },
+    })
+    if path:
+        _write(path, json.dumps(report, indent=2) + "\n")
+    return report
 
 
 def run_fit(config):
@@ -339,14 +356,12 @@ def run_fit(config):
                 "hi": band.hi,
             }
 
-    report = _pyify({
-        "schema": SCHEMA,
-        "mode": "fit",
+    return _report("fit", {
         "n": n,
         "d": d,
         "family": cfg.family.value,
         "m": cfg.m,
-        "m_tilde": _m_tilde(cfg),
+        "m_tilde": cfg.m_tilde,
         "knot_rule": cfg.knot_rule.value,
         "q": list(q),
         "j_set": list(cfg.j_set),
@@ -359,14 +374,7 @@ def run_fit(config):
         "eval_points": pts,
         "estimates": estimates,
         "band": ({"grid": grid, **bands} if cfg.band_method else None),
-        "timestamp": {
-            "written_at": datetime.now(timezone.utc).isoformat(),
-            "runtime_seconds": time.perf_counter() - t0,
-        },
-    })
-    if cfg.output_path:
-        _write_json(cfg.output_path, report)
-    return report
+    }, t0, cfg.output_path)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -418,6 +426,7 @@ def _aggregate(cfg, results, truth_pts):
         raise NumericalError("all replications failed")
 
     kappas = np.array([res["kappa"] for res in ok], dtype=float)
+    selector = cfg.kappa if isinstance(cfg.kappa, str) else "fixed"
     rows = []
     for j in cfg.j_set:
         est = np.stack([res["per_j"][j]["est"] for res in ok])
@@ -425,11 +434,11 @@ def _aggregate(cfg, results, truth_pts):
         il = np.stack([res["per_j"][j]["il"] for res in ok])
         row = {
             "model": cfg.model_id,
-            "selector": cfg.kappa if isinstance(cfg.kappa, str) else "fixed",
+            "selector": selector,
             "j": j,
             "family": cfg.family.value,
             "m": cfg.m,
-            "m_tilde": _m_tilde(cfg),
+            "m_tilde": cfg.m_tilde,
             "n": cfg.n,
             "reps": R,
             "failures": len(failures),
@@ -463,32 +472,26 @@ def _aggregate(cfg, results, truth_pts):
 
 def metrics_csv(rows, num_eval_points):
     """Render MetricsRows to CSV text, one row per (model, selector, j)."""
-    per_point = []
-    for p in range(1, num_eval_points + 1):
-        per_point += [f"rmse_{p}", f"cr_{p}", f"il_{p}"]
-    header = (
+    # the first nine columns name the study; the metrics after them are
+    # written to 17 significant digits, and a missing value is left blank
+    per_point = [(f"{k}_{p + 1}", k, p)
+                 for p in range(num_eval_points) for k in ("rmse", "cr", "il")]
+    columns = (
         ["model", "selector", "j", "family", "m", "m_tilde", "n", "reps",
          "failures", "kappa_mean", "kappa_median", "kappa_sd"]
-        + per_point
+        + [name for name, _, _ in per_point]
         + ["cp", "ace", "aw", "ucr"]
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(columns)
     for row in rows:
-        rec = []
-        for k in ("model", "selector", "j", "family", "m", "m_tilde", "n",
-                  "reps", "failures"):
-            v = row[k]
-            rec.append("" if v is None else v)
-        for k in ("kappa_mean", "kappa_median", "kappa_sd"):
-            rec.append(f"{row[k]:.17g}")
-        for p in range(num_eval_points):
-            for k in ("rmse", "cr", "il"):
-                rec.append(f"{row[k][p]:.17g}")
-        for k in ("cp", "ace", "aw", "ucr"):
-            rec.append("" if row[k] is None else f"{row[k]:.17g}")
-        writer.writerow(rec)
+        cells = {**row, **{name: row[k][p] for name, k, p in per_point}}
+        vals = [cells[c] for c in columns]
+        writer.writerow(
+            ["" if v is None else v for v in vals[:9]]
+            + ["" if v is None else f"{v:.17g}" for v in vals[9:]]
+        )
     return buf.getvalue()
 
 
@@ -517,13 +520,13 @@ def run_simulation(config):
     results.sort(key=lambda t: t[0])
 
     rows, failures = _aggregate(cfg, results, truth_pts)
-    summary = _pyify({
-        "schema": SCHEMA,
-        "mode": "simulate",
+    if cfg.output_path:
+        _write(cfg.output_path, metrics_csv(rows, pts.shape[0]))
+    summary = _report("simulate", {
         "model": cfg.model_id,
         "n": cfg.n,
         "replications": cfg.replications,
-        "selector": cfg.kappa if isinstance(cfg.kappa, str) else "fixed",
+        "selector": rows[0]["selector"],
         "family": cfg.family.value,
         "m": cfg.m,
         "j_set": list(cfg.j_set),
@@ -535,15 +538,6 @@ def run_simulation(config):
         "truth": truth_pts,
         "rows": rows,
         "failures": [{"rep": rep, "error": msg} for rep, msg in failures],
-        "timestamp": {
-            "written_at": datetime.now(timezone.utc).isoformat(),
-            "runtime_seconds": time.perf_counter() - t0,
-        },
-    })
-    if cfg.output_path:
-        csv_text = metrics_csv(rows, pts.shape[0])
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        _write_json(str(cfg.output_path) + ".json", summary)
+    }, t0, cfg.output_path and f"{cfg.output_path}.json")
     return rows, summary
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lspart.cli import _ints_csv, _points, main
+from lspart.cli import _config_from, _ints_csv, _points, build_parser, main
 from lspart.errors import ConfigError
+from lspart.harness import RunConfig
 
 
 @pytest.fixture
@@ -38,6 +39,55 @@ class TestParsers:
         assert _points("0.2,0.3; 0.5,0.6") == ((0.2, 0.3), (0.5, 0.6))
         with pytest.raises(ConfigError):
             _points("0.1,zap")
+
+
+def _config(argv):
+    return _config_from(build_parser().parse_args(argv))
+
+
+class TestSingleSource:
+    """Every default and choice set lives in RunConfig and the enums."""
+
+    def test_fit_defaults_are_run_config_defaults(self):
+        assert _config(["fit", "--data", "x.csv"]) == RunConfig(
+            mode="fit", data_path="x.csv")
+
+    def test_simulate_defaults_are_run_config_defaults(self):
+        assert _config(["simulate", "--model", "1", "--n", "100"]) == RunConfig(
+            mode="simulate", model_id="1", n="100")
+
+    def test_every_flag_sets_its_field(self):
+        cfg = _config([
+            "simulate", "--model", "2", "--n", "100", "--reps", "3",
+            "--family", "pp", "--m", "3", "--m-tilde", "5", "--kappa", "4",
+            "--kappa-max", "6", "--q", "1", "--j", "0,2", "--alpha", "0.1",
+            "--band", "plugin", "--B", "200", "--grid", "9", "--hc", "hc2",
+            "--knots", "quantile", "--seed", "3", "--eval-points", "0.5",
+            "--jobs", "2", "--out", "m.csv",
+        ])
+        assert cfg == RunConfig(
+            mode="simulate", model_id="2", n="100", replications="3",
+            family="pp", m="3", m_tilde="5", kappa="4", kappa_max="6", q=(1,),
+            j_set=(0, 2), alpha="0.1", band_method="plugin", B="200",
+            grid_size="9", hc_kind="hc2", knot_rule="quantile", seed="3",
+            eval_points=((0.5,),), jobs="2", output_path="m.csv",
+        )
+
+    def test_empty_q_and_eval_points_are_absent(self):
+        cfg = _config(["fit", "--data", "x.csv", "--q", "", "--eval-points", ""])
+        assert cfg == RunConfig(mode="fit", data_path="x.csv")
+
+    def test_enum_flags_take_any_case(self, data_file, tmp_path):
+        base = ["fit", "--data", str(data_file), "--kappa", "3", "--j", "0,2",
+                "--B", "150", "--grid", "10"]
+        mixed = ["--family", "PP", "--hc", "HC0", "--knots", "EVEN", "--band", "Plugin"]
+        texts = []
+        for name, flags in (("mixed", mixed), ("lower", [f.lower() for f in mixed])):
+            out = tmp_path / f"{name}.json"
+            assert main(base + flags + ["--out", str(out)]) == 0
+            # timestamp is the last key, so the text before it is the report
+            texts.append(out.read_text(encoding="utf-8").split('"timestamp"')[0])
+        assert texts[0] == texts[1]
 
 
 class TestFitCommand:
@@ -104,6 +154,18 @@ class TestFitCommand:
         code = main(["fit", "--data", str(bad), "--kappa", "3"])
         assert code == 3
         assert "line 2" in capsys.readouterr().err
+        # a byte that is not UTF-8, in the header or in a data row
+        for raw in (b"x1,y\xff\n0.1,0.2\n", b"x1,y\n0.1,0.2\n0.3,\xff\n"):
+            bad.write_bytes(raw)
+            assert main(["fit", "--data", str(bad), "--kappa", "3"]) == 3
+            assert "bad.csv" in capsys.readouterr().err
+
+    def test_unwritable_out_exit_2(self, data_file, tmp_path, capsys):
+        out = tmp_path / "absent" / "r.json"
+        code = main(["fit", "--data", str(data_file), "--kappa", "3", "--j", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_argparse_rejects_unknown_choice(self, data_file):
         with pytest.raises(SystemExit) as exc:
@@ -137,6 +199,12 @@ class TestSimulateCommand:
         assert out.read_text(encoding="utf-8").count("\n") == 3
         summary = json.loads((tmp_path / "m.csv.json").read_text("utf-8"))
         assert summary["replications"] == 2
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        code = main(["simulate", "--model", "1", "--n", "120", "--kappa", "3",
+                     "--j", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "cannot write" in capsys.readouterr().err
 
     def test_numerical_failure_exit_4(self, capsys):
         code = main([

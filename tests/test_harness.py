@@ -95,6 +95,14 @@ class TestRunConfig:
         ).validated()  # no correction requested, so the pair is never used
         assert cfg.j_set == (0,)
 
+    def test_m_tilde_resolved_once(self):
+        base = dict(mode="fit", data_path="x.csv", m=3)
+        assert RunConfig(**base).validated().m_tilde == 4
+        assert RunConfig(**base, m_tilde="5").validated().m_tilde == 5
+        assert RunConfig(**base, m_tilde=5, j_set=(0,)).validated().m_tilde is None
+        cfg = RunConfig(**base, j_set=(0, 2)).validated()
+        assert cfg.validated() == cfg
+
     def test_alpha_band_grid(self):
         base = dict(mode="fit", data_path="x.csv")
         with pytest.raises(ConfigError):
@@ -143,6 +151,14 @@ class TestReadData:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             read_data(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize("raw", [b"x1,y\xff\n0.1,0.2\n",
+                                     b"x1,y\n0.1,0.2\n0.3,\xff\n"])
+    def test_not_utf8_names_file(self, tmp_path, raw):
+        p = tmp_path / "latin.csv"
+        p.write_bytes(raw)
+        with pytest.raises(ParseError, match=r"cannot read .*latin\.csv"):
+            read_data(p)
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "h.csv"
@@ -320,6 +336,12 @@ class TestRunFit:
                                 B=150, grid_size=12))
         assert out.read_text(encoding="utf-8") == json.dumps(rep, indent=2) + "\n"
 
+    def test_unwritable_output_is_config_error(self, data_file, tmp_path):
+        out = tmp_path / "absent" / "report.json"
+        with pytest.raises(ConfigError, match="cannot write .*report\\.json"):
+            run_fit(RunConfig(mode="fit", data_path=str(data_file), kappa=3,
+                              j_set=(0,), output_path=str(out)))
+
     def test_band_block(self, data_file):
         cfg = RunConfig(
             mode="fit", data_path=str(data_file), kappa=4, j_set=(0,),
@@ -466,6 +488,14 @@ class TestRunSimulation:
         assert text.startswith("model,selector,j,family,m,m_tilde,n,reps,")
         summary = json.loads((tmp_path / "metrics.csv.json").read_text("utf-8"))
         assert summary["schema"] == "lspart/1"
+
+    def test_unwritable_output_is_config_error(self, tmp_path):
+        # the metrics CSV is written first, so no summary is left beside it
+        out = tmp_path / "a_directory"
+        out.mkdir()
+        with pytest.raises(ConfigError, match="cannot write .*a_directory"):
+            run_simulation(_sim_cfg(j_set=(0,), output_path=str(out)))
+        assert not (tmp_path / "a_directory.json").exists()
 
     def test_three_dim_default_cap_binds(self):
         rows, _ = run_simulation(
