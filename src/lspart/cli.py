@@ -9,12 +9,11 @@ values of their enum in any case. A ``ConfigError`` exits 2, a
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .basis import BasisFamily
 from .errors import ConfigError, DataError, NumericalError, check_whole
-from .harness import RunConfig, metrics_csv, run_fit, run_simulation
+from .harness import RunConfig, metrics_csv, report_text, run_fit, run_simulation
 from .inference import HCKind
 from .partition import KnotRule
 
@@ -57,7 +56,6 @@ def _add_common(p):
     p.add_argument("--seed")
     p.add_argument("--eval-points",
                    help="points like '0.25;0.5;0.75' (coordinates comma separated)")
-    p.add_argument("--jobs", help="parallel replication workers")
     p.add_argument("--out", dest="output_path", help="output file path")
 
 
@@ -79,6 +77,7 @@ def build_parser():
     sim.add_argument("--model", dest="model_id", required=True, help="model id 1..7")
     sim.add_argument("--n", required=True, help="sample size")
     sim.add_argument("--reps", dest="replications", help="replications")
+    sim.add_argument("--jobs", help="parallel replication workers")
     _add_common(sim)
     return ap
 
@@ -105,7 +104,7 @@ def main(argv=None):
         if cfg.mode == "fit":
             report = run_fit(cfg)
             if not cfg.output_path:
-                print(json.dumps(report, indent=2))
+                sys.stdout.write(report_text(report))
         else:
             rows, summary = run_simulation(cfg)
             if not cfg.output_path:

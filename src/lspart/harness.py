@@ -8,9 +8,11 @@ run. A ``ConfigError`` in a replication ends the study, as it ends a fit.
 
 Both modes write their JSON report through :func:`_report`, which nests all
 wall-clock information under the single volatile "timestamp" key, so
-dropping that key leaves a byte-comparable document. An unwritable output
-path is a ``ConfigError``, an unreadable or non-UTF-8 data file a
-``ParseError``.
+dropping that key leaves a byte-comparable document; :func:`report_text` is
+the report's one text form, to ``--out`` or stdout. An output path that
+cannot take a file is a ``ConfigError`` before any work
+(:func:`_check_output`), and so is one that fails later, at the write. An
+unreadable or non-UTF-8 data file is a ``ParseError``.
 Simulation replications draw their data from streams keyed (master_seed, rep)
 and are reduced in replication order, which makes parallel and serial runs
 agree bit for bit. Each band call draws from one stream of its own, keyed
@@ -24,6 +26,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -296,6 +299,23 @@ def _pyify(obj):
     return obj
 
 
+def _check_output(*paths):
+    """``ConfigError`` before any work if a path cannot take a file: its
+    directory is missing, it is a directory, or it may not be written.
+    Creates and changes no file."""
+    for path in paths:
+        folder = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            why = "it is a directory"
+        elif not os.path.isdir(folder):
+            why = f"no directory {folder}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            why = "permission denied"
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {why}")
+
+
 def _write(path, text):
     """Write ``text`` to ``path``; an unwritable path is a ``ConfigError``."""
     try:
@@ -305,9 +325,14 @@ def _write(path, text):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def report_text(report):
+    """A run's JSON report as written, to ``--out`` or to stdout."""
+    return json.dumps(report, indent=2) + "\n"
+
+
 def _report(mode, body, t0, path):
     """The JSON report of a run: schema and mode, ``body``, then the volatile
-    timestamp; written to ``path`` as one indented dump when it is set."""
+    timestamp; written to ``path`` as :func:`report_text` when it is set."""
     report = _pyify({
         "schema": SCHEMA,
         "mode": mode,
@@ -318,7 +343,7 @@ def _report(mode, body, t0, path):
         },
     })
     if path:
-        _write(path, json.dumps(report, indent=2) + "\n")
+        _write(path, report_text(report))
     return report
 
 
@@ -328,6 +353,8 @@ def run_fit(config):
     cfg = config.validated()
     if cfg.mode != "fit":
         raise ConfigError("run_fit needs a fit-mode config")
+    if cfg.output_path:
+        _check_output(cfg.output_path)
     X, y = read_data(cfg.data_path)
     n, d = X.shape
     q = check_deriv(cfg.q, d)
@@ -505,6 +532,8 @@ def run_simulation(config):
     cfg = config.validated()
     if cfg.mode != "simulate":
         raise ConfigError("run_simulation needs a simulate-mode config")
+    if cfg.output_path:
+        _check_output(cfg.output_path, f"{cfg.output_path}.json")
     d = dgp.dgp_dim(cfg.model_id)
     q = check_deriv(cfg.q, d)
 

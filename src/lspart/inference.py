@@ -12,30 +12,23 @@ wild-bootstrap resampling of residuals.
 
 Pointwise intervals and both bands take Omega from one product with
 Sigma_j (:func:`quadratic_form`): Omega = rowsum((Gamma Sigma_j) * Gamma),
-in O(G K^2) and no (G, n) array. Both suprema are linear in the K_j
-coefficients. The plug-in process is M z with M = A / sqrt(Omega),
-A A' = Gamma Sigma_j Gamma' (a Cholesky root) and z standard normal. The
-bootstrap numerator is M T with M = Gamma / sqrt(Omega), signs s_i, HC
-weights w_i and T = sum_i s_i Pi_j(x_i) epshat_i sqrt(w_i / n), summed per
-cell from the sign bits; it takes no root of Sigma_j.
-Each block of draws is then one exact GEMM (``_exact_product``): the left
-factor is rounded to the grid 2^-23 and each row of M to 24 significant bits
-of its L1 norm, so every partial sum is exact in float64. The rounding moves
-a supremum by a few 1e-6 relative at most, far inside the Monte Carlo error
-of the band quantile. The bootstrap draws Rademacher signs only; it has no
-other weight route.
+in O(G K^2) and no (G, n) array, checked positive in one place
+(``_omega``). A variance estimate belongs to one fit: every function that
+takes both checks that ``var.fit is fit`` (:func:`check_variance`).
 
-A variance estimate belongs to one fit: every function that takes both
-checks that ``var.fit is fit`` (:func:`check_variance`).
-
-Each band call makes one generator, ``np.random.default_rng(seed)``, where
-``seed`` is a non-negative int or a sequence of them, such as
-(master, rep, j). Draw b takes row b of one row-major stream: n Rademacher
-signs for the bootstrap, K_j standard normals for the plug-in band. Both are
-generated in blocks of ``_DRAW_CHUNK`` draws. Because each block's product is
-exact, a draw's supremum does not depend on the block it falls in, nor on the
-BLAS thread count, and a band depends only on the seed and the number of
-draws, not on the block size.
+Both bands are one driver, ``_band``, with two samplers. A band's process
+on the grid is linear in K_j draws: M z_b for the plug-in band's standard
+normals, M T_b for the bootstrap's Rademacher sums. Each band call makes one
+generator, ``np.random.default_rng(seed)``, where ``seed`` is a non-negative
+int or a sequence of them, such as (master, rep, j); draw b takes row b of
+one row-major stream. The draws come in blocks of ``_DRAW_CHUNK``, so memory
+is O(chunk) rows, not O(draws). Each block is one exact GEMM
+(``_exact_product``): the draws are rounded to the grid 2^-23 and each row
+of M to 24 significant bits of its L1 norm, so every partial sum is exact in
+float64. The rounding moves a supremum by a few 1e-6 relative at most, far
+inside the Monte Carlo error of the band quantile, and a draw's supremum does
+not depend on the block it falls in nor on the BLAS thread count. A band
+depends only on the seed and the number of draws.
 """
 
 from __future__ import annotations
@@ -135,12 +128,7 @@ class VarianceEstimate:
 
     def omega_many(self, pts, q=None):
         """Omega_j = gamma_j' Sigma_j gamma_j at many points, (G,)."""
-        omega = quadratic_form(self.fit.gamma_many(pts, q, self.j), self.sigma_mat)
-        if np.any(omega <= 0):
-            raise NonPositiveVariance(
-                "variance estimate is not positive at an evaluation point"
-            )
-        return omega
+        return _omega(self.fit.gamma_many(pts, q, self.j), self.sigma_mat)
 
 
 def sigma_hat(fit, j, hc=HCKind.HC0):
@@ -159,6 +147,15 @@ def quadratic_form(gamma, sigma):
     every Omega, at pointwise points and on both bands' grids."""
     gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
     return np.sum((gamma @ sigma) * gamma, axis=1)
+
+
+def _omega(gamma, sigma):
+    """:func:`quadratic_form`, the one Omega check of pointwise intervals and
+    bands: NonPositiveVariance unless every value is positive."""
+    omega = quadratic_form(gamma, sigma)
+    if np.any(omega <= 0):
+        raise NonPositiveVariance("variance estimate is not positive at an evaluation point")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -246,28 +243,51 @@ def _check_seed(seed):
     return check_whole(keys, "seed", 0)
 
 
-def _prep_band(fit, var, grid, q, alpha, draws, seed):
-    """Both bands' checked inputs and shared pieces. Omega on the grid is
-    rowsum((Gamma Sigma_j) * Gamma); NonPositiveVariance if one is not > 0."""
+def _band(fit, var, grid, q, alpha, draws, seed, method, sampler):
+    """The one driver of both bands.
+
+    Checks the inputs, takes Gamma and Omega (:func:`_omega`) on the grid and
+    makes the call's generator. ``sampler(fit, var, gamma, sqrt_omega)``
+    returns ``(left, right)``: ``left(rng, c)`` gives the next c draws as a
+    new (c, K_j) array, and ``right`` holds the exact rows
+    (:func:`_exact_rows`) that map a draw to the studentized process on the
+    grid. Each block of ``_DRAW_CHUNK`` draws is one :func:`_exact_product`,
+    overwritten by its |.|, so memory is O(chunk (G + K_j) + draws) beyond
+    the sampler's own pieces.
+    """
     check_variance(fit, var)
     alpha = check_level(alpha)
     draws = check_whole(draws, "draws", 100)
-    seed = _check_seed(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     try:
         grid = check_floats(grid, "evaluation grid", fit.kind.main_spec.dim)
     except ConfigError as exc:
         raise InvalidGrid(str(exc)) from exc
+    # only OutOfSupport: a bad q stays an UnsupportedDerivative, not InvalidGrid
     try:
         fit.at(grid, q).cells  # located once; the weights and estimates reuse them
     except OutOfSupport as exc:
         raise InvalidGrid(str(exc)) from exc
     _warn_grid_spacing(fit.kind.main_spec.partition, grid)
     gamma = fit.gamma_many(grid, q, var.j)
-    omega = quadratic_form(gamma, var.sigma_mat)
-    if np.any(omega <= 0):
-        raise NonPositiveVariance("variance not positive somewhere on the grid")
+    omega = _omega(gamma, var.sigma_mat)
     est = fit.estimate_many(grid, q, var.j)
-    return grid, gamma, omega, est, alpha, draws, np.random.default_rng(seed)
+    left, right = sampler(fit, var, gamma, np.sqrt(omega)[:, None])
+    sups = np.empty(draws)
+    for start in range(0, draws, _DRAW_CHUNK):
+        c = min(_DRAW_CHUNK, draws - start)
+        block = _exact_product(left(rng, c), right)
+        sups[start : start + c] = np.max(np.abs(block, out=block), axis=1)
+    qhat = _sup_quantile(sups, alpha)
+    return BandResult(
+        grid=grid,
+        estimates=est,
+        half_widths=qhat * np.sqrt(omega / fit.n),
+        quantile=qhat,
+        alpha=alpha,
+        method=method,
+        draws=draws,
+    )
 
 
 def _warn_grid_spacing(part, grid):
@@ -283,7 +303,7 @@ def _warn_grid_spacing(part, grid):
                 f"largest cell width {stats['width_max'][ell]:.4g}; the "
                 "supremum may be under-resolved",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,  # the caller of band_plugin or band_bootstrap
             )
 
 
@@ -293,34 +313,6 @@ def _sup_quantile(sups, alpha):
     B = sups.shape[0]
     rank = min(max(math.ceil(B * (1.0 - alpha)), 1), B)
     return float(sups[rank - 1])
-
-
-def _draw_sups(draws, stat):
-    """Grid suprema of |stat(c)| for ``draws`` draws, in blocks of _DRAW_CHUNK.
-
-    ``stat(c)`` returns the next c draws' statistics on the grid as a new
-    (c, G) array, which is overwritten: taking |.| in place spares a second
-    (c, G) temporary per block.
-    """
-    sups = np.empty(draws)
-    for start in range(0, draws, _DRAW_CHUNK):
-        c = min(_DRAW_CHUNK, draws - start)
-        block = stat(c)
-        sups[start : start + c] = np.max(np.abs(block, out=block), axis=1)
-    return sups
-
-
-def _band_result(grid, est, omega, n, sups, alpha, method):
-    qhat = _sup_quantile(sups, alpha)
-    return BandResult(
-        grid=grid,
-        estimates=est,
-        half_widths=qhat * np.sqrt(omega / n),
-        quantile=qhat,
-        alpha=alpha,
-        method=method,
-        draws=sups.shape[0],
-    )
 
 
 def _exact_rows(R):
@@ -395,41 +387,28 @@ def _sign_bytes(rng, c, n):
 def band_plugin(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     """Uniform band via simulated Gaussian suprema through a root of Sigma_j.
 
-    Omega on the grid comes from :func:`_prep_band`. Draw b's process is
-    M z_b with M = A / sqrt(Omega), z_b standard normal and
-    A = Gamma P L, so A A' = Gamma Sigma_j Gamma': P = I - N N' for the
-    design's null basis N (``fit.null_basis(j)``, no columns unless stacked)
-    and L the Cholesky factor of Sigma_j deflated along N
-    (:func:`~lspart.fit._deflate`), unique and continuous in Sigma_j. A
-    Sigma_j singular beyond N (a cell whose residuals are all zero) has no
-    such factor: ``NonPositiveVariance``, even where Omega > 0 on the grid.
-    No (G, n) score matrix is formed.
-
-    One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
-    normals are row b of one (draws, K_j) stream, taken in blocks of
-    ``_DRAW_CHUNK`` rows, so memory is O(chunk (G + K_j) + draws). Each
-    block is one exact GEMM (:func:`_exact_product`): the normals are
-    rounded to the grid 2^-23 and each row of M to 24 significant bits of its
-    L1 norm, which moves a supremum by about 1e-6 relative. The band then
-    depends only on the seed and the number of draws, not on the block
-    size.
+    Draw b's process is M z_b with M = A / sqrt(Omega), z_b standard normal
+    (row b of one (draws, K_j) stream) and A = Gamma P L, so
+    A A' = Gamma Sigma_j Gamma': P = I - N N' for the design's null basis N
+    (``fit.null_basis(j)``, no columns unless stacked) and L the Cholesky
+    factor of Sigma_j deflated along N (:func:`~lspart.fit._deflate`),
+    unique and continuous in Sigma_j. A Sigma_j singular beyond N (a cell
+    whose residuals are all zero) has no such factor:
+    ``NonPositiveVariance``, even where Omega > 0 on the grid. The draws go
+    through :func:`_band`.
     """
-    grid, gamma, omega, est, alpha, draws, rng = _prep_band(
-        fit, var, grid, q, alpha, draws, seed
-    )
+    return _band(fit, var, grid, q, alpha, draws, seed, "plugin", _gauss_draws)
+
+
+def _gauss_draws(fit, var, gamma, sqrt_omega):
+    # the plug-in band's sampler for _band: normals against the rows of M
     null = fit.null_basis(var.j)
     try:
         root = np.linalg.cholesky(_deflate(var.sigma_mat, null))
     except np.linalg.LinAlgError as exc:
         raise NonPositiveVariance("Sigma_j is singular beyond its known null space") from exc
-    A = (gamma - (gamma @ null) @ null.T) @ root
-    right = _exact_rows(A / np.sqrt(omega)[:, None])
-
-    def stat(c):
-        return _exact_product(rng.standard_normal((c, right.shape[1])), right)
-
-    sups = _draw_sups(draws, stat)
-    return _band_result(grid, est, omega, fit.n, sups, alpha, "plugin")
+    right = _exact_rows((gamma - (gamma @ null) @ null.T) @ root / sqrt_omega)
+    return (lambda rng, c: rng.standard_normal((c, right.shape[1]))), right
 
 
 def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
@@ -438,9 +417,8 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     Each draw reweights the HC-transformed residuals epshat_i sqrt(w_i)
     (Davidson and Flachaire 2008; w_i = 1 at HC0) by independent signs s_i
     and records the grid supremum of the restudentized process. The redrawn
-    variance equals Omega at every HC kind, because s_i^2 = 1, and Omega is
-    the plug-in band's rowsum((Gamma Sigma_j) * Gamma) (:func:`_prep_band`),
-    so M = Gamma / sqrt(Omega) needs no root of Sigma_j.
+    variance equals Omega at every HC kind, because s_i^2 = 1, so
+    M = Gamma / sqrt(Omega) needs no root of Sigma_j.
     The numerator is linear in the K_j coefficients, M T_b with
     T_b = sum_i s_i P_i and P_i = Pi_j(x_i) epshat_i sqrt(w_i / n), so no
     (G, n) score matrix is formed:
@@ -449,28 +427,21 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
        (:func:`_exact_sign_sums`). With bits u, T_b = 2 U_b - P'1 and
        U_b = u_b P, one small product per cell of the design's group order,
        read straight from the packed bits (:meth:`SparseRows.bit_sums`).
-    2. T_b scaled column-wise into [-32, 32] and M scaled back go through the
-       exact GEMM of the plug-in band (:func:`_exact_product`). That moves a
-       supremum by a few 1e-6 relative at most, most where the stacked rows
-       of M (j >= 2) cancel.
+       Draw b's bits are row b of one row-major (draws, n) stream
+       (:func:`_sign_bytes`).
+    2. T_b scaled column-wise into [-32, 32] and M scaled back go through
+       the exact product of :func:`_band`. That moves a supremum by a few
+       1e-6 relative at most, most where the stacked rows of M (j >= 2)
+       cancel.
 
-    One generator, ``np.random.default_rng(seed)``, serves the call: draw b's
-    signs are row b of one row-major (draws, n) stream (:func:`_sign_bytes`),
-    generated in blocks of ``_DRAW_CHUNK`` rows, so memory is one block of
-    packed bits (chunk n / 8 bytes), one cell's (chunk, n_g) block and
-    O(n width + G K_j) floats. The band depends only on the seed and the
-    number of draws, not on the block size.
+    Beyond the driver's blocks, memory is one block of packed bits
+    (chunk n / 8 bytes), one cell's (chunk, n_g) block and O(n width) floats.
     """
-    grid, gamma, omega, est, alpha, draws, rng = _prep_band(
-        fit, var, grid, q, alpha, draws, seed
-    )
-    stat = _sign_stat(fit, var, gamma / np.sqrt(omega)[:, None], rng)
-    sups = _draw_sups(draws, stat)
-    return _band_result(grid, est, omega, fit.n, sups, alpha, "bootstrap")
+    return _band(fit, var, grid, q, alpha, draws, seed, "bootstrap", _sign_draws)
 
 
-def _sign_stat(fit, var, M, rng):
-    # the Rademacher numerators M T_b in coefficient space; see band_bootstrap
+def _sign_draws(fit, var, gamma, sqrt_omega):
+    # the bootstrap's sampler for _band: scaled sign sums T_b against M
     design, n = var.design, fit.n
     resid = fit.residuals(var.j) * np.sqrt(var.weights) / np.sqrt(n)
     P = SparseRows(
@@ -481,12 +452,6 @@ def _sign_stat(fit, var, M, rng):
     # |T_k| <= sum_i |P_ik| < 2^e_k, so T 2^(5 - e_k) lies in [-32, 32]:
     # inside the left grid's range, never clipped, with 5 more bits than [-1, 1]
     scale = np.ldexp(1.0, 5 - expo)
-    right = _exact_rows(M / scale)
+    right = _exact_rows(gamma / sqrt_omega / scale)
     sums = P.bit_sums()
-
-    def stat(c):
-        U = sums(_sign_bytes(rng, c, n))
-        return _exact_product((2.0 * U - total) * scale, right)
-
-    return stat
-
+    return (lambda rng, c: (2.0 * sums(_sign_bytes(rng, c, n)) - total) * scale), right

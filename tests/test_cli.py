@@ -172,6 +172,11 @@ class TestFitCommand:
             main(["fit", "--data", str(data_file), "--family", "wavelet"])
         assert exc.value.code == 2
 
+    def test_jobs_is_for_simulate_only(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--data", "x.csv", "--jobs", "2"])
+        assert exc.value.code == 2
+
     def test_bad_q_exit_2(self, data_file):
         assert main(["fit", "--data", str(data_file), "--q", "a"]) == 2
 

@@ -40,6 +40,10 @@ def _write_csv(path, X, y):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
 @pytest.fixture
 def data_file(tmp_path):
     rng = np.random.default_rng(0)
@@ -342,6 +346,22 @@ class TestRunFit:
             run_fit(RunConfig(mode="fit", data_path=str(data_file), kappa=3,
                               j_set=(0,), output_path=str(out)))
 
+    def test_unwritable_output_fails_before_reading(self, data_file, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setattr(harness, "read_data", _refuse)
+        (tmp_path / "a_dir").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        for out in ("absent/r.json", "a_dir"):
+            with pytest.raises(ConfigError, match="cannot write"):
+                run_fit(RunConfig(mode="fit", data_path=str(data_file),
+                                  output_path=str(tmp_path / out)))
+        # permission bits do not bind every user, so the refusal is simulated
+        monkeypatch.setattr(harness.os, "access", lambda path, mode: False)
+        with pytest.raises(ConfigError, match="permission denied"):
+            run_fit(RunConfig(mode="fit", data_path=str(data_file),
+                              output_path=str(tmp_path / "r.json")))
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_band_block(self, data_file):
         cfg = RunConfig(
             mode="fit", data_path=str(data_file), kappa=4, j_set=(0,),
@@ -496,6 +516,18 @@ class TestRunSimulation:
         with pytest.raises(ConfigError, match="cannot write .*a_directory"):
             run_simulation(_sim_cfg(j_set=(0,), output_path=str(out)))
         assert not (tmp_path / "a_directory.json").exists()
+
+    @pytest.mark.parametrize("out", ["absent/m.csv", "a_dir", "b"])
+    def test_unwritable_output_fails_before_any_replication(self, tmp_path,
+                                                            monkeypatch, out):
+        # "b" itself is writable, but its summary path b.json is a directory
+        monkeypatch.setattr(harness.dgp, "dgp_sample", _refuse)
+        (tmp_path / "a_dir").mkdir()
+        (tmp_path / "b.json").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        with pytest.raises(ConfigError, match="cannot write"):
+            run_simulation(_sim_cfg(replications=20, output_path=str(tmp_path / out)))
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_three_dim_default_cap_binds(self):
         rows, _ = run_simulation(

@@ -25,6 +25,7 @@ from lspart.errors import (
     InvalidGrid,
     LeverageOverflow,
     NonPositiveVariance,
+    UnsupportedDerivative,
 )
 from lspart.fit import EstimatorKind, fit_estimator
 from lspart.inference import (
@@ -378,6 +379,25 @@ class TestBands:
         var = sigma_hat(fit, 0)
         with pytest.warns(RuntimeWarning, match="spacing"):
             band_plugin(fit, var, make_grid([[0.0, 1.0]], 5), draws=150)
+
+    @pytest.mark.parametrize("band", [band_plugin, band_bootstrap])
+    def test_coarse_grid_warning_names_the_caller(self, band):
+        rng = np.random.default_rng(5)
+        X = rng.random((400, 1))
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 40)
+        kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
+        fit = fit_estimator(kind, X, rng.standard_normal(400))
+        with pytest.warns(RuntimeWarning, match="spacing") as rec:
+            band(fit, sigma_hat(fit, 0), make_grid([[0.0, 1.0]], 5), draws=150)
+        assert rec[0].filename == __file__
+
+    @pytest.mark.parametrize("band", [band_plugin, band_bootstrap])
+    @pytest.mark.parametrize("q", [(0, 0), (2,), (3,)])
+    def test_bad_q_is_unsupported_derivative(self, fit_1d, band, q):
+        # a q of the wrong length or of order >= m is no InvalidGrid
+        var = sigma_hat(fit_1d, 0)
+        with pytest.raises(UnsupportedDerivative):
+            band(fit_1d, var, make_grid([[0.0, 1.0]], 30), q=q, draws=150)
 
 
 def _fit_nd(d, family=BasisFamily.BSPLINE, n=None, kappa=None, seed=0):
