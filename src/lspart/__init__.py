@@ -7,13 +7,7 @@ confidence bands, and data-driven partition-size selection.
 """
 
 from .basis import BasisFamily, BasisSpec, SparseRows, alpha_list
-from .biascorrect import (
-    LeadingErrorModel,
-    bernoulli_poly,
-    leading_bias_many,
-    projected_bias_term_many,
-    shifted_legendre,
-)
+from .biascorrect import LeadingErrorModel, leading_bias_many, projected_bias_term_many
 from .dgp import dgp_dim, dgp_eval, dgp_sample
 from .errors import (
     ConfigError,

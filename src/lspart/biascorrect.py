@@ -6,11 +6,15 @@ fit takes the family-specific form
 
     lead_{m,q}(x) = - sum_{u in Lambda_m} d^u mu(x) * b^(u-q) * shape(u, q, z)
 
-where shape(u, q, .) is the q-th z-derivative of a fixed polynomial
-product shape(u, 0, .) on [0,1]^d (Bernoulli factors for B-splines, scaled
-shifted-Legendre factors for piecewise polynomials) and vanishes whenever
-u - q has a negative entry. A Bernoulli factor's derivative is again one,
-B_k' / k! = B_{k-1} / (k-1)!; a Legendre factor's is not, once u - q >= 2.
+where shape(u, q, .) is the q-th z-derivative of a fixed product of one-axis
+polynomials on [0,1]^d and vanishes whenever u - q has a negative entry.
+:func:`shape_factor` holds each axis factor and its derivatives as one cached
+series: B_k / k! (Bernoulli) for B-splines, P_k(2z - 1) / (C(2k, k) k!)
+(scaled shifted Legendre) for piecewise polynomials. A Bernoulli factor's
+derivative is again one, B_k' / k! = B_{k-1} / (k-1)!; a Legendre factor's is
+not, once u - q >= 2. The same series give the shapes' values and, as exact
+one-axis integrals with no quadrature, the IMSE constants eta
+(:meth:`LeadingErrorModel.eta`).
 The plug-in estimate reads d^u mu off the order-mtilde fit,
 d^u mu-tilde = (d^u ptilde)' beta-tilde, so it is linear in the
 coefficients:
@@ -30,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -45,38 +49,27 @@ def _bernoulli_coeffs(k):
     # ascending-power coefficients, exact: B_k' = k B_{k-1}, int_0^1 B_k = 0
     if k == 0:
         return (Fraction(1),)
-    prev = _bernoulli_coeffs(k - 1)
-    tail = [Fraction(0)] * (k + 1)
-    for j in range(1, k + 1):
-        tail[j] = Fraction(k) * prev[j - 1] / j
-    tail[0] = -sum(c / (j + 1) for j, c in enumerate(tail) if j > 0)
-    return tuple(tail)
+    tail = [Fraction(k, j) * c for j, c in enumerate(_bernoulli_coeffs(k - 1), start=1)]
+    return (-sum(c / (j + 1) for j, c in enumerate(tail, start=1)), *tail)
 
 
-def bernoulli_poly(k, z):
-    """k-th Bernoulli polynomial, vectorized in ``z``; 0 <= k <= 12."""
-    if not 0 <= k <= _MAX_ORDER:
-        raise ConfigError(f"Bernoulli order must be in [0, {_MAX_ORDER}], got {k}")
-    coeffs = [float(c) for c in reversed(_bernoulli_coeffs(k))]
-    return np.polyval(coeffs, np.asarray(z, dtype=float))
+@lru_cache(maxsize=None)
+def shape_factor(family, a, b):
+    """``(series, scale)``: the b-th derivative of the order-a one-axis factor
+    is ``series(z) / scale``; 0 <= b <= a <= 12.
 
-
-def shifted_legendre(k, z):
-    """Legendre polynomial rescaled to [0, 1]: P_k(2z - 1); 0 <= k <= 12.
-
-    Evaluated by the three-term recurrence, so values are exact at the
-    endpoints (P_k(1) = 1) and stable for all admissible orders.
+    B-splines: the power series of the exact B_(a-b) over (a-b)!. Piecewise
+    polynomials and Haar: P_a(2z - 1) as a Legendre series on [0, 1],
+    differentiated b times, over C(2a, a) a!. Callers divide after evaluating,
+    so the Bernoulli factors keep their exact zeros (B_3 at 0, 1/2 and 1).
     """
-    if not 0 <= k <= _MAX_ORDER:
-        raise ConfigError(f"Legendre order must be in [0, {_MAX_ORDER}], got {k}")
-    t = 2.0 * np.asarray(z, dtype=float) - 1.0
-    if k == 0:
-        return np.ones_like(t)
-    prev = np.ones_like(t)
-    cur = t.copy()
-    for i in range(1, k):
-        prev, cur = cur, ((2 * i + 1) * t * cur - i * prev) / (i + 1)
-    return cur
+    if not 0 <= b <= a <= _MAX_ORDER:
+        raise ConfigError(f"shape factor needs 0 <= b <= a <= {_MAX_ORDER}, got a = {a}, b = {b}")
+    if family is BasisFamily.BSPLINE:
+        coeffs = [float(c) for c in _bernoulli_coeffs(a - b)]
+        return np.polynomial.Polynomial(coeffs), math.factorial(a - b)
+    series = np.polynomial.Legendre.basis(a, domain=[0, 1]).deriv(b)
+    return series, math.comb(2 * a, a) * math.factorial(a)
 
 
 @dataclass(frozen=True)
@@ -97,20 +90,13 @@ class LeadingErrorModel:
     @property
     def lambda_set(self):
         if self.family is BasisFamily.BSPLINE:
-            out = []
-            for ell in range(self.dim):
-                u = [0] * self.dim
-                u[ell] = self.m
-                out.append(tuple(u))
-            return out
-        return [
-            u
-            for u in itertools.product(range(self.m + 1), repeat=self.dim)
-            if sum(u) == self.m
-        ]
+            return [tuple(self.m * (k == ell) for k in range(self.dim)) for ell in range(self.dim)]
+        orders = itertools.product(range(self.m + 1), repeat=self.dim)
+        return [u for u in orders if sum(u) == self.m]
 
-    def shape_values(self, u, q, z):
-        """shape(u, q, z) for unit-cell points ``z`` of shape (n, d)."""
+    def _factors(self, u, q):
+        """The one-axis factors :func:`shape_factor` of shape(u, q, .), or
+        None when some u_l < q_l, where the shape vanishes by convention."""
         u = check_deriv(u, self.dim)
         q = check_deriv(q, self.dim)
         if sum(u) != self.m:
@@ -119,33 +105,39 @@ class LeadingErrorModel:
             raise UnsupportedFamily("Haar leading error has no derivatives")
         if sum(q) > self.m - 1:
             raise ConfigError(f"derivative {q} too high for order {self.m}")
+        if any(a < b for a, b in zip(u, q)):
+            return None
+        return [shape_factor(self.family, a, b) for a, b in zip(u, q)]
+
+    def shape_values(self, u, q, z):
+        """shape(u, q, z) for unit-cell points ``z`` of shape (n, d)."""
+        factors = self._factors(u, q)
         z = np.atleast_2d(np.asarray(z, dtype=float))
-        if any(u[ell] < q[ell] for ell in range(self.dim)):
-            return np.zeros(z.shape[0])  # convention: negative index kills term
+        if factors is None:
+            return np.zeros(z.shape[0])
         out = np.ones(z.shape[0])
-        for ell, (a, b) in enumerate(zip(u, q)):
-            k = a - b
-            if self.family is BasisFamily.BSPLINE:
-                out *= bernoulli_poly(k, z[:, ell]) / math.factorial(k)
-            else:  # d^b of the level's shape, not the order-(a - b) one
-                c = [0] * a + [1]  # P_a(2z - 1) in shifted-Legendre coefficients
-                for _ in range(b):  # P_n' = sum_{i = n-1, n-3, ..} (2i + 1) P_i; dt/dz = 2
-                    c = [sum(2 * (2 * i + 1) * c[n] for n in range(i + 1, a + 1, 2))
-                         for i in range(a + 1)]
-                terms = [ci * shifted_legendre(i, z[:, ell]) for i, ci in enumerate(c) if ci]
-                out *= sum(terms[1:], terms[0]) / (math.comb(2 * a, a) * math.factorial(a))
+        for ell, (series, scale) in enumerate(factors):
+            out *= series(z[:, ell]) / scale
         return out
+
+    def eta(self, u1, u2, q=None):
+        """Unit-cell integral of shape(u1, q, .) * shape(u2, q, .): the product
+        over the axes of the exact integrals of the factors' products, taken as
+        Legendre series on [0, 1] (in powers of z, B_7's loses 1.4e-12 to cancellation)."""
+        f1, f2 = self._factors(u1, q), self._factors(u2, q)
+        if f1 is None or f2 is None:
+            return 0.0
+        leg = partial(np.polynomial.Legendre.cast, domain=[0, 1])
+        return math.prod(float((leg(s1) * leg(s2)).integ(lbnd=0)(1.0)) / (c1 * c2)
+                         for (s1, c1), (s2, c2) in zip(f1, f2))
 
     def weight_values(self, u, q, z, width):
         """b^(u-q) * shape(u, q, z) with per-point cell widths (n, d)."""
-        u = check_deriv(u, self.dim)
-        q = check_deriv(q, self.dim)
         shape = self.shape_values(u, q, z)
         if not np.any(shape):
             return shape
-        width = np.atleast_2d(np.asarray(width, dtype=float))
-        expo = np.asarray(u, dtype=float) - np.asarray(q, dtype=float)
-        return shape * np.prod(width**expo, axis=1)
+        expo = np.subtract(check_deriv(u, self.dim), check_deriv(q, self.dim), dtype=float)
+        return shape * np.prod(np.atleast_2d(np.asarray(width, dtype=float)) ** expo, axis=1)
 
 
 def lead_rows(kind, pts, cells, q=None):

@@ -10,6 +10,7 @@ data) through :func:`check_floats`; each raises a typed error.
 
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -102,16 +103,20 @@ def check_whole(value, what, minimum, error=ConfigError):
 def check_floats(value, what, width=None):
     """``value`` as a nonempty 2-d array of finite floats with ``width``
     columns (any number when None), else ``ConfigError``. A 1-d value is one
-    row. A ragged or non-numeric value, a NaN or an infinity is an error."""
+    row. A ragged or non-numeric value, a NaN or an infinity is an error; the
+    message names the first non-finite entry by row and column, and shortens
+    a non-numeric value with ``reprlib``."""
     try:
         a = np.atleast_2d(np.asarray(value, dtype=float))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an array of numbers, got {value!r}") from exc
+        raise ConfigError(f"{what} must be an array of numbers, got {reprlib.repr(value)}") from exc
     if a.ndim != 2 or a.size == 0 or (width is not None and a.shape[1] != width):
         rows = "rows of numbers" if width is None else f"rows of {width} numbers"
         raise ConfigError(f"{what} must be one or more {rows}, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+    bad = ~np.isfinite(a)
+    if np.any(bad):
+        i, j = np.argwhere(bad)[0]
+        raise ConfigError(f"{what} must be finite, got {what}[{i}, {j}] = {float(a[i, j])}")
     return a
 
 

@@ -268,7 +268,7 @@ def check_response(y, n):
     bad = ~np.isfinite(y)
     if np.any(bad):
         i = int(np.argmax(bad))
-        raise DataError(f"response row {i}: y = {y[i]!r} is not finite")
+        raise DataError(f"response row {i}: y = {float(y[i])} is not finite")
     return y
 
 

@@ -160,9 +160,10 @@ def read_data(path):
     The body is parsed in one ``np.loadtxt`` pass. Anything that pass
     rejects, a wrong column count and a non-finite value go through the
     row loop :func:`_parse_rows` instead, which names the offending line.
+    A leading byte-order mark (Excel's "CSV UTF-8") is skipped.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
             body = fh.read()
     except (OSError, UnicodeDecodeError) as exc:

@@ -196,7 +196,7 @@ class TensorPartition:
             if np.any(bad):
                 i = int(np.argmax(bad))
                 raise OutOfSupport(
-                    f"point {i}: coordinate {ell} = {x[i]!r} outside "
+                    f"point {i}: coordinate {ell} = {float(x[i])} outside "
                     f"[{k[0]}, {k[-1]}]"
                 )
             idx = np.searchsorted(k, x, side="right") - 1

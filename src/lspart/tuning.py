@@ -42,7 +42,6 @@ from .errors import (
 from .fit import EstimatorKind, check_response, fit_estimator
 from .partition import KnotRule, TensorPartition, data_bounds
 
-_QUAD_NODES = 20
 _VAR_FLOOR = 1e-8
 
 
@@ -61,36 +60,18 @@ class TuningReport:
         return self.kappa_dpi if self.kappa_dpi is not None else self.kappa_rot
 
 
-@lru_cache(maxsize=None)
-def _gauss_nodes(d):
-    x, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    z = (x + 1.0) / 2.0  # map to [0, 1]
-    w = w / 2.0
-    grids = np.meshgrid(*([z] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wts = np.prod(
-        np.stack([g.ravel() for g in np.meshgrid(*([w] * d), indexing="ij")], axis=1),
-        axis=1,
-    )
-    return pts, wts
-
-
 def eta_constant(family, m, u1, u2, q=None):
     """Unit-cell integral of the product of two leading-error shapes.
 
-    20-node Gauss-Legendre per axis; the integrands are polynomials of
-    degree at most 2m per axis, so the value is exact for every admissible
-    order.
+    An exact product over the axes of one-axis polynomial integrals
+    (:meth:`~lspart.biascorrect.LeadingErrorModel.eta`); no quadrature.
     """
     d = len(np.atleast_1d(u1))
     u1 = check_deriv(u1, d)
     u2 = check_deriv(u2, d)
     q = check_deriv(q, d)
     family, m = check_choice(BasisFamily, family), check_whole(m, "order", 1)
-    model = biascorrect.LeadingErrorModel(family, m, d)
-    pts, wts = _gauss_nodes(d)
-    vals = model.shape_values(u1, q, pts) * model.shape_values(u2, q, pts)
-    return float(np.sum(wts * vals))
+    return biascorrect.LeadingErrorModel(family, m, d).eta(u1, u2, q)
 
 
 @lru_cache(maxsize=None)

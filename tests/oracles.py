@@ -1,11 +1,14 @@
-"""Test-only oracles for the basis and the partition.
+"""Test-only oracles for the basis, the partition and the leading-error
+polynomials.
 
 Nothing in the package calls these; the tests check the package against
 them.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -107,3 +110,17 @@ def cell(part, index):
             raise OutOfSupport(f"cell index {index} outside partition")
     lower, width = part.geometry(np.array([index]))
     return CellGeometry(index, lower[0], width[0])
+
+
+def exact_poly(family, k):
+    """Ascending exact power coefficients of B_k(z) for B-splines, from the
+    Bernoulli numbers' recurrence sum_j C(i + 1, j) B_j = 0, or of the shifted
+    Legendre polynomial P_k(2z - 1) for piecewise polynomials, from its closed
+    form sum_j (-1)^(k + j) C(k, j) C(k + j, j) z^j."""
+    if family is BasisFamily.BSPLINE:
+        nums = [Fraction(1)]
+        for i in range(1, k + 1):
+            nums.append(-sum(math.comb(i + 1, j) * nums[j] for j in range(i)) / (i + 1))
+        return [math.comb(k, j) * nums[k - j] for j in range(k + 1)]
+    return [Fraction((-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j))
+            for j in range(k + 1)]

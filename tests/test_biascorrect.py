@@ -10,60 +10,82 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
 from lspart.basis import BasisFamily, BasisSpec
 from lspart.biascorrect import (
     LeadingErrorModel,
-    bernoulli_poly,
     lead_rows,
     leading_bias_many,
     projected_bias_term_many,
-    shifted_legendre,
+    shape_factor,
 )
 from lspart.errors import ConfigError, UnsupportedDerivative, UnsupportedFamily
 from lspart.fit import EstimatorKind, fit_estimator
 from lspart.partition import KnotRule, TensorPartition
+from oracles import exact_poly
+
+
+def _bernoulli(k, z):
+    """B_k(z) as the B-spline factor's series; its scale is k!."""
+    series, scale = shape_factor(BasisFamily.BSPLINE, k, 0)
+    assert scale == math.factorial(k)
+    return series(np.asarray(z, dtype=float))
+
+
+def _legendre(k, z):
+    """P_k(2z - 1) as the piecewise-polynomial factor's series; its scale is
+    C(2k, k) k!."""
+    series, scale = shape_factor(BasisFamily.PP, k, 0)
+    assert scale == math.comb(2 * k, k) * math.factorial(k)
+    return series(np.asarray(z, dtype=float))
 
 
 class TestBernoulli:
     def test_low_orders_closed_form(self):
         z = np.linspace(0, 1, 11)
-        assert_allclose(bernoulli_poly(0, z), 1.0)
-        assert_allclose(bernoulli_poly(1, z), z - 0.5, atol=1e-15)
-        assert_allclose(bernoulli_poly(2, z), z**2 - z + 1 / 6, atol=1e-14)
+        assert_allclose(_bernoulli(0, z), 1.0)
+        assert_allclose(_bernoulli(1, z), z - 0.5, atol=1e-15)
+        assert_allclose(_bernoulli(2, z), z**2 - z + 1 / 6, atol=1e-14)
         assert_allclose(
-            bernoulli_poly(3, z), z**3 - 1.5 * z**2 + 0.5 * z, atol=1e-14
+            _bernoulli(3, z), z**3 - 1.5 * z**2 + 0.5 * z, atol=1e-14
         )
         assert_allclose(
-            bernoulli_poly(4, z), z**4 - 2 * z**3 + z**2 - 1 / 30, atol=1e-14
+            _bernoulli(4, z), z**4 - 2 * z**3 + z**2 - 1 / 30, atol=1e-14
         )
 
     def test_bernoulli_numbers_at_zero(self):
-        assert bernoulli_poly(2, 0.0) == pytest.approx(1 / 6)
-        assert bernoulli_poly(4, 0.0) == pytest.approx(-1 / 30)
-        assert bernoulli_poly(6, 0.0) == pytest.approx(1 / 42)
-        assert bernoulli_poly(3, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert _bernoulli(2, 0.0) == pytest.approx(1 / 6)
+        assert _bernoulli(4, 0.0) == pytest.approx(-1 / 30)
+        assert _bernoulli(6, 0.0) == pytest.approx(1 / 42)
+        # B_3 vanishes exactly at 0, 1/2 and 1
+        assert np.array_equal(_bernoulli(3, [0.0, 0.5, 1.0]), np.zeros(3))
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_zero_mean(self, k):
-        val, _ = quad(lambda z: bernoulli_poly(k, z), 0, 1)
+        val, _ = quad(lambda z: _bernoulli(k, z), 0, 1)
         assert val == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_derivative_recurrence(self, k):
+        # the b-th factor is the b-th derivative of the level's factor; for
+        # B-splines it is the order-(k - b) level factor itself
         z = np.linspace(0.05, 0.95, 7)
         h = 1e-6
-        num = (bernoulli_poly(k, z + h) - bernoulli_poly(k, z - h)) / (2 * h)
-        assert_allclose(num, k * bernoulli_poly(k - 1, z), rtol=1e-7, atol=1e-8)
+        for family, b in itertools.product([BasisFamily.BSPLINE, BasisFamily.PP], range(1, k + 1)):
+            lo, hi = shape_factor(family, k, b - 1), shape_factor(family, k, b)
+            num = (lo[0](z + h) - lo[0](z - h)) / (2 * h) / lo[1]
+            assert_allclose(num, hi[0](z) / hi[1], rtol=1e-7, atol=1e-8)
+            if family is BasisFamily.BSPLINE:
+                assert hi == shape_factor(family, k - b, 0)
 
     @pytest.mark.parametrize("k", range(9))
     def test_reflection(self, k):
         z = np.linspace(0, 1, 9)
         assert_allclose(
-            bernoulli_poly(k, 1 - z),
-            (-1) ** k * bernoulli_poly(k, z),
+            _bernoulli(k, 1 - z),
+            (-1) ** k * _bernoulli(k, z),
             atol=1e-13,
         )
 
@@ -74,43 +96,64 @@ class TestBernoulli:
     def test_product_integral_identity(self, a, b):
         # int_0^1 B_a B_b = (-1)^(a-1) a! b! / (a+b)! * B_{a+b}(0);
         # vanishes exactly when a + b is odd
-        val, _ = quad(lambda z: bernoulli_poly(a, z) * bernoulli_poly(b, z), 0, 1)
+        val, _ = quad(lambda z: _bernoulli(a, z) * _bernoulli(b, z), 0, 1)
         want = (
             (-1) ** (a - 1)
             * math.factorial(a)
             * math.factorial(b)
             / math.factorial(a + b)
-            * bernoulli_poly(a + b, 0.0)
+            * _bernoulli(a + b, 0.0)
         )
         assert val == pytest.approx(want, abs=1e-12)
 
     def test_order_cap(self):
-        with pytest.raises(ConfigError):
-            bernoulli_poly(13, 0.5)
+        for family, (a, b) in itertools.product([BasisFamily.BSPLINE, BasisFamily.PP],
+                                                [(13, 0), (13, 1), (2, 3), (2, -1)]):
+            with pytest.raises(ConfigError):
+                shape_factor(family, a, b)
 
 
 class TestShiftedLegendre:
     def test_low_orders(self):
         z = np.linspace(0, 1, 11)
-        assert_allclose(shifted_legendre(0, z), 1.0)
-        assert_allclose(shifted_legendre(1, z), 2 * z - 1, atol=1e-14)
-        assert_allclose(shifted_legendre(2, z), 6 * z**2 - 6 * z + 1, atol=1e-13)
+        assert_allclose(_legendre(0, z), 1.0)
+        assert_allclose(_legendre(1, z), 2 * z - 1, atol=1e-14)
+        assert_allclose(_legendre(2, z), 6 * z**2 - 6 * z + 1, atol=1e-13)
 
     @pytest.mark.parametrize("k", range(8))
     def test_endpoints(self, k):
-        assert shifted_legendre(k, 1.0) == pytest.approx(1.0)
-        assert shifted_legendre(k, 0.0) == pytest.approx((-1.0) ** k)
+        assert _legendre(k, 1.0) == pytest.approx(1.0)
+        assert _legendre(k, 0.0) == pytest.approx((-1.0) ** k)
 
     @pytest.mark.parametrize("a,b", [(0, 1), (1, 2), (2, 3), (2, 2), (3, 3)])
     def test_orthogonality(self, a, b):
         val, _ = quad(
-            lambda z: shifted_legendre(a, z) * shifted_legendre(b, z), 0, 1
+            lambda z: _legendre(a, z) * _legendre(b, z), 0, 1
         )
         want = 1.0 / (2 * a + 1) if a == b else 0.0
         assert val == pytest.approx(want, abs=1e-12)
 
 
 class TestShapes:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bspline_shapes_keep_scaled_bernoulli_bits(self, d):
+        # prod_l B_(u_l - q_l)(z_l) / (u_l - q_l)!, each factor Horner-evaluated
+        # and then divided, bit for bit; zero where some u_l < q_l
+        rng = np.random.default_rng(d)
+        corners = np.array(list(itertools.product([0.0, 0.5, 1.0], repeat=d)))
+        z = np.vstack([rng.random((40, d)), corners])
+        for m in range(1, 8):
+            model = LeadingErrorModel(BasisFamily.BSPLINE, m, d)
+            for u, q in itertools.product(model.lambda_set, itertools.product(range(m), repeat=d)):
+                if sum(q) > m - 1:
+                    continue
+                want = np.ones(len(z)) if all(a >= b for a, b in zip(u, q)) else np.zeros(len(z))
+                for ell, k in enumerate(np.subtract(u, q)):
+                    if k >= 0:
+                        coeffs = [float(c) for c in reversed(exact_poly(BasisFamily.BSPLINE, k))]
+                        want *= np.polyval(coeffs, z[:, ell]) / math.factorial(k)
+                assert_array_equal(model.shape_values(u, q, z), want, err_msg=f"{u} {q}")
+
     def test_bspline_m2_midpoint(self):
         model = LeadingErrorModel(BasisFamily.BSPLINE, 2, 1)
         got = model.shape_values((2,), (0,), [[0.5]])
@@ -121,7 +164,7 @@ class TestShapes:
         z = np.linspace(0, 1, 9)[:, None]
         assert_allclose(
             model.shape_values((3,), (1,), z),
-            bernoulli_poly(2, z[:, 0]) / 2.0,
+            (z[:, 0] ** 2 - z[:, 0] + 1 / 6) / 2.0,
             atol=1e-14,
         )
 
@@ -130,7 +173,7 @@ class TestShapes:
         z = np.linspace(0, 1, 9)[:, None]
         assert_allclose(
             model.shape_values((2,), (0,), z),
-            shifted_legendre(2, z[:, 0]) / (math.comb(4, 2) * 2),
+            (6 * z[:, 0] ** 2 - 6 * z[:, 0] + 1) / (math.comb(4, 2) * 2),
             atol=1e-14,
         )
 
@@ -155,9 +198,8 @@ class TestShapes:
         model = LeadingErrorModel(BasisFamily.PP, 3, 2)
         z = np.array([[0.2, 0.8]])
         got = model.shape_values((1, 2), (0, 0), z)
-        want = (shifted_legendre(1, 0.2) / 2) * (
-            shifted_legendre(2, 0.8) / (math.comb(4, 2) * 2)
-        )
+        # P_1(2z - 1) = 2z - 1 and P_2(2z - 1) = 6z^2 - 6z + 1
+        want = ((2 * 0.2 - 1) / 2) * ((6 * 0.8**2 - 6 * 0.8 + 1) / (math.comb(4, 2) * 2))
         assert_allclose(got, [want], rtol=1e-12)
 
     def test_lambda_sets(self):
@@ -191,7 +233,7 @@ class TestShapes:
         z = np.array([[0.25]])
         w = np.array([[0.5]])
         got = model.weight_values((2,), (1,), z, w)
-        want = 0.5 * bernoulli_poly(1, 0.25)
+        want = 0.5 * (0.25 - 0.5)  # b^(u-q) B_1(z)
         assert_allclose(got, want, atol=1e-14)
 
 

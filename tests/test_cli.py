@@ -160,6 +160,12 @@ class TestFitCommand:
             assert main(["fit", "--data", str(bad), "--kappa", "3"]) == 3
             assert "bad.csv" in capsys.readouterr().err
 
+    def test_out_of_support_eval_point_exit_3(self, data_file, capsys):
+        code = main(["fit", "--data", str(data_file), "--kappa", "3", "--eval-points", "2"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "coordinate 0 = 2.0 outside" in err and "np.float64" not in err
+
     def test_unwritable_out_exit_2(self, data_file, tmp_path, capsys):
         out = tmp_path / "absent" / "r.json"
         code = main(["fit", "--data", str(data_file), "--kappa", "3", "--j", "0",

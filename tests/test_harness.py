@@ -206,6 +206,16 @@ class TestReadData:
         X, y = read_data(p)
         assert X.shape == (2, 1)
 
+    def test_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a BOM
+        body = "x1,x2,y\n0.1,0.2,1.0\n0.5,0.6,2.0\n"
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(body, encoding="utf-8")
+        bom.write_text(body, encoding="utf-8-sig")
+        assert bom.read_bytes().startswith(b"\xef\xbb\xbf")
+        for got, want in zip(read_data(bom), read_data(plain)):
+            np.testing.assert_array_equal(got, want)
+
     def test_two_covariates(self, tmp_path):
         p = tmp_path / "d2.csv"
         p.write_text("x1,x2,y\n0.1,0.2,1.0\n0.5,0.6,2.0\n", encoding="utf-8")

@@ -20,16 +20,18 @@ from lspart.cli import _ints_csv
 from lspart.dgp import dgp_dim, dgp_eval, dgp_sample
 from lspart.errors import (
     ConfigError,
+    DataError,
     InvalidGrid,
     InvalidKappa,
     InvalidModel,
+    OutOfSupport,
     UnsupportedDerivative,
     check_choice,
     check_floats,
     check_level,
     check_whole,
 )
-from lspart.fit import EstimatorKind, fit_estimator
+from lspart.fit import EstimatorKind, check_response, fit_estimator
 from lspart.harness import RunConfig
 from lspart.inference import (
     HCKind,
@@ -305,6 +307,33 @@ def test_float_arrays_kept_as_floats():
     np.testing.assert_array_equal(check_floats([0, 1], "bounds", 2), [[0.0, 1.0]])
     grid = make_grid([[0, 1], [2, 4]], 3)
     assert grid.shape == (9, 2) and grid.dtype == float
+
+
+class TestMessages:
+    """Error messages are short and point to the bad entry."""
+
+    def test_non_finite_entry_named_by_row_and_column(self):
+        X = np.random.default_rng(0).random((5000, 2))
+        X[1234, 1] = np.nan
+        with pytest.raises(ConfigError) as info:
+            check_floats(X, "X")
+        assert str(info.value) == "X must be finite, got X[1234, 1] = nan"
+        with pytest.raises(ConfigError, match=r"bounds\[0, 1\] = inf$"):
+            check_floats([0.0, np.inf], "bounds", 2)
+
+    def test_non_numeric_value_shortened(self):
+        with pytest.raises(ConfigError, match="must be an array of numbers") as info:
+            check_floats(["a"] * 1000, "X")
+        assert len(str(info.value)) < 100
+
+    def test_plain_floats(self):
+        with pytest.raises(DataError) as info:
+            check_response([0.0, np.inf], 2)
+        assert str(info.value) == "response row 1: y = inf is not finite"
+        part = TensorPartition.build(KnotRule.EVEN, UNIT, 3)
+        with pytest.raises(OutOfSupport) as info:
+            part.locate([[0.5], [2.0]])
+        assert str(info.value) == "point 1: coordinate 0 = 2.0 outside [0.0, 1.0]"
 
 
 class TestChecks:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lspart.tuning import (
     imse_components,
     rot_select,
 )
+from oracles import exact_poly
 
 
 class TestEta:
@@ -72,6 +74,59 @@ class TestEta:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             eta_constant(BasisFamily.PP, 2, (2,), (2, 0))
+
+    def test_derivative_target_exact_rationals(self):
+        # at q = (1,) the order-3 PP factor is P_3'(2z - 1) * 2 / 120, against
+        # B_2 / 2! for the B-spline
+        assert _exact_eta(BasisFamily.PP, (3,), (3,), (1,)) == Fraction(1, 600)
+        assert _exact_eta(BasisFamily.BSPLINE, (3,), (3,), (1,)) == Fraction(1, 720)
+        assert eta_constant(BasisFamily.PP, 3, (3,), (3,), q=(1,)) == pytest.approx(
+            1 / 600, rel=1e-13)
+        assert eta_constant(BasisFamily.BSPLINE, 3, (3,), (3,), q=(1,)) == pytest.approx(
+            1 / 720, rel=1e-13)
+
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_one_axis_exact_to_roundoff(self, family, m):
+        # every order up to 7 and every q: in powers of z the B_7 integral
+        # would lose 1.4e-12 of its value to cancellation
+        for q in range(m):
+            want = float(_exact_eta(family, (m,), (m,), (q,)))
+            got = eta_constant(family, m, (m,), (m,), q=(q,))
+            assert got == pytest.approx(want, rel=1e-14, abs=0), q
+
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_mixed_2d_table_at_q_exact(self, family):
+        m, q = 3, (1, 0)
+        lam = LeadingErrorModel(family, m, 2).lambda_set
+        want = np.array([[float(_exact_eta(family, u1, u2, q)) for u2 in lam] for u1 in lam])
+        assert_allclose(_eta_table(family, m, 2, q), want, rtol=0,
+                        atol=1e-14 * np.max(np.abs(want)))
+        if family is BasisFamily.PP:
+            # axis 1: d/dz (2z - 1) / 2 = 1; axis 2: int (P_2(2z - 1) / 12)^2 = 1/720
+            assert eta_constant(family, m, (1, 2), (1, 2), q) == pytest.approx(
+                1 / 720, rel=1e-13)
+
+
+def _exact_factor(family, a, b):
+    """Ascending Fraction coefficients of the b-th derivative of the order-a
+    one-axis shape factor: B_a(z) / a! or P_a(2z - 1) / (C(2a, a) a!)."""
+    scale = math.factorial(a) * (1 if family is BasisFamily.BSPLINE else math.comb(2 * a, a))
+    c = [x / scale for x in exact_poly(family, a)]
+    for _ in range(b):
+        c = [j * cj for j, cj in enumerate(c)][1:]
+    return c
+
+
+def _exact_eta(family, u1, u2, q):
+    """Unit-cell integral of two shapes as an exact rational, axis by axis."""
+    out = Fraction(1)
+    for a1, a2, b in zip(u1, u2, q):
+        if a1 < b or a2 < b:
+            return Fraction(0)
+        c1, c2 = _exact_factor(family, a1, b), _exact_factor(family, a2, b)
+        out *= sum(x * y / (i + j + 1) for i, x in enumerate(c1) for j, y in enumerate(c2))
+    return out
 
 
 def _curve_sample(n, seed=0, noise=0.5):
