@@ -39,7 +39,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .basis import BasisFamily, SparseRows, check_deriv
-from .errors import ConfigError, UnsupportedFamily
+from .errors import ConfigError, UnsupportedFamily, check_choice, check_whole
 
 _MAX_ORDER = 12
 
@@ -72,6 +72,15 @@ def shape_factor(family, a, b):
     return series, math.comb(2 * a, a) * math.factorial(a)
 
 
+@lru_cache(maxsize=None)
+def _axis_eta(family, a1, a2, b):
+    """Exact integral over [0, 1] of the product of two factors' b-th derivatives, as
+    Legendre series on [0, 1] (in powers of z, B_7's loses 1.4e-12 to cancellation)."""
+    (s1, c1), (s2, c2) = shape_factor(family, a1, b), shape_factor(family, a2, b)
+    leg = partial(np.polynomial.Legendre.cast, domain=[0, 1])
+    return float((leg(s1) * leg(s2)).integ(lbnd=0)(1.0)) / (c1 * c2)
+
+
 @dataclass(frozen=True)
 class LeadingErrorModel:
     """Family- and order-specific leading-error shapes.
@@ -87,6 +96,11 @@ class LeadingErrorModel:
     m: int
     dim: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "family", check_choice(BasisFamily, self.family))
+        object.__setattr__(self, "m", check_whole(self.m, "order", 1))
+        object.__setattr__(self, "dim", check_whole(self.dim, "dimension", 1))
+
     @property
     def lambda_set(self):
         if self.family is BasisFamily.BSPLINE:
@@ -95,7 +109,7 @@ class LeadingErrorModel:
         return [u for u in orders if sum(u) == self.m]
 
     def _factors(self, u, q):
-        """The one-axis factors :func:`shape_factor` of shape(u, q, .), or
+        """The per-axis orders (u_l, q_l) of the factors of shape(u, q, .), or
         None when some u_l < q_l, where the shape vanishes by convention."""
         u = check_deriv(u, self.dim)
         q = check_deriv(q, self.dim)
@@ -107,7 +121,7 @@ class LeadingErrorModel:
             raise ConfigError(f"derivative {q} too high for order {self.m}")
         if any(a < b for a, b in zip(u, q)):
             return None
-        return [shape_factor(self.family, a, b) for a, b in zip(u, q)]
+        return list(zip(u, q))
 
     def shape_values(self, u, q, z):
         """shape(u, q, z) for unit-cell points ``z`` of shape (n, d)."""
@@ -116,20 +130,19 @@ class LeadingErrorModel:
         if factors is None:
             return np.zeros(z.shape[0])
         out = np.ones(z.shape[0])
-        for ell, (series, scale) in enumerate(factors):
+        for ell, (a, b) in enumerate(factors):
+            series, scale = shape_factor(self.family, a, b)
             out *= series(z[:, ell]) / scale
         return out
 
     def eta(self, u1, u2, q=None):
         """Unit-cell integral of shape(u1, q, .) * shape(u2, q, .): the product
-        over the axes of the exact integrals of the factors' products, taken as
-        Legendre series on [0, 1] (in powers of z, B_7's loses 1.4e-12 to cancellation)."""
+        over the axes of the cached exact one-axis integrals :func:`_axis_eta`."""
         f1, f2 = self._factors(u1, q), self._factors(u2, q)
         if f1 is None or f2 is None:
             return 0.0
-        leg = partial(np.polynomial.Legendre.cast, domain=[0, 1])
-        return math.prod(float((leg(s1) * leg(s2)).integ(lbnd=0)(1.0)) / (c1 * c2)
-                         for (s1, c1), (s2, c2) in zip(f1, f2))
+        return math.prod(_axis_eta(self.family, a1, a2, b)
+                         for (a1, b), (a2, _) in zip(f1, f2))
 
     def weight_values(self, u, q, z, width):
         """b^(u-q) * shape(u, q, z) with per-point cell widths (n, d)."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidModel, check_floats, check_whole
+from .errors import InvalidModel, check_floats, check_seed, check_whole
 
 
 def _phi(t):
@@ -93,12 +93,13 @@ def dgp_eval(model_id, x):
 def dgp_sample(model_id, n, seed):
     """Draw (X, y): uniform covariates, unit normal errors.
 
-    ``seed`` may be an integer, a sequence of integers, or a Generator;
+    ``seed`` may be an integer >= 0, a sequence of them, or a Generator;
     replications pass (master_seed, rep_index) so streams never collide.
     """
     d = dgp_dim(model_id)
     n = check_whole(n, "n", 1, InvalidModel)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = (seed if isinstance(seed, np.random.Generator)
+           else np.random.default_rng(check_seed(seed)))
     X = rng.random((n, d))
     y = dgp_eval(model_id, X) + rng.standard_normal(n)
     return X, y

@@ -3,9 +3,10 @@
 Three branches matter for the CLI exit-code mapping: configuration problems
 (exit 2), data problems (exit 3), and numerical failures (exit 4). Every
 integer, choice and level from outside goes through :func:`check_whole`,
-:func:`check_choice` or :func:`check_level`, and every array of floats (the
-sample, evaluation points and band grids, support bounds, knots, quantile
-data) through :func:`check_floats`; each raises a typed error.
+:func:`check_choice` or :func:`check_level`, every random seed through
+:func:`check_seed`, and every array of floats (the sample, evaluation points
+and band grids, support bounds, knots, quantile data) through
+:func:`check_floats`; each raises a typed error.
 """
 
 import math
@@ -130,6 +131,15 @@ def check_choice(enum_cls, value):
     except ValueError as exc:
         names = ", ".join(e.value for e in enum_cls)
         raise ConfigError(f"expected one of {names}, got {value!r}") from exc
+
+
+def check_seed(seed):
+    """``seed`` as a non-negative int, or as a tuple of them for a sequence
+    or an array; each key goes through :func:`check_whole`."""
+    keys = seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed
+    if isinstance(keys, (list, tuple)):
+        return tuple(check_whole(k, "seed", 0) for k in keys)
+    return check_whole(keys, "seed", 0)
 
 
 def check_level(alpha):

@@ -197,7 +197,10 @@ class EstimatorKind:
     m_tilde: int | None = None
 
     def __post_init__(self):
-        if self.m_tilde is not None and self.m_tilde <= self.main_spec.m:
+        if self.m_tilde is None:
+            return
+        object.__setattr__(self, "m_tilde", check_whole(self.m_tilde, "m_tilde", 1))
+        if self.m_tilde <= self.main_spec.m:
             raise ConfigError(
                 f"bias-correction order {self.m_tilde} must exceed "
                 f"main order {self.main_spec.m}"

@@ -17,7 +17,8 @@ Simulation replications draw their data from streams keyed (master_seed, rep)
 and are reduced in replication order, which makes parallel and serial runs
 agree bit for bit. Each band call draws from one stream of its own, keyed
 (seed, j) in a fit and (master_seed, rep, 1 + j) in a replication; the band
-depends only on that key and the number of draws.
+depends only on that key and the number of draws. A study's metrics are
+replication means (``rmse`` is the root of the mean squared error).
 """
 
 from __future__ import annotations
@@ -217,36 +218,22 @@ def _effective_cap(cfg, d):
 
 
 def _select_kappa(cfg, X, y, q, bounds):
-    info = {"rule": None, "requested": cfg.kappa, "kappa": None,
+    info = {"rule": "fixed", "requested": cfg.kappa, "kappa": cfg.kappa,
             "kappa_rot": None, "kappa_dpi": None, "rot_fallback": False,
             "cap": None, "capped": False}
     if isinstance(cfg.kappa, int):
         # an explicit size is taken literally; the cap only binds selectors
-        info.update(rule="fixed", kappa=cfg.kappa)
         return cfg.kappa, info
     if cfg.kappa == "rot":
         rep = rot_select(X, y, cfg.family, cfg.m, q, bounds=bounds)
-        info.update(rule="rot", kappa_rot=rep.kappa_rot)
-        selected = rep.kappa_rot
     else:
-        rep = dpi_select(
-            X, y, cfg.family, cfg.m, q, knots=cfg.knot_rule, bounds=bounds
-        )
-        info.update(
-            rule="dpi",
-            kappa_rot=rep.kappa_rot,
-            kappa_dpi=rep.kappa_dpi,
-            rot_fallback=rep.rot_fallback,
-        )
-        selected = rep.selected()
-    cap = _effective_cap(cfg, len(q))
-    if cap is not None:
-        info["cap"] = cap
-        if selected > cap:
-            info["capped"] = True
-            selected = cap
-    info["kappa"] = selected
-    return selected, info
+        rep = dpi_select(X, y, cfg.family, cfg.m, q, knots=cfg.knot_rule, bounds=bounds)
+    selected, cap = rep.selected(), _effective_cap(cfg, len(q))
+    capped = cap is not None and selected > cap
+    info.update(rule=cfg.kappa, kappa=cap if capped else selected,
+                kappa_rot=rep.kappa_rot, kappa_dpi=rep.kappa_dpi,
+                rot_fallback=rep.rot_fallback, cap=cap, capped=capped)
+    return info["kappa"], info
 
 
 def _eval_points(cfg, bounds):
@@ -426,15 +413,14 @@ def _simulate_rep(args):
         metrics = {}
         for j, (pw, band) in per_j.items():
             entry = {
-                "est": np.asarray(pw.estimates, dtype=float),
+                "sq_err": (pw.estimates - truth_pts) ** 2,
                 "cover": (pw.ci_lo <= truth_pts) & (truth_pts <= pw.ci_hi),
-                "il": np.asarray(pw.ci_hi - pw.ci_lo, dtype=float),
+                "il": pw.ci_hi - pw.ci_lo,
             }
             if band is not None:
                 cover = band.covers(truth_grid)
-                entry["band_cover"] = cover
-                entry["aw"] = float(np.mean(2.0 * band.half_widths))
-                entry["ucr"] = bool(cover.all())
+                entry.update(band_cover=cover, ucr=cover.all(),
+                             aw=np.mean(2.0 * band.half_widths))
             metrics[j] = entry
         return rep, None, {"kappa": selection["kappa"], "per_j": metrics}
     except (DataError, NumericalError, np.linalg.LinAlgError) as exc:
@@ -457,9 +443,8 @@ def _aggregate(cfg, results, truth_pts):
     selector = cfg.kappa if isinstance(cfg.kappa, str) else "fixed"
     rows = []
     for j in cfg.j_set:
-        est = np.stack([res["per_j"][j]["est"] for res in ok])
-        cover = np.stack([res["per_j"][j]["cover"] for res in ok])
-        il = np.stack([res["per_j"][j]["il"] for res in ok])
+        mean = {key: np.mean([res["per_j"][j][key] for res in ok], axis=0)
+                for key in ok[0]["per_j"][j]}
         row = {
             "model": cfg.model_id,
             "selector": selector,
@@ -473,18 +458,16 @@ def _aggregate(cfg, results, truth_pts):
             "kappa_mean": float(np.mean(kappas)),
             "kappa_median": float(np.median(kappas)),
             "kappa_sd": float(np.std(kappas)),
-            "rmse": np.sqrt(np.mean((est - truth_pts) ** 2, axis=0)),
-            "cr": np.mean(cover, axis=0),
-            "il": np.mean(il, axis=0),
+            "rmse": np.sqrt(mean["sq_err"]),
+            "cr": mean["cover"],
+            "il": mean["il"],
             "cp": None,
             "ace": None,
             "aw": None,
             "ucr": None,
         }
         if cfg.band_method:
-            bc = np.stack([res["per_j"][j]["band_cover"] for res in ok])
-            point_cov = np.mean(bc, axis=0)
-            ucr = float(np.mean([res["per_j"][j]["ucr"] for res in ok]))
+            point_cov, ucr = mean["band_cover"], float(mean["ucr"])
             if ucr > float(np.min(point_cov)) + 1e-12:
                 raise NumericalError(
                     f"uniform coverage {ucr} exceeds the smallest pointwise band "
@@ -492,7 +475,7 @@ def _aggregate(cfg, results, truth_pts):
                 )
             row["cp"] = float(np.mean(point_cov >= 1.0 - cfg.alpha))
             row["ace"] = float(np.mean(np.abs(point_cov - (1.0 - cfg.alpha))))
-            row["aw"] = float(np.mean([res["per_j"][j]["aw"] for res in ok]))
+            row["aw"] = float(mean["aw"])
             row["ucr"] = ucr
         rows.append(row)
     return rows, failures
@@ -547,7 +530,6 @@ def run_simulation(config):
             results = list(pool.map(_simulate_rep, args))
     else:
         results = [_simulate_rep(a) for a in args]
-    results.sort(key=lambda t: t[0])
 
     rows, failures = _aggregate(cfg, results, truth_pts)
     if cfg.output_path:

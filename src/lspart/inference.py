@@ -51,6 +51,7 @@ from .errors import (
     check_choice,
     check_floats,
     check_level,
+    check_seed,
     check_whole,
 )
 from .fit import _deflate
@@ -67,8 +68,11 @@ class HCKind(enum.Enum):
 
 
 def normal_quantile(p):
-    """Inverse standard-normal CDF, for p in (0, 1)."""
-    return statistics.NormalDist().inv_cdf(p)
+    """Inverse standard-normal CDF, for p in (0, 1); else ``ConfigError``."""
+    try:
+        return statistics.NormalDist().inv_cdf(check_level(p))
+    except ConfigError:
+        raise ConfigError(f"normal quantile needs p in (0, 1), got {p!r}") from None
 
 
 class VarianceEstimate:
@@ -234,15 +238,6 @@ def make_grid(bounds, points_per_dim=None):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _check_seed(seed):
-    """``seed`` as a non-negative int, or as a tuple of them for a sequence
-    or an array; each key goes through :func:`check_whole`."""
-    keys = seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed
-    if isinstance(keys, (list, tuple)):
-        return tuple(check_whole(k, "seed", 0) for k in keys)
-    return check_whole(keys, "seed", 0)
-
-
 def _band(fit, var, grid, q, alpha, draws, seed, method, sampler):
     """The one driver of both bands.
 
@@ -258,7 +253,7 @@ def _band(fit, var, grid, q, alpha, draws, seed, method, sampler):
     check_variance(fit, var)
     alpha = check_level(alpha)
     draws = check_whole(draws, "draws", 100)
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     try:
         grid = check_floats(grid, "evaluation grid", fit.kind.main_spec.dim)
     except ConfigError as exc:

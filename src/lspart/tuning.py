@@ -67,10 +67,6 @@ def eta_constant(family, m, u1, u2, q=None):
     (:meth:`~lspart.biascorrect.LeadingErrorModel.eta`); no quadrature.
     """
     d = len(np.atleast_1d(u1))
-    u1 = check_deriv(u1, d)
-    u2 = check_deriv(u2, d)
-    q = check_deriv(q, d)
-    family, m = check_choice(BasisFamily, family), check_whole(m, "order", 1)
     return biascorrect.LeadingErrorModel(family, m, d).eta(u1, u2, q)
 
 
@@ -116,17 +112,14 @@ def _selector_inputs(X, y, family, m, q, bounds):
     return X, y, family, m, q, bounds
 
 
-def _kappa_ceil(base):
-    if not np.isfinite(base):
-        raise NegativeVarianceEstimate("selector produced a nonfinite size")
-    return max(1, math.ceil(base))
-
-
 def _imse_kappa(bias_constant, variance_constant, m, d, qo, n):
     """Rounded-up minimizer of kappa^(-2(m-[q])) B + kappa^(d+2[q]) V / n."""
     ratio = max(bias_constant, 0.0) * 2.0 * (m - qo)
     ratio /= (d + 2.0 * qo) * variance_constant
-    return _kappa_ceil(ratio ** (1.0 / (2 * m + d)) * n ** (1.0 / (2 * m + d)))
+    base = ratio ** (1.0 / (2 * m + d)) * n ** (1.0 / (2 * m + d))
+    if not np.isfinite(base):
+        raise NegativeVarianceEstimate("selector produced a nonfinite size")
+    return max(1, math.ceil(base))
 
 
 def _pilot_kappa(kappa_rot, m, d):
@@ -152,12 +145,12 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     support. One least-squares solve, with the design's columns scaled to
     unit root-mean-square, fits the levels and the squares together. The
     levels' derivatives give the bias constant through the eta integrals,
-    and the fitted squares minus the squared levels give the average
-    conditional variance; the closed-form IMSE minimizer is then rounded
-    up. J counts the within-cell functions of the family. The design is
-    evaluated once: on one cell every row activates all K functions in
-    order, so its values are its dense form, and the derivative of each
-    column is again a column of it, so the derivatives for all u in
+    and the fitted squares minus the squared levels, floored at 1e-8 and
+    averaged, the positive variance constant; the closed-form IMSE minimizer
+    is then rounded up. J counts the within-cell functions of the family.
+    The design is evaluated once: on one cell every row activates all K
+    functions in order, so its values are its dense form, and the derivative
+    of each column is again a column of it, so the derivatives for all u in
     Lambda_m are one product with a (K, |Lambda_m|) coefficient map
     (:func:`_one_cell_derivs`). The eta integrals come from a table cached
     per (family, m, d, q), read in the order of the pairs.
@@ -192,8 +185,6 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     sig2 = np.clip(y2 - mu**2, _VAR_FLOOR, None)
     J = 1 if family is BasisFamily.BSPLINE else math.comb(d + m - 1, m - 1)
     v_hat = float(np.mean(sig2)) * J
-    if v_hat <= 0:
-        raise NegativeVarianceEstimate("average conditional variance not positive")
 
     kappa = _imse_kappa(bias_sum, v_hat, m, d, sum(q), n)
     return TuningReport(
@@ -210,7 +201,8 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
     A pilot series fit (orders m and m + 1 on the same partition, same knot
     rule as the final fit) re-estimates the squared-bias and variance
     constants pre-asymptotically through :func:`imse_components`, over the
-    sample points; the rounded closed form shared with rot_select follows.
+    sample points and with the pilot's own j = 0 HC0 Sigma; the rounded
+    closed form shared with rot_select follows.
     The pilot has kappa_p = ceil(kappa_rot^((2m+d)/(2m+d+2))) cells per
     axis, so it grows like n^(1/(2m+d+2)). At kappa_rot itself the
     sampling variance of the plug-in bias is of the same order as the squared
@@ -239,8 +231,7 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
             rot_fallback=True,
         )
 
-    var = inference.sigma_hat(pre, j=0, hc=inference.HCKind.HC0)
-    comp = imse_components(pre, var, q=q)
+    comp = imse_components(pre, q=q)
     if comp["V_hat"] <= 0:
         raise NegativeVarianceEstimate("plug-in variance constant not positive")
 
@@ -255,7 +246,7 @@ def dpi_select(X, y, family, m, q=None, rot=None, knots=KnotRule.EVEN, bounds=No
     )
 
 
-def imse_components(fit, var, grid=None, q=None):
+def imse_components(fit, grid=None, q=None):
     """Pre-asymptotic IMSE pieces {V_hat, B_hat} for the j = 0 estimator.
 
     V_hat is the mean of gamma_q(x)' Sigma gamma_q(x) over the points, taken
@@ -267,17 +258,16 @@ def imse_components(fit, var, grid=None, q=None):
     weighting used by the selectors); a grid argument switches to uniform
     weighting over the given points. The rows and the lead come from the
     fit's row bundle at the points, which at the sample with q = 0 holds the
-    fit's own design and lead. ``var`` must be the j = 0 variance of ``fit``.
+    fit's own design and lead. Sigma is the fit's own j = 0 HC0 estimate,
+    ``inference.sigma_hat(fit, 0).sigma_mat``.
     """
-    inference.check_variance(fit, var)
-    if var.j != 0:
-        raise ConfigError(f"IMSE components need the j = 0 variance, got j = {var.j}")
     pts = fit.X if grid is None else grid
     rows = fit.at(pts, q).main
     lead = biascorrect.leading_bias_many(fit, pts, q)
     gram = fit.gram_main
     v_hat = float(
-        np.sum(gram.solve(var.sigma_mat) * gram.solve(rows.weighted_cross(rows)).T)
+        np.sum(gram.solve(inference.sigma_hat(fit, 0).sigma_mat)
+               * gram.solve(rows.weighted_cross(rows)).T)
     )
     bias_pts = lead - biascorrect.projected_bias_term_many(fit, pts, q)
     return {"V_hat": v_hat, "B_hat": float(np.mean(bias_pts**2))}

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from lspart.basis import BasisFamily, BasisSpec
 from lspart.biascorrect import (
     LeadingErrorModel,
+    _axis_eta,
     lead_rows,
     leading_bias_many,
     projected_bias_term_many,
@@ -207,6 +208,31 @@ class TestShapes:
         assert bs.lambda_set == [(3, 0), (0, 3)]
         pp = LeadingErrorModel(BasisFamily.PP, 3, 2)
         assert sorted(pp.lambda_set) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+
+    def test_family_string_is_its_member(self):
+        # a family's value string is normalized, not read as "not a B-spline"
+        model = LeadingErrorModel("bspline", 2, 2)
+        assert model == LeadingErrorModel(BasisFamily.BSPLINE, 2, 2)
+        assert model.lambda_set == [(2, 0), (0, 2)]
+        got = LeadingErrorModel("BSpline", 3, 1).shape_values((3,), (0,), [[0.25]])
+        assert_allclose(got, [0.0078125], rtol=1e-14)  # B_3(1/4) / 3!
+        with pytest.raises(ConfigError):
+            LeadingErrorModel("bogus", 2, 1)
+
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_eta_multiplies_cached_axis_integrals(self, family):
+        # each one-axis integral is computed once per (family, a1, a2, b) and
+        # eta is their product over the axes, bit for bit
+        model, q = LeadingErrorModel(family, 3, 3), (1, 0, 0)
+        pairs = list(itertools.product(model.lambda_set, repeat=2))
+        _axis_eta.cache_clear()
+        for u1, u2 in pairs:
+            want = 0.0  # the shape vanishes where u_1 < q_1
+            if u1[0] >= 1 and u2[0] >= 1:
+                want = math.prod(_axis_eta(family, *t) for t in zip(u1, u2, q))
+            assert model.eta(u1, u2, q) == want
+        triples = {t for u1, u2 in pairs for t in zip(u1, u2, q)}
+        assert _axis_eta.cache_info().misses <= len(triples)
 
     def test_haar_no_derivatives(self):
         model = LeadingErrorModel(BasisFamily.HAAR, 1, 1)

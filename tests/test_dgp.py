@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lspart.dgp import dgp_dim, dgp_eval, dgp_sample
-from lspart.errors import InvalidModel
+from lspart.errors import ConfigError, InvalidModel
 
 
 class TestDims:
@@ -100,6 +100,18 @@ class TestSample:
         Xb, yb = dgp_sample(2, 40, seed=np.random.default_rng(7))
         assert_allclose(Xa, Xb)
         assert_allclose(ya, yb)
+
+    @pytest.mark.parametrize("seed", [123, (9, 4), [9, 4], np.array([9, 4])])
+    def test_seed_streams_are_numpy_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        X, y = dgp_sample(1, 30, seed=seed)
+        assert np.array_equal(X, rng.random((30, 1)))
+        assert np.array_equal(y, dgp_eval(1, X) + rng.standard_normal(30))
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "abc", [1, -2], None])
+    def test_bad_seed_is_config_error(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            dgp_sample(1, 10, seed=seed)
 
     def test_noise_is_unit_normal(self):
         X, y = dgp_sample(1, 60000, seed=31)

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import lspart.harness as harness
+import lspart.tuning as tuning
 from lspart.dgp import dgp_eval
 from lspart.errors import (
     ConfigError,
@@ -17,6 +18,7 @@ from lspart.errors import (
     InvalidKappa,
     NumericalError,
     ParseError,
+    RankDeficient,
     UnsupportedDerivative,
     UnsupportedFamily,
 )
@@ -38,6 +40,14 @@ def _write_csv(path, X, y):
     for i in range(X.shape[0]):
         rows.append(",".join(repr(float(v)) for v in X[i]) + f",{float(y[i])!r}")
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _spy(fn, calls):
+    """``fn`` that also appends its name to ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 def _refuse(*args, **kwargs):
@@ -300,6 +310,46 @@ class TestSelectKappa:
         assert harness._effective_cap(cfg, 1) is None
         assert harness._effective_cap(cfg, 2) is None
 
+    # (kappa, kappa_max, pilot fails, the whole selection block in key order)
+    BLOCKS = {
+        "fixed": (9, 3, False, dict(
+            rule="fixed", requested=9, kappa=9, kappa_rot=None, kappa_dpi=None,
+            rot_fallback=False, cap=None, capped=False)),
+        "rot": ("rot", None, False, dict(
+            rule="rot", requested="rot", kappa=5, kappa_rot=5, kappa_dpi=None,
+            rot_fallback=False, cap=None, capped=False)),
+        "rot-capped": ("rot", 2, False, dict(
+            rule="rot", requested="rot", kappa=2, kappa_rot=5, kappa_dpi=None,
+            rot_fallback=False, cap=2, capped=True)),
+        "dpi": ("dpi", 4, False, dict(
+            rule="dpi", requested="dpi", kappa=4, kappa_rot=5, kappa_dpi=4,
+            rot_fallback=False, cap=4, capped=False)),
+        "dpi-rot-fallback": ("dpi", 2, True, dict(
+            rule="dpi", requested="dpi", kappa=2, kappa_rot=5, kappa_dpi=5,
+            rot_fallback=True, cap=2, capped=True)),
+    }
+
+    @pytest.mark.parametrize("case", list(BLOCKS))
+    def test_selection_block_is_pinned(self, data_file, monkeypatch, case):
+        # the block copies the selector's report, each selector runs once,
+        # and a fixed kappa runs none
+        kappa, kappa_max, pilot_fails, want = self.BLOCKS[case]
+        calls = []
+        for name in ("rot_select", "dpi_select"):
+            monkeypatch.setattr(harness, name, _spy(getattr(harness, name), calls))
+        if pilot_fails:
+            def rank_deficient(*args, **kwargs):
+                raise RankDeficient("pilot fit refused")
+
+            monkeypatch.setattr(tuning, "fit_estimator", rank_deficient)
+        cfg = RunConfig(mode="fit", data_path=str(data_file), kappa=kappa,
+                        kappa_max=kappa_max).validated()
+        X, y = read_data(data_file)
+        got, info = harness._select_kappa(cfg, X, y, (0,), data_bounds(X))
+        assert list(info.items()) == list(want.items())
+        assert got == want["kappa"]
+        assert calls == ([] if case == "fixed" else [f"{kappa}_select"])
+
 
 class TestRunFit:
     def test_report_structure(self, data_file):
@@ -502,7 +552,7 @@ class TestRunSimulation:
         cfg = _sim_cfg(j_set=(0,), band_method="plugin").validated()
 
         def rep(band_cover):
-            entry = {"est": np.zeros(3), "cover": np.ones(3, dtype=bool),
+            entry = {"sq_err": np.zeros(3), "cover": np.ones(3, dtype=bool),
                      "il": np.ones(3), "band_cover": np.array(band_cover),
                      "aw": 1.0, "ucr": True}
             return {"kappa": 3, "per_j": {0: entry}}

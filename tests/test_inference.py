@@ -42,7 +42,6 @@ from lspart.inference import (
     sigma_hat,
 )
 from lspart.partition import KnotRule, TensorPartition
-from lspart.tuning import imse_components
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +65,11 @@ class TestNormalQuantile:
         assert normal_quantile(0.975) == pytest.approx(1.9599639845400545)
         assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
         assert normal_quantile(0.95) == pytest.approx(1.6448536269514722)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5, float("nan"), "abc", None])
+    def test_outside_unit_interval_is_config_error(self, p):
+        with pytest.raises(ConfigError, match="normal quantile"):
+            normal_quantile(p)
 
 
 class TestSigma:
@@ -202,7 +206,7 @@ class TestPointwise:
 class TestForeignVariance:
     """A variance estimate is read only with the fit it was estimated from."""
 
-    @pytest.mark.parametrize("call", ["pointwise", "plugin", "bootstrap", "imse"])
+    @pytest.mark.parametrize("call", ["pointwise", "plugin", "bootstrap"])
     @pytest.mark.parametrize("kappa", [5, 8], ids=["same-K", "other-K"])
     def test_rejected(self, fit_1d, kappa, call):
         rng = np.random.default_rng(43)
@@ -216,7 +220,6 @@ class TestForeignVariance:
             "pointwise": lambda: pointwise_ci(fit_1d, var, [[0.5]]),
             "plugin": lambda: band_plugin(fit_1d, var, grid, draws=150),
             "bootstrap": lambda: band_bootstrap(fit_1d, var, grid, draws=150),
-            "imse": lambda: imse_components(fit_1d, var),
         }[call]
         with pytest.raises(ConfigError, match="another fit"):
             run()

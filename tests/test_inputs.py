@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from lspart.basis import BasisFamily, BasisSpec, check_deriv
+from lspart.biascorrect import LeadingErrorModel
 from lspart.cli import _ints_csv
 from lspart.dgp import dgp_dim, dgp_eval, dgp_sample
 from lspart.errors import (
@@ -114,6 +115,12 @@ WHOLE = [
     ("EstimatorKind.require_j", lambda v: _fit().kind.require_j(v), ConfigError, 1),
     ("dgp_dim", dgp_dim, InvalidModel, 4),
     ("dgp_sample.n", lambda v: dgp_sample(1, v, 0)[0].shape[0], InvalidModel, 20),
+    ("dgp_sample.seed", lambda v: dgp_sample(1, 5, v)[1][0], ConfigError, 3),
+    ("EstimatorKind.m_tilde",
+     lambda v: EstimatorKind(BasisSpec("bspline", 2, TensorPartition.build("even", UNIT, 2)),
+                             v).m_tilde, ConfigError, 4),
+    ("LeadingErrorModel.m", lambda v: LeadingErrorModel("pp", v, 2).m, ConfigError, 3),
+    ("LeadingErrorModel.dim", lambda v: LeadingErrorModel("pp", 3, v).dim, ConfigError, 2),
     ("cli --j", lambda v: _ints_csv(str(v), "--j")[0], ConfigError, 2),
 ]
 
@@ -142,6 +149,7 @@ CHOICES = [
      lambda v: TensorPartition.build(v, UNIT, 2, data=_sample()[0]).knots[0], KnotRule),
     ("sigma_hat.hc", lambda v: sigma_hat(_fit(), 0, v).hc, HCKind),
     ("eta_constant.family", lambda v: eta_constant(v, 2, (2,), (2,)), BasisFamily),
+    ("LeadingErrorModel.family", lambda v: LeadingErrorModel(v, 2, 2).family, BasisFamily),
     ("rot_select.family", lambda v: rot_select(*_sample(), v, 2).kappa_rot, BasisFamily),
     ("dpi_select.family", lambda v: dpi_select(*_sample(), v, 2).selected(),
      BasisFamily),

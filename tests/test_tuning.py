@@ -436,18 +436,16 @@ class TestImseComponents:
         y = np.sin(3 * X.sum(axis=1)) + 0.3 * rng.standard_normal(600)
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 3)
         fit = fit_estimator(EstimatorKind.default(family, 2, part), X, y)
-        var = sigma_hat(fit, 0)
-        cached = imse_components(fit, var)
-        assert imse_components(fit, var, q=(0, 0)) == cached
-        assert imse_components(fit, var, grid=X.copy()) == cached
+        cached = imse_components(fit)
+        assert imse_components(fit, q=(0, 0)) == cached
+        assert imse_components(fit, grid=X.copy()) == cached
 
     def test_keys_and_signs(self):
         X, y = _curve_sample(500, seed=23)
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 4)
         kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
         fit = fit_estimator(kind, X, y)
-        var = sigma_hat(fit, 0)
-        out = imse_components(fit, var)
+        out = imse_components(fit)
         assert set(out) == {"V_hat", "B_hat"}
         assert out["V_hat"] > 0
         assert out["B_hat"] >= 0
@@ -457,18 +455,10 @@ class TestImseComponents:
         part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 4)
         kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part)
         fit = fit_estimator(kind, X, y)
-        var = sigma_hat(fit, 0)
         grid = np.linspace(0.05, 0.95, 50)[:, None]
-        out = imse_components(fit, var, grid=grid)
+        out = imse_components(fit, grid=grid)
         assert out["V_hat"] > 0
         assert np.isfinite(out["B_hat"])
-
-    def test_needs_j0_variance(self):
-        X, y = _curve_sample(300, seed=41)
-        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 3)
-        fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
-        with pytest.raises(ConfigError):
-            imse_components(fit, sigma_hat(fit, 1))
 
     @pytest.mark.parametrize("on_grid", [False, True])
     @pytest.mark.parametrize("deriv", [False, True])
@@ -487,7 +477,7 @@ class TestImseComponents:
         pts = X if grid is None else grid
         gamma = fit.gamma_many(pts, q, j=0)
         ref = np.mean(quadratic_form(gamma, var.sigma_mat))
-        got = imse_components(fit, var, grid=grid, q=q)["V_hat"]
+        got = imse_components(fit, grid=grid, q=q)["V_hat"]
         assert got == pytest.approx(ref, rel=1e-10)
 
 
