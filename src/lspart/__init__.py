@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     RankDeficient,
     UnsupportedDerivative,
-    UnsupportedFamily,
 )
 from .fit import EstimatorKind, FitResult, fit_estimator
 from .harness import (

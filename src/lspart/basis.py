@@ -1,6 +1,6 @@
 """Local basis evaluation on tensor-product partitions.
 
-Three families share one sparse evaluation contract: every point activates a
+Two families share one sparse evaluation contract: every point activates a
 fixed number of basis functions, so evaluation returns parallel (n, width)
 index/value arrays instead of a dense design matrix.
 
@@ -10,8 +10,8 @@ Families
   products across axes. Right-continuous at interior knots; the right
   support endpoint takes its left limit.
 - Piecewise polynomials of order m: all monomials of total degree < m in
-  the cell-local coordinates, discontinuous across cells.
-- Haar: cell indicators, evaluated as the order-1 piecewise polynomial.
+  the cell-local coordinates, discontinuous across cells. Haar, the cell
+  indicators, is their order-1 case (:func:`check_family`).
 
 Evaluation
 ----------
@@ -33,7 +33,7 @@ Groups
 Every row of a :class:`SparseRows` carries a group id, and rows with the
 same id have identical ``indices`` rows: they activate the same functions.
 :meth:`BasisSpec.eval_many` uses the flat cell of the point, since all
-points of a cell share their active set in all three families, at every
+points of a cell share their active set in both families, at every
 derivative order. Every basis of one fit lives on the main partition, so
 its designs share their groups, and a stacked design or a cross product
 keeps them. The dense-output kernels (``weighted_cross``,
@@ -76,6 +76,14 @@ def alpha_list(d, m):
     ]
     alphas.sort(key=lambda a: (sum(a), a))
     return alphas
+
+
+def check_family(family, m):
+    """``(family, m)`` checked; Haar is order 1 only and returned as PP."""
+    family, m = check_choice(BasisFamily, family), check_whole(m, "order", 1)
+    if family is BasisFamily.HAAR and m != 1:
+        raise ConfigError("Haar basis is order 1 only")
+    return (BasisFamily.PP if family is BasisFamily.HAAR else family), m
 
 
 def check_deriv(q, d):
@@ -260,17 +268,16 @@ def _runs(groups):
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """A basis family of a given order on a given partition."""
+    """A basis family of a given order on a given partition (Haar as PP)."""
 
     family: BasisFamily
     m: int
     partition: TensorPartition
 
     def __post_init__(self):
-        object.__setattr__(self, "family", check_choice(BasisFamily, self.family))
-        object.__setattr__(self, "m", check_whole(self.m, "order", 1))
-        if self.family is BasisFamily.HAAR and self.m != 1:
-            raise ConfigError("Haar basis is order 1 only")
+        family, m = check_family(self.family, self.m)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
 
     @property
     def dim(self):
@@ -299,10 +306,11 @@ class BasisSpec:
 
     def _check_deriv(self, deriv):
         deriv = check_deriv(deriv, self.dim)
-        if max(deriv) >= self.m:
+        bspline = self.family is BasisFamily.BSPLINE
+        rule, order = ("per-axis", max(deriv)) if bspline else ("total", sum(deriv))
+        if order >= self.m:
             raise UnsupportedDerivative(
-                f"derivative {deriv} needs order > {max(deriv)}, basis has m = {self.m}"
-            )
+                f"derivative {deriv} has {rule} order {order}, basis has m = {self.m}")
         return deriv
 
     def eval_many(self, X, deriv=None, cells=None):
@@ -313,7 +321,7 @@ class BasisSpec:
         X : array_like, shape (n, d)
             Points inside the support.
         deriv : tuple of int, optional
-            Per-axis derivative orders; each must be < m. Default zeros.
+            Per-axis orders, default zeros: max < m (B-splines), sum < m (PP).
         cells : numpy.ndarray, shape (n, d), optional
             ``self.partition.locate(X)``, when the caller has it: every basis
             on one partition reads the same cells, so they are located once.

@@ -38,8 +38,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .basis import BasisFamily, SparseRows, check_deriv
-from .errors import ConfigError, UnsupportedFamily, check_choice, check_whole
+from .basis import BasisFamily, SparseRows, check_deriv, check_family
+from .errors import ConfigError, UnsupportedDerivative, check_whole
 
 _MAX_ORDER = 12
 
@@ -59,7 +59,7 @@ def shape_factor(family, a, b):
     is ``series(z) / scale``; 0 <= b <= a <= 12.
 
     B-splines: the power series of the exact B_(a-b) over (a-b)!. Piecewise
-    polynomials and Haar: P_a(2z - 1) as a Legendre series on [0, 1],
+    polynomials: P_a(2z - 1) as a Legendre series on [0, 1],
     differentiated b times, over C(2a, a) a!. Callers divide after evaluating,
     so the Bernoulli factors keep their exact zeros (B_3 at 0, 1/2 and 1).
     """
@@ -88,8 +88,7 @@ class LeadingErrorModel:
     ``lambda_set`` holds the derivative multi-indices u with [u] = m whose
     terms survive in the leading error: the axis directions (m, 0, ..),
     (0, m, ..) for B-splines, all compositions of m for piecewise
-    polynomials. Haar (order 1) coincides with the piecewise-polynomial
-    case; both reduce to the same shapes at m = 1.
+    polynomials, as which Haar is stored (:func:`~lspart.basis.check_family`).
     """
 
     family: BasisFamily
@@ -97,8 +96,9 @@ class LeadingErrorModel:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "family", check_choice(BasisFamily, self.family))
-        object.__setattr__(self, "m", check_whole(self.m, "order", 1))
+        family, m = check_family(self.family, self.m)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "dim", check_whole(self.dim, "dimension", 1))
 
     @property
@@ -108,17 +108,21 @@ class LeadingErrorModel:
         orders = itertools.product(range(self.m + 1), repeat=self.dim)
         return [u for u in orders if sum(u) == self.m]
 
+    def check_rate(self, q):
+        """``q`` with total order < m, as the rate m - [q] needs in every family."""
+        q = check_deriv(q, self.dim)
+        if sum(q) >= self.m:
+            raise UnsupportedDerivative(
+                f"derivative {q} has total order {sum(q)}, the rate needs < m = {self.m}")
+        return q
+
     def _factors(self, u, q):
         """The per-axis orders (u_l, q_l) of the factors of shape(u, q, .), or
         None when some u_l < q_l, where the shape vanishes by convention."""
         u = check_deriv(u, self.dim)
-        q = check_deriv(q, self.dim)
+        q = self.check_rate(q)
         if sum(u) != self.m:
             raise ConfigError(f"index {u} has total order {sum(u)}, expected {self.m}")
-        if self.family is BasisFamily.HAAR and sum(q) > 0:
-            raise UnsupportedFamily("Haar leading error has no derivatives")
-        if sum(q) > self.m - 1:
-            raise ConfigError(f"derivative {q} too high for order {self.m}")
         if any(a < b for a, b in zip(u, q)):
             return None
         return list(zip(u, q))

@@ -36,10 +36,6 @@ class InvalidGrid(ConfigError):
     pass
 
 
-class UnsupportedFamily(ConfigError):
-    """Basis family cannot serve the requested operation."""
-
-
 class UnsupportedDerivative(ConfigError):
     """Derivative order not available for the basis order requested."""
 
@@ -134,10 +130,11 @@ def check_choice(enum_cls, value):
 
 
 def check_seed(seed):
-    """``seed`` as a non-negative int, or as a tuple of them for a sequence
-    or an array; each key goes through :func:`check_whole`."""
+    """``seed`` as a non-negative int, or as a tuple of them for a nonempty
+    sequence or array; each key goes through :func:`check_whole`, and so
+    does an empty sequence, which is not a whole number."""
     keys = seed.ravel().tolist() if isinstance(seed, np.ndarray) else seed
-    if isinstance(keys, (list, tuple)):
+    if isinstance(keys, (list, tuple)) and keys:
         return tuple(check_whole(k, "seed", 0) for k in keys)
     return check_whole(keys, "seed", 0)
 

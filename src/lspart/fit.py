@@ -23,7 +23,7 @@ factored objects:
   plug-in estimate of the leading error.
 
 When the main span lies inside the companion's (:attr:`EstimatorKind.nested`:
-piecewise polynomials, Haar and a one-cell B-spline), p = A ptilde with
+piecewise polynomials and a one-cell B-spline), p = A ptilde with
 A = C_2 Q-tilde^-1, so every j >= 1 is a linear read of beta-tilde alone. Its
 design, right-hand side, leverage and weights are then those of the companion
 design, and nothing stacks: j = 2 is j = 1 (their estimates differ by
@@ -62,7 +62,6 @@ from .errors import (
     DataError,
     NumericalError,
     RankDeficient,
-    UnsupportedFamily,
     check_floats,
     check_whole,
 )
@@ -217,9 +216,7 @@ class EstimatorKind:
         """The order-mtilde companion basis on the main partition, or None."""
         if self.m_tilde is None:
             return None
-        main = self.main_spec
-        family = BasisFamily.PP if main.family is BasisFamily.HAAR else main.family
-        return BasisSpec(family, self.m_tilde, main.partition)
+        return BasisSpec(self.main_spec.family, self.m_tilde, self.main_spec.partition)
 
     @property
     def null_dim(self):
@@ -240,9 +237,9 @@ class EstimatorKind:
     @property
     def nested(self):
         """True when the main span lies inside the companion's
-        (``null_dim == K_0``): piecewise polynomials, Haar and a one-cell
-        B-spline. Every j >= 1 of a nested kind then reads the companion
-        design alone; nothing stacks."""
+        (``null_dim == K_0``): piecewise polynomials (Haar among them) and a
+        one-cell B-spline. Every j >= 1 of a nested kind then reads the
+        companion design alone; nothing stacks."""
         return self.null_dim == self.main_spec.K
 
     def require_j(self, j):
@@ -251,11 +248,6 @@ class EstimatorKind:
             raise ConfigError(f"estimator kind j must be 0..3, got {j}")
         if j >= 1 and self.bc_spec is None:
             raise ConfigError(f"j = {j} needs a bias-correction basis")
-        if j == 3 and self.main_spec.family is BasisFamily.HAAR:
-            raise UnsupportedFamily(
-                "plug-in correction (j = 3) is not available for the Haar "
-                "family; use j = 1 or j = 2"
-            )
         return j
 
 
@@ -351,8 +343,12 @@ class FitResult:
 
     def _solve(self, design):
         """(Gram factor, E_n[p y], coefficients) of a sample design. A singular
-        Gram with a constant covariate is ``DegenerateData`` naming it."""
+        Gram is ``RankDeficient`` (K > n before its K^2 entries are formed),
+        or ``DegenerateData`` naming a constant covariate."""
         try:
+            if design.K > self.n:
+                raise RankDeficient(f"basis has K = {design.K} functions but only "
+                                    f"n = {self.n} rows; reduce kappa or use more data")
             gram = BandedCholesky(gram_banded(design))
         except RankDeficient:
             data_bounds(self.X)

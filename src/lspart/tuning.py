@@ -29,15 +29,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import biascorrect, inference
-from .basis import BasisFamily, BasisSpec, alpha_list, check_deriv
+from .basis import BasisFamily, BasisSpec, alpha_list, check_deriv, check_family
 from .errors import (
     ConfigError,
     DegenerateData,
     NegativeVarianceEstimate,
     RankDeficient,
-    check_choice,
     check_floats,
-    check_whole,
 )
 from .fit import EstimatorKind, check_response, fit_estimator
 from .partition import KnotRule, TensorPartition, data_bounds
@@ -105,8 +103,7 @@ def _selector_inputs(X, y, family, m, q, bounds):
     """The checked inputs both selectors share: (X, y, family, m, q, bounds)."""
     X = check_floats(X, "X")
     y = check_response(y, X.shape[0])
-    family = check_choice(BasisFamily, family)
-    m = check_whole(m, "order", 1)
+    family, m = check_family(family, m)
     q = check_deriv(q, X.shape[1])
     bounds = data_bounds(X) if bounds is None else check_floats(bounds, "bounds", 2)
     return X, y, family, m, q, bounds
@@ -157,9 +154,8 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     """
     X, y, family, m, q, bounds = _selector_inputs(X, y, family, m, q, bounds)
     n, d = X.shape
-    if sum(q) > m - 1:
-        raise ConfigError(f"derivative {q} too high for order {m}")
-
+    model = biascorrect.LeadingErrorModel(family, m, d)
+    model.check_rate(q)
     degree = m + 4
     spec = BasisSpec(
         BasisFamily.PP, degree + 1, TensorPartition.build(KnotRule.EVEN, bounds, 1)
@@ -175,7 +171,7 @@ def rot_select(X, y, family, m, q=None, bounds=None):
     coef /= col_scale[:, None]
     mu, y2 = (design @ coef).T
 
-    lam = biascorrect.LeadingErrorModel(family, m, d).lambda_set
+    lam = model.lambda_set
     derivs = _one_cell_derivs(spec, design, coef[:, 0], lam)
     eta = _eta_table(family, m, d, (0,) * d)
     bias_sum = 0.0

@@ -22,7 +22,7 @@ from lspart.biascorrect import (
     projected_bias_term_many,
     shape_factor,
 )
-from lspart.errors import ConfigError, UnsupportedDerivative, UnsupportedFamily
+from lspart.errors import ConfigError, UnsupportedDerivative
 from lspart.fit import EstimatorKind, fit_estimator
 from lspart.partition import KnotRule, TensorPartition
 from oracles import exact_poly
@@ -235,9 +235,16 @@ class TestShapes:
         assert _axis_eta.cache_info().misses <= len(triples)
 
     def test_haar_no_derivatives(self):
+        # Haar is PP of order 1: any q breaks the rate m - [q] > 0
         model = LeadingErrorModel(BasisFamily.HAAR, 1, 1)
-        with pytest.raises(UnsupportedFamily):
+        with pytest.raises(UnsupportedDerivative, match="total order"):
             model.shape_values((1,), (1,), np.array([[0.5]]))
+
+    def test_haar_is_pp_order1_only(self):
+        # one normalizer for BasisSpec and LeadingErrorModel
+        with pytest.raises(ConfigError, match="order 1 only"):
+            LeadingErrorModel("haar", 2, 1)
+        assert LeadingErrorModel("haar", 1, 2) == LeadingErrorModel(BasisFamily.PP, 1, 2)
 
     def test_haar_matches_pp_order1(self):
         haar = LeadingErrorModel(BasisFamily.HAAR, 1, 1)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,27 @@ class TestFitCommand:
     def test_bad_q_exit_2(self, data_file):
         assert main(["fit", "--data", str(data_file), "--q", "a"]) == 2
 
+    def test_pp_total_order_exit_2(self, tmp_path, capsys):
+        # PP of order 2 has total degree 1, so q = (1, 1) is refused; the
+        # tensor B-spline of order 2 serves it at j = 0
+        rng = np.random.default_rng(2)
+        X = rng.random((300, 2))
+        rows = [f"{a!r},{b!r},{a * b + 0.1 * c!r}"
+                for (a, b), c in zip(X.tolist(), rng.standard_normal(300).tolist())]
+        data = tmp_path / "d2.csv"
+        data.write_text("\n".join(["x1,x2,y"] + rows) + "\n", encoding="utf-8")
+        fit = ["fit", "--data", str(data), "--m", "2", "--q", "1,1", "--kappa", "4"]
+        assert main(fit + ["--family", "pp"]) == 2
+        assert "total order" in capsys.readouterr().err
+        assert main(fit + ["--family", "bspline", "--j", "0"]) == 0
+
+    def test_basis_larger_than_sample_exit_4(self, data_file, capsys):
+        # a singular Gram is reported before its K^2 entries are formed
+        start = time.perf_counter()
+        assert main(["fit", "--data", str(data_file), "--kappa", "100000", "--j", "0"]) == 4
+        assert time.perf_counter() - start < 1.0  # about 5 ms on a 2-core host
+        assert "K = 100001" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_stdout_csv(self, capsys):
@@ -226,7 +248,7 @@ class TestSimulateCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
-        ["--family", "haar", "--m", "1", "--j", "3"],
+        ["--family", "haar", "--m", "2"],
         ["--q", "2", "--m", "2"],
         ["--band", "bootstrap", "--B", "50"],
     ])
@@ -238,6 +260,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "replications failed" not in err
         assert main(["fit", "--data", str(data_file), "--kappa", "4"] + flags) == 2
+
+    def test_pp_total_order_exit_2(self, capsys):
+        sim = ["simulate", "--model", "4", "--n", "300", "--reps", "2", "--kappa", "3"]
+        assert main(sim + ["--family", "pp", "--m", "2", "--q", "1,1"]) == 2
+        err = capsys.readouterr().err
+        assert "total order" in err and "replications failed" not in err
 
     def test_large_seed_is_exact(self, tmp_path):
         out = tmp_path / "m.csv"

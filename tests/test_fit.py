@@ -24,7 +24,6 @@ from lspart.errors import (
     DegenerateData,
     RankDeficient,
     UnsupportedDerivative,
-    UnsupportedFamily,
 )
 from lspart.fit import (
     BandedCholesky,
@@ -281,11 +280,81 @@ class TestKindValidation:
         with pytest.raises(ConfigError):
             kind.require_j(2)
 
-    def test_haar_plugin_rejected(self):
+    def test_haar_plugin_runs_as_pp_order1(self):
+        # Haar is stored as PP of order 1, whose j = 3 is served
         part = TensorPartition.build(KnotRule.EVEN, [[0, 1]], 3)
         kind = EstimatorKind(BasisSpec(BasisFamily.HAAR, 1, part), 2)
-        with pytest.raises(UnsupportedFamily):
-            kind.require_j(3)
+        assert kind.require_j(3) == 3
+        assert kind.main_spec == BasisSpec(BasisFamily.PP, 1, part)
+        assert kind.bc_spec == BasisSpec(BasisFamily.PP, 2, part)
+
+
+class TestHaarIsPPOrder1:
+    """Haar spans the order-1 piecewise polynomials, and every read of a
+    Haar fit or selector is the PP(1) read, bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_read_matches(self, d):
+        rng = np.random.default_rng([11, d])
+        X = rng.random((2000, d))
+        y = np.sin(3 * X[:, 0]) * np.cos(X[:, -1]) + 0.3 * rng.standard_normal(2000)
+        pts = rng.random((25, d))
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, 6)
+        haar, pp = (fit_estimator(EstimatorKind.default(f, 1, part), X, y)
+                    for f in (BasisFamily.HAAR, BasisFamily.PP))
+        for j in range(4):
+            a, b = (pointwise_ci(f, sigma_hat(f, j, HCKind.HC3), pts) for f in (haar, pp))
+            assert np.array_equal(a.estimates, b.estimates)
+            assert np.array_equal(a.se, b.se)
+            assert np.array_equal(haar.leverage(j), pp.leverage(j))
+        # the README's relation: j = 3 equals j = 1 at m_tilde = m + 1
+        assert_allclose(haar.estimate_many(pts, j=3), haar.estimate_many(pts, j=1),
+                        rtol=0, atol=1e-12)
+        for select in (rot_select, dpi_select):
+            a, b = (select(X, y, f, 1) for f in (BasisFamily.HAAR, BasisFamily.PP))
+            assert (a.kappa_rot, a.kappa_dpi, a.rot_fallback) == (
+                b.kappa_rot, b.kappa_dpi, b.rot_fallback)
+            assert np.array_equal([a.bias_constant, a.variance_constant],
+                                  [b.bias_constant, b.variance_constant])
+
+
+class TestDerivativeRules:
+    """Total order sum(q) < m for PP, per axis max(q) < m for the tensor
+    B-spline, and total order wherever the rate m - [q] is used."""
+
+    def test_pp_total_order(self):
+        fit = _fit_nd(2, BasisFamily.PP, m=2)
+        pts = [[0.3, 0.6]]
+        with pytest.raises(UnsupportedDerivative, match="total order"):
+            fit.kind.main_spec.eval_many(pts, (1, 1))
+        with pytest.raises(UnsupportedDerivative, match="total order"):
+            fit.estimate_many(pts, q=(1, 1), j=0)
+        assert np.all(np.isfinite(fit.estimate_many(pts, q=(1, 0), j=3)))
+
+    def test_bspline_per_axis(self):
+        fit = _fit_nd(2, BasisFamily.BSPLINE, m=2)
+        pts = [[0.3, 0.6]]
+        assert np.all(np.isfinite(fit.estimate_many(pts, q=(1, 1), j=0)))
+        with pytest.raises(UnsupportedDerivative, match="per-axis order"):
+            fit.estimate_many(pts, q=(2, 0), j=0)
+        # the plug-in lead reads the rate, which needs total order < m
+        with pytest.raises(UnsupportedDerivative, match="total order"):
+            fit.estimate_many(pts, q=(1, 1), j=3)
+        X, y = fit.X, fit.y
+        with pytest.raises(UnsupportedDerivative, match="total order"):
+            rot_select(X, y, BasisFamily.BSPLINE, 2, (1, 1))
+
+
+class TestBasisLargerThanSample:
+    @pytest.mark.parametrize("d,kappa", [(1, 100_000), (2, 400)])
+    def test_rank_deficient_before_the_gram(self, d, kappa):
+        # K > n makes the Gram singular; no K^2 array is formed
+        rng = np.random.default_rng(d)
+        X, y = rng.random((200, d)), rng.standard_normal(200)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * d, kappa)
+        kind = EstimatorKind(BasisSpec(BasisFamily.BSPLINE, 2, part))
+        with pytest.raises(RankDeficient, match=f"K = {kind.main_spec.K} .* n = 200"):
+            fit_estimator(kind, X, y)
 
 
 class TestTrivialFits:

@@ -20,7 +20,6 @@ from lspart.errors import (
     ParseError,
     RankDeficient,
     UnsupportedDerivative,
-    UnsupportedFamily,
 )
 from lspart.harness import (
     RunConfig,
@@ -473,13 +472,17 @@ class TestRunFit:
         for block in rep["estimates"].values():
             assert all(np.isfinite(block["estimate"]))
 
-    def test_haar_plugin_correction_unsupported(self, data_file):
-        cfg = RunConfig(
-            mode="fit", data_path=str(data_file), family="haar", m=1,
-            kappa=4, j_set=(0, 3),
-        )
-        with pytest.raises(UnsupportedFamily):
-            run_fit(cfg)
+    def test_haar_plugin_correction_is_pp_order1(self, data_file):
+        # Haar is the order-1 piecewise polynomial: its j = 3 is served,
+        # equals PP's, and equals j = 1 at m_tilde = m + 1
+        reps = [run_fit(RunConfig(mode="fit", data_path=str(data_file), family=f, m=1,
+                                  kappa=4, j_set=(0, 1, 3)))
+                for f in ("haar", "pp")]
+        assert [r["family"] for r in reps] == ["haar", "pp"]
+        haar, pp = (r["estimates"] for r in reps)
+        for j in ("j0", "j1", "j3"):
+            assert haar[j] == pp[j]
+        assert_allclose(haar["j3"]["estimate"], haar["j1"]["estimate"], rtol=0, atol=1e-12)
 
 
 def _sim_cfg(**kw):

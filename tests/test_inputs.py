@@ -30,6 +30,7 @@ from lspart.errors import (
     check_choice,
     check_floats,
     check_level,
+    check_seed,
     check_whole,
 )
 from lspart.fit import EstimatorKind, check_response, fit_estimator
@@ -367,6 +368,17 @@ class TestChecks:
         with pytest.raises(ConfigError, match="even, quantile"):
             check_choice(KnotRule, KnotRule)
         assert check_level("0.05") == 0.05
+
+    @pytest.mark.parametrize("seed", [[], (), np.array([], dtype=int)])
+    def test_empty_seed_sequence_rejected(self, seed):
+        # an empty sequence used to seed as 0 does
+        with pytest.raises(ConfigError, match="seed must be a whole number"):
+            check_seed(seed)
+        with pytest.raises(ConfigError, match="seed must be a whole number"):
+            dgp_sample(1, 5, seed)
+        with pytest.raises(ConfigError, match="seed must be a whole number"):
+            _band(band_plugin, seed=seed, draws=100)
+        assert check_seed((0,)) == (0,) and check_seed(0) == 0
 
     def test_fractional_kappa_is_not_a_selector(self):
         # 2.5 used to fall through to the dpi selector and report "fixed"
