@@ -31,16 +31,21 @@ the Cox-de Boor weights, the last nu steps (for the nu-th derivative) with
 Groups
 ------
 Every row of a :class:`SparseRows` carries a group id, and rows with the
-same id have identical ``indices`` rows: they activate the same functions.
-:meth:`BasisSpec.eval_many` uses the flat cell of the point, since all
-points of a cell share their active set in both families, at every
-derivative order. Every basis of one fit lives on the main partition, so
-its designs share their groups, and a stacked design or a cross product
-keeps them. The dense-output kernels (``weighted_cross``,
-``quadratic_forms``, ``bit_sums``) work one group at a time: one small
-matrix product over the group's rows, then one write of the group's block.
-Any grouping that keeps the invariant gives the same numbers up to roundoff;
-the trivial one (every row its own group) is valid input too.
+same id activate the same functions. A design stores that active set once per
+group, as a (groups, width) ``table``; the (n, width) ``indices`` of its rows
+are ``table[groups]``, built only when read. :meth:`BasisSpec.eval_many`
+groups points by cell, since all points of a cell share their active set in
+both families, at every derivative order: a point's group is the rank of its
+flat cell among the cells its points touch (:func:`cell_groups`), so the table
+has one row per touched cell, never more rows than points. Every basis of one
+fit lives on the main partition, so its designs share their groups, and a
+stacked design or a cross product keeps them. The dense-output kernels
+(``weighted_cross``, ``quadratic_forms``, ``bit_sums``) work one group at a
+time: they gather the group's rows, take one small matrix product and write
+the group's block straight into their one output, so no (n, width) copy of
+the design is formed. Any grouping that keeps the invariant gives the same
+numbers up to roundoff; the trivial one (every row its own group, the table
+then the per-row indices) is valid input too.
 """
 
 from __future__ import annotations
@@ -104,25 +109,32 @@ def check_deriv(q, d):
 class SparseRows:
     """Row-sparse design: row i holds the active functions at point i.
 
-    ``indices`` and ``values`` are (n, width) arrays; column counts are
-    constant by construction of the local bases. ``K`` is the full basis
-    dimension. ``groups`` is an (n,) integer array of group ids, and rows
-    with the same id have identical ``indices`` rows (see the module
-    docstring). The kernels below do one small matrix product per group.
+    ``values`` is an (n, width) array; column counts are constant by
+    construction of the local bases. ``K`` is the full basis dimension.
+    ``groups`` is an (n,) array of group ids, and ``table`` holds one row of
+    ``width`` function indices per id: row i activates ``table[groups[i]]``
+    (see the module docstring). ``indices``, the (n, width) per-row array,
+    is built from them on each read. The kernels below do one small matrix
+    product per group.
     """
 
-    indices: np.ndarray
+    table: np.ndarray
     values: np.ndarray
     K: int
     groups: np.ndarray
 
     @property
     def n(self):
-        return self.indices.shape[0]
+        return self.values.shape[0]
 
     @property
     def width(self):
-        return self.indices.shape[1]
+        return self.values.shape[1]
+
+    @property
+    def indices(self):
+        """(n, width) functions active at each row, ``table[groups]``."""
+        return self.table.take(self.groups, axis=0)
 
     @cached_property
     def _group_runs(self):
@@ -131,7 +143,8 @@ class SparseRows:
     def row_dot(self, coef):
         """Per-row inner product with a dense coefficient vector: (n,)."""
         coef = np.asarray(coef, dtype=float)
-        return np.sum(self.values * coef[self.indices], axis=1)
+        coef = coef.take(self.table).take(self.groups, axis=0)
+        return np.sum(self.values * coef, axis=1)
 
     def bit_sums(self):
         """``sums(octets)``, the function ``W @ design`` for 0/1 matrices W
@@ -150,7 +163,7 @@ class SparseRows:
         of magnitude at least 2^-1015.
         """
         order, lead, spans = self._group_runs
-        idx = self.indices[lead]
+        idx = self.table[self.groups[lead]]
         byte = order // 8
         place = np.left_shift(1, order % 8).astype(np.uint8)[:, None]
         vals = (self.values[order] / place).T
@@ -181,46 +194,46 @@ class SparseRows:
 
         The one accumulation loop behind the Gram, cross-Gram and Sigma
         matrices. The two designs share their groups (:func:`shared_groups`).
-        Per group, one product (V_a,g * w_g)' V_b,g gives a
-        (width_a, width_b) block, and the blocks are scattered into the
-        output once: C * width_a * width_b entries for C groups. The weights
+        Per group, both sides' rows are gathered and V_a,g scaled by the
+        weights, and the one (width_a, width_b) product (V_a,g * w_g)' V_b,g
+        is added into the output at the entries its two table rows address.
+        So the output is the only array of its size, and every entry receives
+        its groups' blocks in group order, starting from zero. The weights
         may be negative, so they scale the rows and are never split into
-        square roots. Only V_a is gathered into group order as a whole; V_b,g
-        is gathered per group. That saves one (n, width) copy, and a Gram
-        keeps two distinct buffers, so numpy does not switch its product to
-        the symmetric-rank-k kernel, whose roundoff differs.
+        square roots. A Gram gathers its two sides into distinct buffers, so
+        numpy does not switch the product to the symmetric-rank-k kernel,
+        whose roundoff differs.
         """
         shared_groups(self, other)
         order, lead, spans = self._group_runs
-        va = self.values[order]
-        if row_weights is not None:
-            va *= np.asarray(row_weights, dtype=float)[order, None]
-        vb = other.values
-        blocks = np.empty((len(spans), self.width, other.width))
-        for g, (s, e) in enumerate(spans):
-            np.matmul(va[s:e].T, vb.take(order[s:e], axis=0), out=blocks[g])
-        flat = self.indices[lead][:, :, None] * other.K + other.indices[lead][:, None, :]
-        out = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=self.K * other.K)
-        out = out.astype(float, copy=False)  # an empty bincount is integer
+        w = None if row_weights is None else np.asarray(row_weights, dtype=float)
+        out = np.zeros((self.K, other.K))
+        flat, row_starts = out.reshape(-1), self.table * other.K
+        for g, (s, e) in zip(self.groups[lead].tolist(), spans):
+            rows = order[s:e]
+            va = self.values.take(rows, axis=0)
+            if w is not None:
+                va *= w.take(rows)[:, None]
+            flat[np.add.outer(row_starts[g], other.table[g])] += (
+                va.T @ other.values.take(rows, axis=0))
         out /= self.n
-        return out.reshape(self.K, other.K)
+        return out
 
     def quadratic_forms(self, mat):
         """Row-wise ``p(x_i)' mat p(x_i)`` for a dense (K, K) matrix: (n,).
 
-        Each group reads its (width, width) block of ``mat`` once and takes
-        one product V_g @ M_g; the forms are then row-wise dots with V, so
-        no (n, K) array is formed.
+        Each group gathers its rows, reads its (width, width) block of
+        ``mat`` and takes one product V_g @ M_g; the forms are then row-wise
+        dots with V_g, so no (n, K) or (n, width) array is formed.
         """
         order, lead, spans = self._group_runs
-        idx = self.indices[lead]
-        blocks = np.asarray(mat)[idx[:, :, None], idx[:, None, :]]
-        vals = self.values[order]
-        vm = np.empty_like(vals)
-        for g, (s, e) in enumerate(spans):
-            np.matmul(vals[s:e], blocks[g], out=vm[s:e])
+        mat = np.asarray(mat)
         out = np.empty(self.n)
-        out[order] = np.einsum("ib,ib->i", vm, vals)
+        for g, (s, e) in zip(self.groups[lead].tolist(), spans):
+            rows = order[s:e]
+            idx = self.table[g]
+            vals = self.values.take(rows, axis=0)
+            out[rows] = np.einsum("ib,ib->i", vals @ mat[idx[:, None], idx], vals)
         return out
 
     def dense(self):
@@ -244,13 +257,38 @@ def shared_groups(a, b):
     return a.groups
 
 
+def cell_groups(cells, kappa):
+    """``(groups, first)`` of points located on a partition of ``kappa`` cells.
+
+    A point's group is the rank of its flat cell among the distinct cells of
+    ``cells``, in increasing order, and ``first[g]`` is the first point of
+    group g. So the groups number only the touched cells, at most one per
+    point, however many cells the partition has.
+    """
+    order, new = _sort(np.ravel_multi_index(cells.T, kappa))
+    groups = np.empty(order.size, dtype=np.intp)
+    groups[order] = np.cumsum(new) - 1
+    return groups, order[new]
+
+
 def _runs(groups):
     """Rows sorted by group: ``(order, lead, spans)``.
 
-    ``order`` is the stable sort order of ``groups``. Group g is rows
-    ``order[s:e]`` for ``(s, e) = spans[g]``, and ``lead[g]`` is its first
-    row, whose ``indices`` row all of the group shares. Ids in [0, 2^16),
-    such as the flat cells of any partition of fewer than 65536 cells, are
+    ``order`` is the stable sort order of ``groups`` (:func:`_sort`). Group
+    run g is rows ``order[s:e]`` for ``(s, e) = spans[g]``, in increasing
+    order of the ids, and ``lead[g]`` is its first row.
+    """
+    order, new = _sort(groups)
+    starts = np.flatnonzero(new)
+    spans = list(zip(starts.tolist(), starts[1:].tolist() + [order.size]))
+    return order, order[starts], spans
+
+
+def _sort(groups):
+    """``(order, new)``: the stable sort order of ``groups``, and where in that
+    order a new id starts.
+
+    Ids in [0, 2^16), such as the groups of fewer than 65536 cells, are
     sorted as ``uint16``, for which numpy's stable sort is an O(n) radix
     sort with the same order; larger ids keep the comparison sort.
     """
@@ -261,9 +299,7 @@ def _runs(groups):
     k = groups[order]
     new = np.ones(k.size, dtype=bool)
     new[1:] = k[1:] != k[:-1]
-    starts = np.flatnonzero(new)
-    spans = list(zip(starts.tolist(), starts[1:].tolist() + [k.size]))
-    return order, order[starts], spans
+    return order, new
 
 
 @dataclass(frozen=True)
@@ -287,7 +323,7 @@ class BasisSpec:
     def K(self):
         """Total number of basis functions."""
         if self.family is BasisFamily.BSPLINE:
-            return int(np.prod([k + self.m - 1 for k in self.partition.kappa]))
+            return math.prod(k + self.m - 1 for k in self.partition.kappa)
         return self.partition.num_cells * len(alpha_list(self.dim, self.m))
 
     def monomial_coefs(self, m):
@@ -313,7 +349,7 @@ class BasisSpec:
                 f"derivative {deriv} has {rule} order {order}, basis has m = {self.m}")
         return deriv
 
-    def eval_many(self, X, deriv=None, cells=None):
+    def eval_many(self, X, deriv=None, cells=None, grouping=None):
         """Evaluate (derivatives of) all active functions at many points.
 
         Parameters
@@ -325,6 +361,9 @@ class BasisSpec:
         cells : numpy.ndarray, shape (n, d), optional
             ``self.partition.locate(X)``, when the caller has it: every basis
             on one partition reads the same cells, so they are located once.
+        grouping : tuple, optional
+            ``cell_groups(cells, self.partition.kappa)``, when the caller has
+            it: the designs of one point set then share their groups.
 
         Returns
         -------
@@ -334,16 +373,18 @@ class BasisSpec:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if cells is None:
             cells = self.partition.locate(X)
-        flat = np.ravel_multi_index(cells.T, self.partition.kappa)
+        if grouping is None:
+            grouping = cell_groups(cells, self.partition.kappa)
+        groups, first = grouping
         if self.family is BasisFamily.BSPLINE:
-            indices, values = self._eval_bspline(X, cells, deriv)
+            table, values = self._eval_bspline(X, cells, first, deriv)
         else:
-            indices, values = self._eval_pp(X, cells, flat, deriv)
-        return SparseRows(indices, values, self.K, flat)
+            table, values = self._eval_pp(X, cells, first, deriv)
+        return SparseRows(table, values, self.K, groups)
 
     # -- family internals ---------------------------------------------------
 
-    def _eval_bspline(self, X, cells, deriv):
+    def _eval_bspline(self, X, cells, first, deriv):
         # the first active function along axis ell is the cell index itself,
         # and the flat index is linear in the per-axis ones
         m = self.m
@@ -354,11 +395,11 @@ class BasisSpec:
         ]
         offs = np.array(list(itertools.product(range(m), repeat=self.dim)))
         sizes = [k + m - 1 for k in self.partition.kappa]
-        indices = (np.ravel_multi_index(cells.T, sizes)[:, None]
-                   + np.ravel_multi_index(offs.T, sizes))
-        return indices, _tensor_columns(tables, offs.tolist(), [1] * len(offs))
+        table = (np.ravel_multi_index(cells[first].T, sizes)[:, None]
+                 + np.ravel_multi_index(offs.T, sizes))
+        return table, _tensor_columns(tables, offs.tolist(), [1] * len(offs))
 
-    def _eval_pp(self, X, cells, flat, deriv):
+    def _eval_pp(self, X, cells, first, deriv):
         # column a is c_a z^(a - deriv) / width^deriv, with the falling
         # factorial c_a = prod_ell a_ell! / (a_ell - deriv_ell)!; c_a = 0 when
         # the derivative kills the monomial, whose table row is then moot
@@ -366,7 +407,8 @@ class BasisSpec:
         alphas = np.array(alpha_list(d, m))
         lower, width = self.partition.geometry(cells)
         z = (X - lower) / width
-        indices = flat[:, None] * len(alphas) + np.arange(len(alphas), dtype=np.intp)
+        flat = np.ravel_multi_index(cells[first].T, self.partition.kappa)
+        table = flat[:, None] * len(alphas) + np.arange(len(alphas), dtype=np.intp)
         # power table: zpow[ell, k] = z_ell ** k as running products
         zpow = np.empty((d, m, X.shape[0]))
         zpow[:, 0] = 1.0
@@ -376,7 +418,7 @@ class BasisSpec:
         scale = np.prod(width ** np.asarray(deriv), axis=1)
         values = _tensor_columns(zpow, np.maximum(alphas - deriv, 0).tolist(), coefs)
         values /= scale[:, None]
-        return indices, values
+        return table, values
 
 
 def _tensor_columns(tables, exps, coefs):

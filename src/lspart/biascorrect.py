@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .basis import BasisFamily, SparseRows, check_deriv, check_family
+from .basis import BasisFamily, SparseRows, cell_groups, check_deriv, check_family
 from .errors import ConfigError, UnsupportedDerivative, check_whole
 
 _MAX_ORDER = 12
@@ -161,10 +161,11 @@ def lead_rows(kind, pts, cells, q=None):
     """R_q at many points: sum_u w_{u,q}(x) d^u ptilde(x) as one SparseRows.
 
     ``cells`` are the points located on the main partition, which both bases
-    of ``kind`` share. Every d^u ptilde activates the same functions at a
-    point, so the rows of all u share their indices and groups, and their
-    values are summed with the per-point weights w_{u,q}, whose cell
-    geometry comes from the same cells. A u whose weight is zero at every
+    of ``kind`` share, and they are grouped once
+    (:func:`~lspart.basis.cell_groups`). Every d^u ptilde activates the same
+    functions at a point, so the rows of all u share their table and groups,
+    and their values are summed with the per-point weights w_{u,q}, whose
+    cell geometry comes from the same cells. A u whose weight is zero at every
     point is skipped, and when no u is left (no u in Lambda_m has u >= q)
     the result is the empty sum: rows of width 0 grouped by cell, whose
     products are 0. The row bundle of a fit (:meth:`FitResult.at`) calls
@@ -175,18 +176,19 @@ def lead_rows(kind, pts, cells, q=None):
     part = main.partition
     lower, width = part.geometry(cells)
     z = (pts - lower) / width
+    grouping = cell_groups(cells, part.kappa)
     rows, values = None, 0.0
     for u in model.lambda_set:
         w_u = model.weight_values(u, q, z, width)
         if not np.any(w_u):
             continue
-        rows = kind.bc_spec.eval_many(pts, u, cells)
+        rows = kind.bc_spec.eval_many(pts, u, cells, grouping)
         values = values + w_u[:, None] * rows.values
-    G, K = pts.shape[0], kind.bc_spec.K
     if rows is None:
-        return SparseRows(np.empty((G, 0), dtype=np.intp), np.empty((G, 0)), K,
-                          np.ravel_multi_index(cells.T, part.kappa))
-    return SparseRows(rows.indices, values, K, rows.groups)
+        groups, first = grouping
+        return SparseRows(np.empty((first.size, 0), dtype=np.intp),
+                          np.empty((pts.shape[0], 0)), kind.bc_spec.K, groups)
+    return SparseRows(rows.table, values, rows.K, rows.groups)
 
 
 def leading_bias_many(fit, pts, q=None):

@@ -56,7 +56,14 @@ from functools import cached_property
 import numpy as np
 
 from . import biascorrect
-from .basis import BasisFamily, BasisSpec, SparseRows, check_deriv, shared_groups
+from .basis import (
+    BasisFamily,
+    BasisSpec,
+    SparseRows,
+    cell_groups,
+    check_deriv,
+    shared_groups,
+)
 from .errors import (
     ConfigError,
     DataError,
@@ -271,11 +278,12 @@ class RowBundle:
     """The rows of one fit's bases at one point set and derivative order q.
 
     Each piece is built on first read and at most once: ``cells`` (the
-    points located on the main partition, which both bases share), ``main``
-    (p_q), ``bc`` (ptilde_q), ``lead`` (R_q, from
-    :func:`~lspart.biascorrect.lead_rows`) and ``gamma0``
-    (gamma_{q,0}, dense (G, K), set by :meth:`FitResult.gamma_many`). Build
-    one through :meth:`FitResult.at`.
+    points located on the main partition, which both bases share),
+    ``grouping`` (their :func:`~lspart.basis.cell_groups`, so ``main`` and
+    ``bc`` share one ``groups`` array), ``main`` (p_q), ``bc`` (ptilde_q),
+    ``lead`` (R_q, from :func:`~lspart.biascorrect.lead_rows`) and
+    ``gamma0`` (gamma_{q,0}, dense (G, K), set by
+    :meth:`FitResult.gamma_many`). Build one through :meth:`FitResult.at`.
     """
 
     def __init__(self, kind, pts, q):
@@ -289,12 +297,16 @@ class RowBundle:
         return self.kind.main_spec.partition.locate(self.pts)
 
     @cached_property
+    def grouping(self):
+        return cell_groups(self.cells, self.kind.main_spec.partition.kappa)
+
+    @cached_property
     def main(self):
-        return self.kind.main_spec.eval_many(self.pts, self.q, self.cells)
+        return self.kind.main_spec.eval_many(self.pts, self.q, self.cells, self.grouping)
 
     @cached_property
     def bc(self):
-        return self.kind.bc_spec.eval_many(self.pts, self.q, self.cells)
+        return self.kind.bc_spec.eval_many(self.pts, self.q, self.cells, self.grouping)
 
     @cached_property
     def lead(self):
@@ -323,6 +335,12 @@ class FitResult:
         self.X.flags.writeable = False
         self.y.flags.writeable = False
 
+        for spec in (kind.main_spec, kind.bc_spec):
+            if spec is not None and spec.K > self.n:
+                data_bounds(self.X)  # a constant covariate is DegenerateData
+                raise RankDeficient(f"basis has K = {spec.K} functions but only "
+                                    f"n = {self.n} rows; reduce kappa or use more data")
+
         q0 = (0,) * kind.main_spec.dim
         self._sample = RowBundle(kind, self.X, q0)
         self._sample_key = _bundle_key(self.X, q0)
@@ -343,12 +361,9 @@ class FitResult:
 
     def _solve(self, design):
         """(Gram factor, E_n[p y], coefficients) of a sample design. A singular
-        Gram is ``RankDeficient`` (K > n before its K^2 entries are formed),
-        or ``DegenerateData`` naming a constant covariate."""
+        Gram is ``RankDeficient``, or ``DegenerateData`` naming a constant
+        covariate."""
         try:
-            if design.K > self.n:
-                raise RankDeficient(f"basis has K = {design.K} functions but only "
-                                    f"n = {self.n} rows; reduce kappa or use more data")
             gram = BandedCholesky(gram_banded(design))
         except RankDeficient:
             data_bounds(self.X)
@@ -557,19 +572,24 @@ def _stacked_ginv(gram_main, gram_bc, cross, null):
     floor = _PIVOT_REL_TOL * float(np.trace(s)) / k0
     s_inv = _checked_inv(_deflate(s, np.linalg.qr(null[:k0])[0]), floor)
     # all blocks read one symmetric S^-, or the hat diagonal loses digits
-    s_inv = 0.5 * (s_inv + s_inv.T)
+    s_inv += s_inv.T
+    s_inv *= 0.5
     u = t.T @ s_inv
-    return np.block([[s_inv, -u.T], [-u, u @ t + gram_bc.inv]])
+    out = np.empty((k0 + gram_bc.K,) * 2)
+    out[:k0, :k0] = s_inv
+    np.negative(u.T, out=out[:k0, k0:])
+    np.negative(u, out=out[k0:, :k0])
+    np.matmul(u, t, out=out[k0:, k0:])
+    out[k0:, k0:] += gram_bc.inv
+    return out
 
 
 def stack_designs(a, b):
-    """Concatenate two designs on one sample and partition, keeping their groups."""
-    return SparseRows(
-        np.hstack([a.indices, b.indices + a.K]),
-        np.hstack([a.values, b.values]),
-        a.K + b.K,
-        shared_groups(a, b),
-    )
+    """Concatenate two designs on one sample and partition, keeping their
+    groups: their tables side by side, and their values."""
+    groups = shared_groups(a, b)
+    return SparseRows(np.hstack([a.table, b.table + a.K]),
+                      np.hstack([a.values, b.values]), a.K + b.K, groups)
 
 
 def fit_estimator(kind, X, y):

@@ -127,7 +127,9 @@ class VarianceEstimate:
         """Dense Sigma_j, (K_j, K_j); symmetric by construction."""
         if self._sigma is None:
             sig = self.design.weighted_cross(self.design, self.wre2)
-            self._sigma = 0.5 * (sig + sig.T)  # kill roundoff asymmetry
+            sig += sig.T  # kill roundoff asymmetry, in place
+            sig *= 0.5
+            self._sigma = sig
         return self._sigma
 
     def omega_many(self, pts, q=None):
@@ -358,7 +360,7 @@ def _exact_sign_sums(rows):
         rows.indices.ravel(), weights=np.abs(rows.values).ravel(), minlength=rows.K
     )
     expo = np.frexp(total)[1]
-    unit = np.ldexp(1.0, expo - 52)[rows.indices]
+    unit = np.ldexp(1.0, expo - 52)[rows.table][rows.groups]
     values = rows.values
     values /= unit
     np.round(values, out=values)
@@ -439,9 +441,7 @@ def _sign_draws(fit, var, gamma, sqrt_omega):
     # the bootstrap's sampler for _band: scaled sign sums T_b against M
     design, n = var.design, fit.n
     resid = fit.residuals(var.j) * np.sqrt(var.weights) / np.sqrt(n)
-    P = SparseRows(
-        design.indices, design.values * resid[:, None], design.K, design.groups
-    )
+    P = SparseRows(design.table, design.values * resid[:, None], design.K, design.groups)
     expo = _exact_sign_sums(P)
     total = P.accumulate(np.ones(n))
     # |T_k| <= sum_i |P_ik| < 2^e_k, so T 2^(5 - e_k) lies in [-32, 32]:

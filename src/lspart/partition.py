@@ -165,7 +165,7 @@ class TensorPartition:
 
     @property
     def num_cells(self):
-        return int(np.prod(self.kappa))
+        return math.prod(self.kappa)
 
     def locate(self, X):
         """Map points to per-axis cell indices.

@@ -1,5 +1,5 @@
-"""Test-only oracles for the basis, the partition and the leading-error
-polynomials.
+"""Test-only oracles for the basis, the partition, the leading-error
+polynomials and the whole-array forms of the per-group kernels.
 
 Nothing in the package calls these; the tests check the package against
 them.
@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from lspart.basis import BasisFamily, alpha_list
+from lspart.basis import BasisFamily, _runs, alpha_list
 from lspart.errors import ConfigError, OutOfSupport
+from lspart.fit import _PIVOT_REL_TOL, _checked_inv, _deflate
 
 
 class OrderingMap:
@@ -124,3 +125,60 @@ def exact_poly(family, k):
         return [math.comb(k, j) * nums[k - j] for j in range(k + 1)]
     return [Fraction((-1) ** (k + j) * math.comb(k, j) * math.comb(k + j, j))
             for j in range(k + 1)]
+
+
+# -- whole-array kernels ------------------------------------------------------
+# The per-group kernels write each group's block straight into their one
+# output. These are the earlier whole-array forms, which gather the whole
+# design into group order and scatter all blocks at once; the kernels must
+# give the same bits.
+
+
+def weighted_cross_whole(a, b, row_weights=None):
+    """(K_a, K_b) mean (1/n) sum_i w_i a(x_i) b(x_i)': V_a gathered into group
+    order as a whole, one block per group, one bincount over a flat index."""
+    order, lead, spans = _runs(a.groups)
+    va = a.values[order]
+    if row_weights is not None:
+        va *= np.asarray(row_weights, dtype=float)[order, None]
+    vb = b.values
+    blocks = np.empty((len(spans), a.width, b.width))
+    for g, (s, e) in enumerate(spans):
+        np.matmul(va[s:e].T, vb.take(order[s:e], axis=0), out=blocks[g])
+    flat = a.indices[lead][:, :, None] * b.K + b.indices[lead][:, None, :]
+    out = np.bincount(flat.ravel(), weights=blocks.ravel(), minlength=a.K * b.K)
+    out = out.astype(float, copy=False)  # an empty bincount is integer
+    out /= a.n
+    return out.reshape(a.K, b.K)
+
+
+def quadratic_forms_whole(rows, mat):
+    """Row-wise p(x_i)' mat p(x_i): all (width, width) blocks of ``mat`` and
+    the whole design gathered into group order at once."""
+    order, lead, spans = _runs(rows.groups)
+    idx = rows.indices[lead]
+    blocks = np.asarray(mat)[idx[:, :, None], idx[:, None, :]]
+    vals = rows.values[order]
+    vm = np.empty_like(vals)
+    for g, (s, e) in enumerate(spans):
+        np.matmul(vals[s:e], blocks[g], out=vm[s:e])
+    out = np.empty(rows.n)
+    out[order] = np.einsum("ib,ib->i", vm, vals)
+    return out
+
+
+def symmetrized(sig):
+    """The symmetric part of a matrix as a fresh array."""
+    return 0.5 * (sig + sig.T)
+
+
+def stacked_ginv_block(gram_main, gram_bc, cross, null):
+    """The stacked Gram's generalized inverse, assembled by ``np.block``."""
+    k0 = gram_main.K
+    t = cross @ gram_bc.inv
+    s = gram_main.Q - t @ cross.T
+    floor = _PIVOT_REL_TOL * float(np.trace(s)) / k0
+    s_inv = _checked_inv(_deflate(s, np.linalg.qr(null[:k0])[0]), floor)
+    s_inv = 0.5 * (s_inv + s_inv.T)
+    u = t.T @ s_inv
+    return np.block([[s_inv, -u.T], [-u, u @ t + gram_bc.inv]])

@@ -26,7 +26,12 @@ from lspart.basis import (
 from lspart.errors import ConfigError, UnsupportedDerivative
 from lspart.fit import stack_designs
 from lspart.partition import KnotRule, TensorPartition
-from oracles import OrderingMap, polynomial_reproduction_check
+from oracles import (
+    OrderingMap,
+    polynomial_reproduction_check,
+    quadratic_forms_whole,
+    weighted_cross_whole,
+)
 
 
 def _part(knots_per_axis):
@@ -139,6 +144,28 @@ class TestCellKernels:
                 got = rows[ka].weighted_cross(rows[kb], w)
                 assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
+    @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
+    def test_kernels_keep_the_whole_array_bits(self, family, d, rule):
+        # each group's block goes straight into the one output: the same bits
+        # as gathering the whole design and scattering all blocks at once, on
+        # the cell grouping and on the trivial one
+        X, rows = self._designs(family, d, rule)
+        n = X.shape[0]
+        rng = np.random.default_rng(d + 30)
+        trivial = {k: SparseRows(r.indices, r.values, r.K, np.arange(n))
+                   for k, r in rows.items() if k != "stacked"}
+        trivial["stacked"] = stack_designs(trivial["main"], trivial["bc"])
+        for designs in (rows, trivial):
+            for w in (None, rng.random(n) + 0.5, rng.standard_normal(n)):
+                for ka, kb in [("main", "main"), ("bc", "bc"), ("main", "bc"),
+                               ("bc", "main"), ("stacked", "stacked")]:
+                    a, b = designs[ka], designs[kb]
+                    assert np.array_equal(a.weighted_cross(b, w),
+                                          weighted_cross_whole(a, b, w))
+            for r in designs.values():
+                S = rng.standard_normal((r.K, r.K))
+                assert np.array_equal(r.quadratic_forms(S), quadratic_forms_whole(r, S))
+
     @pytest.mark.parametrize("family", list(BasisFamily))
     def test_two_partitions_rejected(self, family):
         # designs on another partition group their rows by other cells
@@ -192,7 +219,21 @@ class TestCellKernels:
         # one group per occupied cell
         cells = spec.partition.locate(X)
         n_cells = np.unique(np.ravel_multi_index(cells.T, spec.partition.kappa)).size
-        assert np.unique(spec.eval_many(X).groups).size == n_cells
+        rows = spec.eval_many(X)
+        assert np.unique(rows.groups).size == rows.table.shape[0] == n_cells
+
+
+@pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+def test_table_has_a_row_per_touched_cell(family):
+    # a partition of 10^10 cells: the table holds the 3 cells 5 points touch
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 100_000)
+    X = np.array([[0.9, 0.1], [0.1, 0.1], [0.9, 0.1], [0.5, 0.5], [0.1, 0.1]])
+    rows = BasisSpec(family, 2, part).eval_many(X)
+    assert rows.table.shape == (3, rows.width)
+    assert rows.groups.tolist() == [2, 0, 2, 1, 0]
+    idx = rows.indices
+    assert np.array_equal(idx[0], idx[2]) and np.array_equal(idx[1], idx[4])
+    assert np.unique(idx[:4], axis=0).shape[0] == 3
 
 
 _RUNS_CASES = {

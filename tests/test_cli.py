@@ -208,6 +208,15 @@ class TestFitCommand:
         assert time.perf_counter() - start < 1.0  # about 5 ms on a 2-core host
         assert "K = 100001" in capsys.readouterr().err
 
+    def test_more_cells_than_int64_exit_4(self, tmp_path, capsys):
+        # 3000000^3 cells: the K > n check runs before any basis is evaluated
+        X = np.random.default_rng(3).random((500, 3))
+        rows = [",".join(map(repr, r)) for r in np.column_stack([X, X.sum(axis=1)]).tolist()]
+        data = tmp_path / "d3.csv"
+        data.write_text("\n".join(["x1,x2,x3,y"] + rows) + "\n", encoding="utf-8")
+        assert main(["fit", "--data", str(data), "--kappa", "3000000", "--j", "0"]) == 4
+        assert f"K = {3_000_001**3}" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_stdout_csv(self, capsys):

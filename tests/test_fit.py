@@ -45,6 +45,7 @@ from lspart.inference import (
 )
 from lspart.partition import KnotRule, TensorPartition
 from lspart.tuning import dpi_select, rot_select
+from oracles import stacked_ginv_block
 
 
 def _fit_1d(y_fn, n=300, kappa=4, m=2, m_tilde=None, family=BasisFamily.BSPLINE,
@@ -345,6 +346,10 @@ class TestDerivativeRules:
             rot_select(X, y, BasisFamily.BSPLINE, 2, (1, 1))
 
 
+def _refuse_evaluation(*args, **kwargs):
+    raise AssertionError("evaluated before the K > n check")
+
+
 class TestBasisLargerThanSample:
     @pytest.mark.parametrize("d,kappa", [(1, 100_000), (2, 400)])
     def test_rank_deficient_before_the_gram(self, d, kappa):
@@ -355,6 +360,40 @@ class TestBasisLargerThanSample:
         kind = EstimatorKind(BasisSpec(BasisFamily.BSPLINE, 2, part))
         with pytest.raises(RankDeficient, match=f"K = {kind.main_spec.K} .* n = 200"):
             fit_estimator(kind, X, y)
+
+    @pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+    def test_rank_deficient_before_any_evaluation(self, family, monkeypatch):
+        # 3000000^3 cells: K and the cell count are exact ints, far above
+        # 2^63, and nothing is located or evaluated before the K > n check
+        X, y = dgp_sample(6, 500, 1)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 3, 3_000_000)
+        assert part.num_cells == 3_000_000**3
+        spec = BasisSpec(family, 2, part)
+        assert spec.K == (3_000_001**3 if family is BasisFamily.BSPLINE
+                          else 4 * 3_000_000**3)
+
+        monkeypatch.setattr(BasisSpec, "eval_many", _refuse_evaluation)
+        monkeypatch.setattr(TensorPartition, "locate", _refuse_evaluation)
+        with pytest.raises(RankDeficient, match=f"K = {spec.K} functions"):
+            fit_estimator(EstimatorKind(spec), X, y)
+
+    def test_companion_checked_before_any_evaluation(self, monkeypatch):
+        # the main basis fits in n rows, its order-6 companion does not
+        rng = np.random.default_rng(3)
+        X, y = rng.random((30, 1)), rng.standard_normal(30)
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]], 26)
+        kind = EstimatorKind.default(BasisFamily.BSPLINE, 2, part, m_tilde=6)
+        assert kind.main_spec.K == 27 <= 30 < kind.bc_spec.K == 31
+        monkeypatch.setattr(BasisSpec, "eval_many", _refuse_evaluation)
+        with pytest.raises(RankDeficient, match="K = 31 .* n = 30"):
+            fit_estimator(kind, X, y)
+
+    def test_constant_covariate_is_named_first(self):
+        X = np.column_stack([np.random.default_rng(4).random(200), np.full(200, 0.4)])
+        part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 2, 3_000_000)
+        kind = EstimatorKind(BasisSpec(BasisFamily.BSPLINE, 2, part))
+        with pytest.raises(DegenerateData, match="covariate 2 is constant"):
+            fit_estimator(kind, X, np.zeros(200))
 
 
 class TestTrivialFits:
@@ -681,6 +720,14 @@ class TestLeverageRoute:
             with pytest.raises(RankDeficient):
                 _stacked_ginv(*args, np.delete(null, k, axis=1))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_stacked_inverse_keeps_the_block_bits(self, d, m):
+        # one (K, K) array filled in place: the bits of np.block's assembly
+        fit = _fit_nd(d, m=m)
+        args = (fit.gram_main, fit.gram_bc, fit._cross_for(2), fit.kind.stacked_null)
+        assert np.array_equal(_stacked_ginv(*args), stacked_ginv_block(*args))
+
     def test_stacked_inverse_built_once_per_fit(self, monkeypatch, tmp_path):
         # j = 2 and j = 3 share one stacked design and so one leverage
         calls = []
@@ -967,8 +1014,8 @@ class TestRowBundle:
             located.append((part_key(self), np.asarray(X, dtype=float).tobytes()))
             return locate(self, X)
 
-        def count_eval(self, X, deriv=None, cells=None):
-            rows = eval_many(self, X, deriv, cells)
+        def count_eval(self, X, deriv=None, *located):
+            rows = eval_many(self, X, deriv, *located)
             evaluated.append((self.family, self.m, part_key(self.partition),
                               np.atleast_2d(np.asarray(X, dtype=float)).tobytes(),
                               self._check_deriv(deriv)))

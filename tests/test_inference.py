@@ -42,6 +42,7 @@ from lspart.inference import (
     sigma_hat,
 )
 from lspart.partition import KnotRule, TensorPartition
+from oracles import quadratic_forms_whole, symmetrized, weighted_cross_whole
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,73 @@ class TestSigma:
         }[call]
         with pytest.raises(NonPositiveVariance):
             run()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("family", [BasisFamily.BSPLINE, BasisFamily.PP])
+def test_sigma_keeps_the_whole_array_bits(d, family):
+    # Sigma_j is symmetrized in place: the bits of 0.5 * (S + S') over the
+    # whole-array accumulation, at every j and HC kind
+    n, kappa = {1: (300, 5), 2: (800, 3), 3: (1500, 2)}[d]
+    fit = _fit_nd(d, family, n=n, kappa=kappa)
+    for j in (0, 1, 2, 3):
+        for hc in HCKind:
+            var = sigma_hat(fit, j, hc)
+            ref = symmetrized(weighted_cross_whole(var.design, var.design, var.wre2))
+            assert np.array_equal(var.sigma_mat, ref)
+
+
+@pytest.fixture(scope="module")
+def hc2_fit_3d():
+    # the large-sample d = 3 fit: model 6, kappa 5, HC2 on the stacked
+    # design of j = 2 (K = 216 + 343 = 559, width 8 + 27, 125 cells)
+    X, y = dgp_sample(6, 10_000, 1)
+    part = TensorPartition.build(KnotRule.EVEN, [[0.0, 1.0]] * 3, 5)
+    fit = fit_estimator(EstimatorKind.default(BasisFamily.BSPLINE, 2, part), X, y)
+    var = sigma_hat(fit, 2, HCKind.HC2)
+    assert var.design.K == 559
+    return fit, var
+
+
+def _traced_peak(f):
+    """(f(), the tracemalloc peak in bytes above the allocation at the call)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+class TestKernelMemory:
+    """The group kernels write into their one output: no whole-design copy
+    (the whole-array forms in ``oracles`` peak at about 7 MB here)."""
+
+    def test_quadratic_forms(self, hc2_fit_3d):
+        fit, var = hc2_fit_3d
+        D = var.design
+        mat = np.random.default_rng(0).standard_normal((D.K, D.K))
+        D.quadratic_forms(mat)  # group runs cached, as in a fit
+        out, peak = _traced_peak(lambda: D.quadratic_forms(mat))
+        assert np.array_equal(out, quadratic_forms_whole(D, mat))
+        assert peak < 1e6
+
+    def test_weighted_cross(self, hc2_fit_3d):
+        fit, var = hc2_fit_3d
+        D = var.design
+        out, peak = _traced_peak(lambda: D.weighted_cross(D, var.wre2))
+        assert np.array_equal(out, weighted_cross_whole(D, D, var.wre2))
+        assert peak < D.K * D.K * 8 + 1e6
+
+    def test_sigma_mat(self, hc2_fit_3d):
+        fit, var = hc2_fit_3d
+        fresh = sigma_hat(fit, 2, HCKind.HC2)
+        out, peak = _traced_peak(lambda: fresh.sigma_mat)
+        assert np.array_equal(out, var.sigma_mat)
+        assert peak < 2 * out.nbytes + 1e6
 
 
 def test_hc1_needs_n_above_k():
