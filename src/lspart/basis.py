@@ -105,23 +105,36 @@ def check_deriv(q, d):
     return tuple(check_whole(v, "derivative order", 0, UnsupportedDerivative) for v in q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SparseRows:
     """Row-sparse design: row i holds the active functions at point i.
 
     ``values`` is an (n, width) array; column counts are constant by
     construction of the local bases. ``K`` is the full basis dimension.
-    ``groups`` is an (n,) array of group ids, and ``table`` holds one row of
-    ``width`` function indices per id: row i activates ``table[groups[i]]``
-    (see the module docstring). ``indices``, the (n, width) per-row array,
-    is built from them on each read. The kernels below do one small matrix
-    product per group.
+    ``groups`` is an (n,) integer array of group ids, and ``table`` holds one
+    row of ``width`` function indices per id: row i activates
+    ``table[groups[i]]`` (see the module docstring). ``indices``, the
+    (n, width) per-row array, is built from them on each read. The kernels
+    below do one small matrix product per group.
+
+    Every field is keyword-only, and a ``table`` whose width differs from
+    ``values``' or a group id outside its rows is ``ConfigError``.
     """
 
     table: np.ndarray
     values: np.ndarray
     K: int
     groups: np.ndarray
+
+    def __post_init__(self):
+        table, values, groups = self.table, self.values, self.groups
+        if table.ndim != 2 or values.ndim != 2 or table.shape[1] != values.shape[1]:
+            raise ConfigError(f"table of shape {table.shape} does not match "
+                              f"values of shape {values.shape}")
+        if groups.shape != values.shape[:1] or groups.dtype.kind not in "iu":
+            raise ConfigError(f"groups must be {values.shape[0]} integer ids")
+        if groups.size and (groups.min() < 0 or groups.max() >= table.shape[0]):
+            raise ConfigError(f"group ids must index the {table.shape[0]} table rows")
 
     @property
     def n(self):
@@ -349,7 +362,7 @@ class BasisSpec:
                 f"derivative {deriv} has {rule} order {order}, basis has m = {self.m}")
         return deriv
 
-    def eval_many(self, X, deriv=None, cells=None, grouping=None):
+    def eval_many(self, X, deriv=None, cells=None):
         """Evaluate (derivatives of) all active functions at many points.
 
         Parameters
@@ -361,9 +374,6 @@ class BasisSpec:
         cells : numpy.ndarray, shape (n, d), optional
             ``self.partition.locate(X)``, when the caller has it: every basis
             on one partition reads the same cells, so they are located once.
-        grouping : tuple, optional
-            ``cell_groups(cells, self.partition.kappa)``, when the caller has
-            it: the designs of one point set then share their groups.
 
         Returns
         -------
@@ -373,14 +383,12 @@ class BasisSpec:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if cells is None:
             cells = self.partition.locate(X)
-        if grouping is None:
-            grouping = cell_groups(cells, self.partition.kappa)
-        groups, first = grouping
+        groups, first = cell_groups(cells, self.partition.kappa)
         if self.family is BasisFamily.BSPLINE:
             table, values = self._eval_bspline(X, cells, first, deriv)
         else:
             table, values = self._eval_pp(X, cells, first, deriv)
-        return SparseRows(table, values, self.K, groups)
+        return SparseRows(table=table, values=values, K=self.K, groups=groups)
 
     # -- family internals ---------------------------------------------------
 

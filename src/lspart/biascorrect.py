@@ -161,11 +161,10 @@ def lead_rows(kind, pts, cells, q=None):
     """R_q at many points: sum_u w_{u,q}(x) d^u ptilde(x) as one SparseRows.
 
     ``cells`` are the points located on the main partition, which both bases
-    of ``kind`` share, and they are grouped once
-    (:func:`~lspart.basis.cell_groups`). Every d^u ptilde activates the same
-    functions at a point, so the rows of all u share their table and groups,
-    and their values are summed with the per-point weights w_{u,q}, whose
-    cell geometry comes from the same cells. A u whose weight is zero at every
+    of ``kind`` share. Every d^u ptilde activates the same functions at a
+    point, so the rows of all u share their table and groups, and their
+    values are summed with the per-point weights w_{u,q}, whose cell
+    geometry comes from the same cells. A u whose weight is zero at every
     point is skipped, and when no u is left (no u in Lambda_m has u >= q)
     the result is the empty sum: rows of width 0 grouped by cell, whose
     products are 0. The row bundle of a fit (:meth:`FitResult.at`) calls
@@ -176,19 +175,18 @@ def lead_rows(kind, pts, cells, q=None):
     part = main.partition
     lower, width = part.geometry(cells)
     z = (pts - lower) / width
-    grouping = cell_groups(cells, part.kappa)
     rows, values = None, 0.0
     for u in model.lambda_set:
         w_u = model.weight_values(u, q, z, width)
         if not np.any(w_u):
             continue
-        rows = kind.bc_spec.eval_many(pts, u, cells, grouping)
+        rows = kind.bc_spec.eval_many(pts, u, cells)
         values = values + w_u[:, None] * rows.values
     if rows is None:
-        groups, first = grouping
-        return SparseRows(np.empty((first.size, 0), dtype=np.intp),
-                          np.empty((pts.shape[0], 0)), kind.bc_spec.K, groups)
-    return SparseRows(rows.table, values, rows.K, rows.groups)
+        groups, first = cell_groups(cells, part.kappa)
+        return SparseRows(table=np.empty((first.size, 0), dtype=np.intp),
+                          values=np.empty((pts.shape[0], 0)), K=kind.bc_spec.K, groups=groups)
+    return SparseRows(table=rows.table, values=values, K=rows.K, groups=rows.groups)
 
 
 def leading_bias_many(fit, pts, q=None):

@@ -56,14 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import biascorrect
-from .basis import (
-    BasisFamily,
-    BasisSpec,
-    SparseRows,
-    cell_groups,
-    check_deriv,
-    shared_groups,
-)
+from .basis import BasisFamily, BasisSpec, SparseRows, check_deriv, shared_groups
 from .errors import (
     ConfigError,
     DataError,
@@ -278,12 +271,11 @@ class RowBundle:
     """The rows of one fit's bases at one point set and derivative order q.
 
     Each piece is built on first read and at most once: ``cells`` (the
-    points located on the main partition, which both bases share),
-    ``grouping`` (their :func:`~lspart.basis.cell_groups`, so ``main`` and
-    ``bc`` share one ``groups`` array), ``main`` (p_q), ``bc`` (ptilde_q),
-    ``lead`` (R_q, from :func:`~lspart.biascorrect.lead_rows`) and
-    ``gamma0`` (gamma_{q,0}, dense (G, K), set by
-    :meth:`FitResult.gamma_many`). Build one through :meth:`FitResult.at`.
+    points located on the main partition, which both bases share), ``main``
+    (p_q), ``bc`` (ptilde_q), ``lead`` (R_q, from
+    :func:`~lspart.biascorrect.lead_rows`) and ``gamma0``
+    (gamma_{q,0}, dense (G, K), set by :meth:`FitResult.gamma_many`). Build
+    one through :meth:`FitResult.at`.
     """
 
     def __init__(self, kind, pts, q):
@@ -297,16 +289,12 @@ class RowBundle:
         return self.kind.main_spec.partition.locate(self.pts)
 
     @cached_property
-    def grouping(self):
-        return cell_groups(self.cells, self.kind.main_spec.partition.kappa)
-
-    @cached_property
     def main(self):
-        return self.kind.main_spec.eval_many(self.pts, self.q, self.cells, self.grouping)
+        return self.kind.main_spec.eval_many(self.pts, self.q, self.cells)
 
     @cached_property
     def bc(self):
-        return self.kind.bc_spec.eval_many(self.pts, self.q, self.cells, self.grouping)
+        return self.kind.bc_spec.eval_many(self.pts, self.q, self.cells)
 
     @cached_property
     def lead(self):
@@ -588,8 +576,8 @@ def stack_designs(a, b):
     """Concatenate two designs on one sample and partition, keeping their
     groups: their tables side by side, and their values."""
     groups = shared_groups(a, b)
-    return SparseRows(np.hstack([a.table, b.table + a.K]),
-                      np.hstack([a.values, b.values]), a.K + b.K, groups)
+    return SparseRows(table=np.hstack([a.table, b.table + a.K]),
+                      values=np.hstack([a.values, b.values]), K=a.K + b.K, groups=groups)
 
 
 def fit_estimator(kind, X, y):

@@ -441,7 +441,8 @@ def _sign_draws(fit, var, gamma, sqrt_omega):
     # the bootstrap's sampler for _band: scaled sign sums T_b against M
     design, n = var.design, fit.n
     resid = fit.residuals(var.j) * np.sqrt(var.weights) / np.sqrt(n)
-    P = SparseRows(design.table, design.values * resid[:, None], design.K, design.groups)
+    P = SparseRows(table=design.table, values=design.values * resid[:, None],
+                   K=design.K, groups=design.groups)
     expo = _exact_sign_sums(P)
     total = P.accumulate(np.ones(n))
     # |T_k| <= sum_i |P_ik| < 2^e_k, so T 2^(5 - e_k) lies in [-32, 32]:

@@ -73,7 +73,7 @@ class TestSparseRows:
         n, w, K = 40, 3, 11
         idx = np.stack([rng.choice(K, size=w, replace=False) for _ in range(n)])
         val = rng.standard_normal((n, w))
-        rows = SparseRows(idx, val, K, groups=np.arange(n))
+        rows = SparseRows(table=idx, values=val, K=K, groups=np.arange(n))
         D = rows.dense()
         coef = rng.standard_normal(K)
         assert_allclose(rows.row_dot(coef), D @ coef, atol=1e-14)
@@ -87,6 +87,28 @@ class TestSparseRows:
         assert_allclose(
             rows.quadratic_forms(S), np.einsum("ik,kl,il->i", D, S, D), atol=1e-13
         )
+
+    def test_table_must_fit_its_rows(self):
+        n, w, K = 6, 3, 9
+        table = np.arange(2 * w).reshape(2, w)
+        values, groups = np.ones((n, w)), np.array([0, 0, 1, 1, 0, 1])
+        rows = SparseRows(table=table, values=values, K=K, groups=groups)
+        assert np.array_equal(rows.indices, table[groups])
+        # the per-row positional form of earlier versions fails loudly
+        with pytest.raises(TypeError):
+            SparseRows(table[groups], values, K, groups)
+        bad = [
+            dict(table=table[:, :2]),              # narrower than the values
+            dict(table=table.ravel()),             # not one row per group
+            dict(groups=groups + 1),               # id 2 names no table row
+            dict(groups=groups - 1),               # negative id
+            dict(groups=groups[:-1]),              # not one id per row
+            dict(groups=groups.astype(float)),     # not integer ids
+        ]
+        for change in bad:
+            fields = dict(table=table, values=values, K=K, groups=groups) | change
+            with pytest.raises(ConfigError):
+                SparseRows(**fields)
 
 
 def _cell_sample(rule, d, kappa, n, seed):
@@ -152,7 +174,7 @@ class TestCellKernels:
         X, rows = self._designs(family, d, rule)
         n = X.shape[0]
         rng = np.random.default_rng(d + 30)
-        trivial = {k: SparseRows(r.indices, r.values, r.K, np.arange(n))
+        trivial = {k: SparseRows(table=r.indices, values=r.values, K=r.K, groups=np.arange(n))
                    for k, r in rows.items() if k != "stacked"}
         trivial["stacked"] = stack_designs(trivial["main"], trivial["bc"])
         for designs in (rows, trivial):

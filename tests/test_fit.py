@@ -1014,8 +1014,8 @@ class TestRowBundle:
             located.append((part_key(self), np.asarray(X, dtype=float).tobytes()))
             return locate(self, X)
 
-        def count_eval(self, X, deriv=None, *located):
-            rows = eval_many(self, X, deriv, *located)
+        def count_eval(self, X, deriv=None, cells=None):
+            rows = eval_many(self, X, deriv, cells)
             evaluated.append((self.family, self.m, part_key(self.partition),
                               np.atleast_2d(np.asarray(X, dtype=float)).tobytes(),
                               self._check_deriv(deriv)))
