@@ -37,15 +37,19 @@ are ``table[groups]``, built only when read. :meth:`BasisSpec.eval_many`
 groups points by cell, since all points of a cell share their active set in
 both families, at every derivative order: a point's group is the rank of its
 flat cell among the cells its points touch (:func:`cell_groups`), so the table
-has one row per touched cell, never more rows than points. Every basis of one
-fit lives on the main partition, so its designs share their groups, and a
-stacked design or a cross product keeps them. The dense-output kernels
-(``weighted_cross``, ``quadratic_forms``, ``bit_sums``) work one group at a
-time: they gather the group's rows, take one small matrix product and write
-the group's block straight into their one output, so no (n, width) copy of
-the design is formed. Any grouping that keeps the invariant gives the same
-numbers up to roundoff; the trivial one (every row its own group, the table
-then the per-row indices) is valid input too.
+has one row per touched cell, never more rows than points. The one sort that
+ranks the cells also gives the rows' group runs, which the kernels read; a
+design derived with the same groups (:meth:`SparseRows.replace`) shares them.
+Every basis of one fit lives on the main partition, so its designs share
+their groups, and a stacked design or a cross product keeps them. The
+dense-output kernels (``weighted_cross``, ``quadratic_forms``, ``bit_sums``)
+work one group at a time: they gather the group's rows, take one small matrix
+product and write the group's block straight into their one output, so no
+(n, width) copy of the design is formed. ``bit_sums`` gathers from one
+contiguous (bytes, draws) copy of its block of packed bits. Any grouping that
+keeps the invariant gives the same numbers up to roundoff; the trivial one
+(every row its own group, the table then the per-row indices) is valid input
+too.
 """
 
 from __future__ import annotations
@@ -153,6 +157,14 @@ class SparseRows:
     def _group_runs(self):
         return _runs(self.groups)
 
+    def replace(self, *, table=None, values=None, K=None):
+        """This design with ``table``, ``values`` or ``K`` replaced, and its
+        groups kept: the new design shares their runs, sorted once."""
+        out = SparseRows(table=self.table if table is None else table,
+                         values=self.values if values is None else values,
+                         K=self.K if K is None else K, groups=self.groups)
+        return _with_runs(out, self._group_runs)
+
     def row_dot(self, coef):
         """Per-row inner product with a dense coefficient vector: (n,)."""
         coef = np.asarray(coef, dtype=float)
@@ -167,28 +179,31 @@ class SparseRows:
         ``np.packbits(W, axis=1, bitorder="little")``. The row layout is
         computed here once, for a caller that sums many blocks of bits, and
         the function reads the design's values as they are now. No (c, n)
-        array is formed. Per group, the bytes that hold its rows' bits are
-        gathered, one row per group row, and masked to those bits, so an
-        entry is 0 or the bit's place value 2^(i % 8). One product of the
-        group's values, each divided by its place value, with that (n_g, c)
-        block is added into the width rows of the (K, c) transpose its rows
-        share. Every product is then bit times value, exact for values 0 or
-        of magnitude at least 2^-1015.
+        array is formed. Each call copies its octets once into a contiguous
+        (bytes, c) array. Per group, the rows of that copy that hold its rows'
+        bits are gathered, one row per group row, and masked to those bits,
+        so an entry is 0 or the bit's place value 2^(i % 8). One product of
+        the group's values, each divided by its place value, with that
+        (n_g, c) block is added into the width rows of the (K, c) transpose
+        its rows share. Every product is then bit times value, exact for
+        values 0 or of magnitude at least 2^-1015.
         """
         order, lead, spans = self._group_runs
         idx = self.table[self.groups[lead]]
         byte = order // 8
         place = np.left_shift(1, order % 8).astype(np.uint8)[:, None]
         vals = (self.values[order] / place).T
+        parts = [(idx[g], byte[s:e], place[s:e], vals[:, s:e])
+                 for g, (s, e) in enumerate(spans)]
         K = self.K
 
         def sums(octets):
-            rows = octets.T
+            rows = np.ascontiguousarray(octets.T)
             out = np.zeros((K, octets.shape[0]))
-            for g, (s, e) in enumerate(spans):
-                block = rows[byte[s:e]]
-                block &= place[s:e]
-                out[idx[g]] += vals[:, s:e] @ block.astype(float)
+            for cols, at, bits, v in parts:
+                block = rows.take(at, axis=0)
+                block &= bits
+                out[cols] += v @ block.astype(float)
             return out.T
 
         return sums
@@ -271,17 +286,18 @@ def shared_groups(a, b):
 
 
 def cell_groups(cells, kappa):
-    """``(groups, first)`` of points located on a partition of ``kappa`` cells.
+    """``(groups, runs)`` of points located on a partition of ``kappa`` cells.
 
     A point's group is the rank of its flat cell among the distinct cells of
-    ``cells``, in increasing order, and ``first[g]`` is the first point of
-    group g. So the groups number only the touched cells, at most one per
-    point, however many cells the partition has.
+    ``cells``, in increasing order. So the groups number only the touched
+    cells, at most one per point, however many cells the partition has.
+    ``runs`` is ``_runs(groups)`` from the one sort of the flat cells: the
+    ranks keep their order, so they sort the same.
     """
     order, new = _sort(np.ravel_multi_index(cells.T, kappa))
     groups = np.empty(order.size, dtype=np.intp)
     groups[order] = np.cumsum(new) - 1
-    return groups, order[new]
+    return groups, _spans(order, new)
 
 
 def _runs(groups):
@@ -291,10 +307,21 @@ def _runs(groups):
     run g is rows ``order[s:e]`` for ``(s, e) = spans[g]``, in increasing
     order of the ids, and ``lead[g]`` is its first row.
     """
-    order, new = _sort(groups)
+    return _spans(*_sort(groups))
+
+
+def _spans(order, new):
+    # the runs of a sort order, new ids starting where ``new`` is set
     starts = np.flatnonzero(new)
     spans = list(zip(starts.tolist(), starts[1:].tolist() + [order.size]))
     return order, order[starts], spans
+
+
+def _with_runs(rows, runs):
+    """``rows`` with ``runs`` as its cached group runs, so no kernel sorts
+    them again (``cached_property`` keeps them in the instance dict)."""
+    rows.__dict__["_group_runs"] = runs
+    return rows
 
 
 def _sort(groups):
@@ -383,12 +410,14 @@ class BasisSpec:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if cells is None:
             cells = self.partition.locate(X)
-        groups, first = cell_groups(cells, self.partition.kappa)
+        groups, runs = cell_groups(cells, self.partition.kappa)
+        first = runs[1]
         if self.family is BasisFamily.BSPLINE:
             table, values = self._eval_bspline(X, cells, first, deriv)
         else:
             table, values = self._eval_pp(X, cells, first, deriv)
-        return SparseRows(table=table, values=values, K=self.K, groups=groups)
+        rows = SparseRows(table=table, values=values, K=self.K, groups=groups)
+        return _with_runs(rows, runs)
 
     # -- family internals ---------------------------------------------------
 

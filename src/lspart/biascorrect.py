@@ -38,7 +38,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .basis import BasisFamily, SparseRows, cell_groups, check_deriv, check_family
+from .basis import BasisFamily, SparseRows, _with_runs, cell_groups, check_deriv, check_family
 from .errors import ConfigError, UnsupportedDerivative, check_whole
 
 _MAX_ORDER = 12
@@ -183,10 +183,11 @@ def lead_rows(kind, pts, cells, q=None):
         rows = kind.bc_spec.eval_many(pts, u, cells)
         values = values + w_u[:, None] * rows.values
     if rows is None:
-        groups, first = cell_groups(cells, part.kappa)
-        return SparseRows(table=np.empty((first.size, 0), dtype=np.intp),
-                          values=np.empty((pts.shape[0], 0)), K=kind.bc_spec.K, groups=groups)
-    return SparseRows(table=rows.table, values=values, K=rows.K, groups=rows.groups)
+        groups, runs = cell_groups(cells, part.kappa)
+        empty = SparseRows(table=np.empty((runs[1].size, 0), dtype=np.intp),
+                           values=np.empty((pts.shape[0], 0)), K=kind.bc_spec.K, groups=groups)
+        return _with_runs(empty, runs)
+    return rows.replace(values=values)
 
 
 def leading_bias_many(fit, pts, q=None):

@@ -56,7 +56,7 @@ from functools import cached_property
 import numpy as np
 
 from . import biascorrect
-from .basis import BasisFamily, BasisSpec, SparseRows, check_deriv, shared_groups
+from .basis import BasisFamily, BasisSpec, check_deriv, shared_groups
 from .errors import (
     ConfigError,
     DataError,
@@ -560,8 +560,7 @@ def _stacked_ginv(gram_main, gram_bc, cross, null):
     floor = _PIVOT_REL_TOL * float(np.trace(s)) / k0
     s_inv = _checked_inv(_deflate(s, np.linalg.qr(null[:k0])[0]), floor)
     # all blocks read one symmetric S^-, or the hat diagonal loses digits
-    s_inv += s_inv.T
-    s_inv *= 0.5
+    symmetrize(s_inv)
     u = t.T @ s_inv
     out = np.empty((k0 + gram_bc.K,) * 2)
     out[:k0, :k0] = s_inv
@@ -572,12 +571,30 @@ def _stacked_ginv(gram_main, gram_bc, cross, null):
     return out
 
 
+def symmetrize(a):
+    """Overwrite the square ``a`` with (a + a') / 2, in place, and return it.
+
+    The bits are those of ``a += a.T; a *= 0.5``, whose transposed operand
+    numpy copies whole. Here each strip of rows [s, e) and its strip of
+    columns take one (e - s, K - s) sum, read before any earlier strip
+    writes there, so the only other array is one strip.
+    """
+    K = a.shape[0]
+    for s in range(0, K, 64):
+        e = min(s + 64, K)
+        tmp = a[s:e, s:] + a[s:, s:e].T
+        tmp *= 0.5
+        a[s:e, s:] = tmp
+        a[s:, s:e] = tmp.T
+    return a
+
+
 def stack_designs(a, b):
     """Concatenate two designs on one sample and partition, keeping their
     groups: their tables side by side, and their values."""
-    groups = shared_groups(a, b)
-    return SparseRows(table=np.hstack([a.table, b.table + a.K]),
-                      values=np.hstack([a.values, b.values]), K=a.K + b.K, groups=groups)
+    shared_groups(a, b)
+    return a.replace(table=np.hstack([a.table, b.table + a.K]),
+                     values=np.hstack([a.values, b.values]), K=a.K + b.K)
 
 
 def fit_estimator(kind, X, y):

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SparseRows
 from .errors import (
     ConfigError,
     InvalidGrid,
@@ -54,7 +53,7 @@ from .errors import (
     check_seed,
     check_whole,
 )
-from .fit import _deflate
+from .fit import _deflate, symmetrize
 
 _LEVERAGE_TOL = 1e-8
 _DRAW_CHUNK = 128  # band draws per block: memory O(chunk) rows, not O(draws)
@@ -126,10 +125,7 @@ class VarianceEstimate:
     def sigma_mat(self):
         """Dense Sigma_j, (K_j, K_j); symmetric by construction."""
         if self._sigma is None:
-            sig = self.design.weighted_cross(self.design, self.wre2)
-            sig += sig.T  # kill roundoff asymmetry, in place
-            sig *= 0.5
-            self._sigma = sig
+            self._sigma = symmetrize(self.design.weighted_cross(self.design, self.wre2))
         return self._sigma
 
     def omega_many(self, pts, q=None):
@@ -423,16 +419,17 @@ def band_bootstrap(fit, var, grid, q=None, alpha=0.05, draws=1000, seed=0):
     1. The columns of P are rounded so that every 0/1 sum is exact
        (:func:`_exact_sign_sums`). With bits u, T_b = 2 U_b - P'1 and
        U_b = u_b P, one small product per cell of the design's group order,
-       read straight from the packed bits (:meth:`SparseRows.bit_sums`).
-       Draw b's bits are row b of one row-major (draws, n) stream
-       (:func:`_sign_bytes`).
+       read from the packed bits (:meth:`SparseRows.bit_sums`); P'1 is the
+       same kernel's sum over all-ones bits. Draw b's bits are row b of one
+       row-major (draws, n) stream (:func:`_sign_bytes`).
     2. T_b scaled column-wise into [-32, 32] and M scaled back go through
        the exact product of :func:`_band`. That moves a supremum by a few
        1e-6 relative at most, most where the stacked rows of M (j >= 2)
        cancel.
 
     Beyond the driver's blocks, memory is one block of packed bits
-    (chunk n / 8 bytes), one cell's (chunk, n_g) block and O(n width) floats.
+    (chunk n / 8 bytes) and its contiguous (n / 8, chunk) copy, one cell's
+    (n_g, chunk) block and O(n width) floats.
     """
     return _band(fit, var, grid, q, alpha, draws, seed, "bootstrap", _sign_draws)
 
@@ -441,13 +438,12 @@ def _sign_draws(fit, var, gamma, sqrt_omega):
     # the bootstrap's sampler for _band: scaled sign sums T_b against M
     design, n = var.design, fit.n
     resid = fit.residuals(var.j) * np.sqrt(var.weights) / np.sqrt(n)
-    P = SparseRows(table=design.table, values=design.values * resid[:, None],
-                   K=design.K, groups=design.groups)
+    P = design.replace(values=design.values * resid[:, None])
     expo = _exact_sign_sums(P)
-    total = P.accumulate(np.ones(n))
+    sums = P.bit_sums()
+    total = sums(np.full((1, -(-n // 8)), 255, dtype=np.uint8))[0]  # P'1, exact
     # |T_k| <= sum_i |P_ik| < 2^e_k, so T 2^(5 - e_k) lies in [-32, 32]:
     # inside the left grid's range, never clipped, with 5 more bits than [-1, 1]
     scale = np.ldexp(1.0, 5 - expo)
     right = _exact_rows(gamma / sqrt_omega / scale)
-    sums = P.bit_sums()
     return (lambda rng, c: (2.0 * sums(_sign_bytes(rng, c, n)) - total) * scale), right

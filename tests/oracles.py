@@ -130,8 +130,9 @@ def exact_poly(family, k):
 # -- whole-array kernels ------------------------------------------------------
 # The per-group kernels write each group's block straight into their one
 # output. These are the earlier whole-array forms, which gather the whole
-# design into group order and scatter all blocks at once; the kernels must
-# give the same bits.
+# design into group order and scatter all blocks at once, and the sign-sum
+# kernel that gathers from the strided bytes; the kernels must give the same
+# bits.
 
 
 def weighted_cross_whole(a, b, row_weights=None):
@@ -165,6 +166,27 @@ def quadratic_forms_whole(rows, mat):
     out = np.empty(rows.n)
     out[order] = np.einsum("ib,ib->i", vm, vals)
     return out
+
+
+def bit_sums_strided(rows):
+    """``sums(octets)``, ``W @ design`` from packed bits as (c, K): each group
+    gathers its bytes straight from the strided view ``octets.T``."""
+    order, lead, spans = _runs(rows.groups)
+    idx = rows.table[rows.groups[lead]]
+    byte = order // 8
+    place = np.left_shift(1, order % 8).astype(np.uint8)[:, None]
+    vals = (rows.values[order] / place).T
+
+    def sums(octets):
+        view = octets.T
+        out = np.zeros((rows.K, octets.shape[0]))
+        for g, (s, e) in enumerate(spans):
+            block = view[byte[s:e]]
+            block &= place[s:e]
+            out[idx[g]] += vals[:, s:e] @ block.astype(float)
+        return out.T
+
+    return sums
 
 
 def symmetrized(sig):

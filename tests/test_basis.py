@@ -15,19 +15,23 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import BSpline
 
+import lspart.basis as basis_module
 from lspart.basis import (
     BasisFamily,
     BasisSpec,
     SparseRows,
     _runs,
+    _sort,
     alpha_list,
     check_deriv,
 )
 from lspart.errors import ConfigError, UnsupportedDerivative
 from lspart.fit import stack_designs
+from lspart.inference import _exact_sign_sums
 from lspart.partition import KnotRule, TensorPartition
 from oracles import (
     OrderingMap,
+    bit_sums_strided,
     polynomial_reproduction_check,
     quadratic_forms_whole,
     weighted_cross_whole,
@@ -225,6 +229,42 @@ class TestCellKernels:
             assert_allclose(got, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
+    def test_bit_sums_keep_the_strided_bits(self, family, d, rule):
+        # one contiguous copy of the octets to gather from: the bits of
+        # gathering from the strided view, on the cell grouping and on the
+        # trivial one, for samples that end inside a byte and a word
+        X, rows = self._designs(family, d, rule)
+        rng = np.random.default_rng(d + 40)
+        for r in rows.values():
+            for n in (1, 7, 63, 65):
+                cut = SparseRows(table=r.table, values=r.values[:n], K=r.K,
+                                 groups=r.groups[:n])
+                trivial = SparseRows(table=r.indices[:n], values=r.values[:n], K=r.K,
+                                     groups=np.arange(n))
+                for design in (cut, trivial):
+                    for c in (1, 128):
+                        octets = rng.integers(0, 256, size=(c, 8 * -(-n // 64)),
+                                              dtype=np.uint8)
+                        got = design.bit_sums()(octets.copy())
+                        assert np.array_equal(got, bit_sums_strided(design)(octets))
+
+    @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
+    def test_bit_sums_are_exact_after_rounding(self, family, d, rule):
+        # once every 0/1 sum of its columns is exact, the kernel is the exact
+        # dense product, whatever its order, and its all-ones sums are P'1
+        X, rows = self._designs(family, d, rule)
+        rng = np.random.default_rng(d + 50)
+        for r in rows.values():
+            P = r.replace(values=r.values * rng.standard_normal((r.n, 1)))
+            _exact_sign_sums(P)
+            W = rng.integers(0, 2, size=(9, r.n), dtype=np.uint8)
+            sums = P.bit_sums()
+            got = sums(np.packbits(W, axis=1, bitorder="little"))
+            assert np.array_equal(got, W.astype(float) @ P.dense())
+            ones = sums(np.full((1, -(-r.n // 8)), 255, dtype=np.uint8))[0]
+            assert np.array_equal(ones, P.accumulate(np.ones(r.n)))
+
+    @pytest.mark.parametrize("family,d,rule", _KERNEL_CASES)
     def test_groups_share_indices(self, family, d, rule):
         X, rows = self._designs(family, d, rule)
         for r in rows.values():
@@ -256,6 +296,29 @@ def test_table_has_a_row_per_touched_cell(family):
     idx = rows.indices
     assert np.array_equal(idx[0], idx[2]) and np.array_equal(idx[1], idx[4])
     assert np.unique(idx[:4], axis=0).shape[0] == 3
+
+
+@pytest.mark.parametrize("family", list(BasisFamily))
+def test_one_sort_per_design(monkeypatch, family):
+    # ranking the cells sorts them once; the kernels, and a design derived
+    # with the same groups, read the runs of that sort
+    calls = []
+
+    def counted(groups):
+        calls.append(groups.size)
+        return _sort(groups)
+
+    monkeypatch.setattr(basis_module, "_sort", counted)
+    part, X = _cell_sample(KnotRule.EVEN, 2, 3, 200, seed=4)
+    spec = BasisSpec(family, 1 if family is BasisFamily.HAAR else 2, part)
+    rows = spec.eval_many(X)
+    rows.bit_sums()
+    assert len(calls) == 1
+    rows.replace(values=2.0 * rows.values).quadratic_forms(np.eye(rows.K))
+    assert len(calls) == 1
+    stacked = stack_designs(rows, spec.eval_many(X, cells=part.locate(X)))
+    stacked.weighted_cross(stacked)
+    assert len(calls) == 2
 
 
 _RUNS_CASES = {

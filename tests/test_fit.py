@@ -33,6 +33,7 @@ from lspart.fit import (
     fit_estimator,
     gram_banded,
     stack_designs,
+    symmetrize,
 )
 from lspart.harness import RunConfig, run_fit
 from lspart.inference import (
@@ -45,7 +46,7 @@ from lspart.inference import (
 )
 from lspart.partition import KnotRule, TensorPartition
 from lspart.tuning import dpi_select, rot_select
-from oracles import stacked_ginv_block
+from oracles import stacked_ginv_block, symmetrized
 
 
 def _fit_1d(y_fn, n=300, kappa=4, m=2, m_tilde=None, family=BasisFamily.BSPLINE,
@@ -727,6 +728,14 @@ class TestLeverageRoute:
         fit = _fit_nd(d, m=m)
         args = (fit.gram_main, fit.gram_bc, fit._cross_for(2), fit.kind.stacked_null)
         assert np.array_equal(_stacked_ginv(*args), stacked_ginv_block(*args))
+
+    @pytest.mark.parametrize("K", [1, 63, 64, 65, 200])
+    def test_symmetrize_keeps_the_fresh_bits(self, K):
+        # strip by strip, in place: the bits of 0.5 (S + S') as a fresh array
+        a = np.random.default_rng(K).standard_normal((K, K))
+        ref = symmetrized(a)
+        assert symmetrize(a) is a
+        assert np.array_equal(a, ref)
 
     def test_stacked_inverse_built_once_per_fit(self, monkeypatch, tmp_path):
         # j = 2 and j = 3 share one stacked design and so one leverage

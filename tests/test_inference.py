@@ -42,7 +42,7 @@ from lspart.inference import (
     sigma_hat,
 )
 from lspart.partition import KnotRule, TensorPartition
-from oracles import quadratic_forms_whole, symmetrized, weighted_cross_whole
+from oracles import bit_sums_strided, quadratic_forms_whole, symmetrized, weighted_cross_whole
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +217,19 @@ class TestKernelMemory:
         fresh = sigma_hat(fit, 2, HCKind.HC2)
         out, peak = _traced_peak(lambda: fresh.sigma_mat)
         assert np.array_equal(out, var.sigma_mat)
-        assert peak < 2 * out.nbytes + 1e6
+        assert peak < out.nbytes + 1e6
+
+    def test_bit_sums(self, hc2_fit_3d):
+        # one block of draws: the (K, c) sums, the (n / 8, c) byte copy and
+        # one cell's blocks; no (c, n) or (n, width) array
+        fit, var = hc2_fit_3d
+        D, c = var.design, _DRAW_CHUNK
+        octets = np.random.default_rng(1).integers(0, 256, size=(c, D.n // 8 + 8),
+                                                   dtype=np.uint8)
+        sums = D.bit_sums()
+        out, peak = _traced_peak(lambda: sums(octets))
+        assert np.array_equal(out, bit_sums_strided(D)(octets))
+        assert peak < D.K * c * 8 + D.n * c / 8 + 5e5
 
 
 def test_hc1_needs_n_above_k():
