@@ -8,11 +8,11 @@ run. A ``ConfigError`` in a replication ends the study, as it ends a fit.
 
 Both modes write their JSON report through :func:`_report`, which nests all
 wall-clock information under the single volatile "timestamp" key, so
-dropping that key leaves a byte-comparable document; :func:`report_text` is
-the report's one text form, to ``--out`` or stdout. An output path that
-cannot take a file is a ``ConfigError`` before any work
-(:func:`_check_output`), and so is one that fails later, at the write. An
-unreadable or non-UTF-8 data file is a ``ParseError``.
+dropping that key leaves a byte-comparable document. :func:`report_text` is
+its one text form, one line of JSON to ``--out`` or stdout alike, which
+``python -m json.tool`` indents. An output path that cannot take a file is a
+``ConfigError`` before any work (:func:`_check_output`), or at the write if
+it fails later; an unreadable or non-UTF-8 data file is a ``ParseError``.
 Simulation replications draw their data from streams keyed (master_seed, rep)
 and are reduced in replication order, which makes parallel and serial runs
 agree bit for bit. Each band call draws from one stream of its own, keyed
@@ -314,8 +314,8 @@ def _write(path, text):
 
 
 def report_text(report):
-    """A run's JSON report as written, to ``--out`` or to stdout."""
-    return json.dumps(report, indent=2) + "\n"
+    """One line of JSON for ``--out`` and stdout; ``json.tool`` indents it."""
+    return json.dumps(report) + "\n"
 
 
 def _report(mode, body, t0, path):

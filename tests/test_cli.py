@@ -142,6 +142,20 @@ class TestFitCommand:
         b.pop("timestamp")
         assert a == b
 
+    def test_stdout_and_out_are_one_line_of_the_same_text(self, data_file, tmp_path,
+                                                          capsys):
+        args = ["fit", "--data", str(data_file), "--kappa", "4",
+                "--band", "plugin", "--B", "150"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "r.json"
+        assert main(args + ["--out", str(out)]) == 0
+        written = out.read_text(encoding="utf-8")
+        for text in (printed, written):
+            assert text.endswith("\n") and text.count("\n") == 1
+        # timestamp is the last key, so the text before it is the report
+        assert printed.split('"timestamp"')[0] == written.split('"timestamp"')[0]
+
     def test_config_error_exit_2(self, data_file, capsys):
         code = main(["fit", "--data", str(data_file), "--kappa", "fancy"])
         assert code == 2
@@ -241,6 +255,14 @@ class TestSimulateCommand:
         assert out.read_text(encoding="utf-8").count("\n") == 3
         summary = json.loads((tmp_path / "m.csv.json").read_text("utf-8"))
         assert summary["replications"] == 2
+
+    def test_summary_is_one_line(self, tmp_path):
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--model", "1", "--n", "120", "--reps", "1",
+                     "--kappa", "3", "--j", "0", "--out", str(out)]) == 0
+        text = (tmp_path / "m.csv.json").read_text("utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.loads(text)["mode"] == "simulate"
 
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         code = main(["simulate", "--model", "1", "--n", "120", "--kappa", "3",

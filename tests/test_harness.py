@@ -392,12 +392,12 @@ class TestRunFit:
         assert loaded == rep
 
     def test_output_file_bytes(self, data_file, tmp_path):
-        # the report is written as one indented dump plus a newline
+        # the report is written as one compact dump plus a newline
         out = tmp_path / "report.json"
         rep = run_fit(RunConfig(mode="fit", data_path=str(data_file), kappa=3,
                                 output_path=str(out), band_method="plugin",
                                 B=150, grid_size=12))
-        assert out.read_text(encoding="utf-8") == json.dumps(rep, indent=2) + "\n"
+        assert out.read_text(encoding="utf-8") == json.dumps(rep) + "\n"
 
     def test_unwritable_output_is_config_error(self, data_file, tmp_path):
         out = tmp_path / "absent" / "report.json"
